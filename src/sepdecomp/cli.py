@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import generators
-from .constructor import construct, construct_theorem2
+from .constructor import CONSTANTS, construct, construct_theorem2
 from .decomposition import validate_decomposition
 from .errors import SepDecompError, SizeLimitExceededError
 from .graph import Graph
@@ -92,7 +92,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "assertions_checked": len(report.assertion_log),
         }
         Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n")
-    bound_ok = report.bound_den * (report.width + 1) <= report.bound_num
+    bound_ok = CONSTANTS.width_bound_ok(report.width, report.a_used)
     print(f"width {report.width} (bound {report.bound_num}/{report.bound_den})")
     if not ok:
         print("; ".join(violations), file=sys.stderr)

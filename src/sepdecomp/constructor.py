@@ -13,7 +13,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .decomposition import (
@@ -34,11 +33,11 @@ from .graph import (
     Separation,
     VertexSet,
     _check_vertices,
-    _mask_vertices,
     induced_subgraph,
     mask_of,
+    mask_vertices,
 )
-from .kernels._pykernels import _popcount, components_in
+from .kernels import separators
 from .separations import Oracle, make_oracle, stz_separation
 from .wsequence import build_w_sequence
 
@@ -227,7 +226,7 @@ def _construct(
     assert (W | Z) <= ty.bags[ty_root]
     claims.check(
         "treewidth_bound",
-        all(139 * len(b) < 7915 * a for b in ty.bags),
+        all(CONSTANTS.width_bound_ok(len(b) - 1, a) for b in ty.bags),
         f"max T_Y bag {max(len(b) for b in ty.bags)} vs a={a}",
     )
 
@@ -346,43 +345,42 @@ def _useful_w_balanced(G: Graph, w_mask: int, wpad_mask: int, a: int):
     Balance is measured against wpad (W padded up to 3a); degeneracy against
     the true W: a candidate is rejected when one full side together with a
     separator inside W would hand a child the parent's own (X, Y) state.
-    Returns (z_mask, a_mask) or raises.
+    Among the groupings of the first separator that has a useful one, the
+    lexicographically smallest A side (by sorted vertex tuple) wins; every
+    grouping of components is tried.  Returns (z_mask, a_mask) or raises.
     """
     full = G.full_mask()
-    hi = (2 * _popcount(wpad_mask)) // 3
+    hi = (2 * wpad_mask.bit_count()) // 3
     saw_degenerate = False
-    for k in range(min(a, G.n) + 1):
-        for zs in combinations(range(G.n), k):
-            z_mask = mask_of(zs)
-            comps = components_in(G.adj_masks, full & ~z_mask)
-            weights = [_popcount(c & wpad_mask) for c in comps]
-            lo = _popcount(wpad_mask & ~z_mask) - hi
-            best = None
-            for sel in range(1 << len(comps)):
-                s = sum(wt for i, wt in enumerate(weights) if sel >> i & 1)
-                if not (lo <= s <= hi):
-                    continue
-                a_mask = z_mask
-                for i, c in enumerate(comps):
-                    if sel >> i & 1:
-                        a_mask |= c
-                b_mask = (full & ~a_mask) | z_mask
-                degenerate = (
-                    a_mask == full and (a_mask & b_mask) & ~w_mask == 0
-                ) or (b_mask == full and a_mask & ~w_mask == 0)
-                if degenerate:
-                    saw_degenerate = True
-                    continue
-                key = tuple(_mask_vertices(a_mask))
-                if best is None or key < best[0]:
-                    best = (key, a_mask)
-            if best is not None:
-                return z_mask, best[1]
+    for _, z_mask, comps in separators(G.adj_masks, range(G.n), full, range(min(a, G.n) + 1)):
+        weights = [(c & wpad_mask).bit_count() for c in comps]
+        lo = (wpad_mask & ~z_mask).bit_count() - hi
+        best = None
+        for sel in range(1 << len(comps)):
+            s = sum(wt for i, wt in enumerate(weights) if sel >> i & 1)
+            if not (lo <= s <= hi):
+                continue
+            a_mask = z_mask
+            for i, c in enumerate(comps):
+                if sel >> i & 1:
+                    a_mask |= c
+            b_mask = (full & ~a_mask) | z_mask
+            degenerate = (
+                a_mask == full and (a_mask & b_mask) & ~w_mask == 0
+            ) or (b_mask == full and a_mask & ~w_mask == 0)
+            if degenerate:
+                saw_degenerate = True
+                continue
+            key = tuple(mask_vertices(a_mask))
+            if best is None or key < best[0]:
+                best = (key, a_mask)
+        if best is not None:
+            return z_mask, best[1]
     if saw_degenerate:
         raise RecursionGuardError(
             "only degenerate W-balanced separations available"
         )
-    raise WBalancedUnavailableError(frozenset(_mask_vertices(wpad_mask)), a)
+    raise WBalancedUnavailableError(frozenset(mask_vertices(wpad_mask)), a)
 
 
 def construct_theorem2(
@@ -429,8 +427,8 @@ def construct_theorem2(
             mask_of(old_to_new[v] for v in wpad),
             a,
         )
-        A = frozenset(new_to_old[v] for v in _mask_vertices(a_mask))
-        sep_z = frozenset(new_to_old[v] for v in _mask_vertices(z_mask))
+        A = frozenset(new_to_old[v] for v in mask_vertices(a_mask))
+        sep_z = frozenset(new_to_old[v] for v in mask_vertices(z_mask))
         B = (X - A) | sep_z
         bag = W | sep_z
         claims.check("bag_4a", len(bag) <= 4 * a, f"bag {len(bag)}")

@@ -122,18 +122,10 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
 
 def components(G: Graph) -> list[VertexSet]:
     """Connected components, each a frozenset, ordered by smallest member."""
-    seen = 0
-    out: list[VertexSet] = []
-    for start in range(G.n):
-        if seen >> start & 1:
-            continue
-        comp = _component_mask(G.adj_masks, G.full_mask(), start)
-        seen |= comp
-        out.append(frozenset(_mask_vertices(comp)))
-    return out
+    return [frozenset(mask_vertices(c)) for c in components_in(G.adj_masks, G.full_mask())]
 
 
-def _component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
+def component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
     """Bitmask of the component of `start` inside `universe`."""
     comp = 1 << start
     frontier = comp
@@ -149,7 +141,19 @@ def _component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
     return comp
 
 
-def _mask_vertices(mask: int) -> list[int]:
+def components_in(adj_masks: Sequence[int], universe: int) -> list[int]:
+    """Component masks inside `universe`, ordered by lowest vertex."""
+    out = []
+    rest = universe
+    while rest:
+        comp = component_mask(adj_masks, universe, (rest & -rest).bit_length() - 1)
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1
@@ -173,13 +177,10 @@ def check_separation(G: Graph, A: Iterable[int], B: Iterable[int]) -> tuple[bool
     order = len(A & B)
     if A | B != frozenset(range(G.n)):
         return False, order
-    a_only = mask_of(A - B)
     b_only = mask_of(B - A)
     for u in A - B:
         if G.adj_masks[u] & b_only:
             return False, order
-    # a_only is unused beyond symmetry; crossing edges are symmetric
-    del a_only
     return True, order
 
 

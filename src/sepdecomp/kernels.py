@@ -1,0 +1,151 @@
+"""Search kernels over bitmask adjacency.
+
+These are the hot inner loops: minimum balanced / W-balanced separation
+search, separation number, and exact treewidth.  They are plain Python and
+work for any n, since vertex sets are Python ints used as bitmasks.
+
+Graphs come in as ``(n, adj_masks)`` where ``adj_masks[v]`` is the neighbor
+bitmask of vertex v.  Every separator search goes through ``separators``,
+which lists candidate separators by increasing size; each caller applies
+its own feasibility and selection rule to the components left behind.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, count
+from typing import Iterable, Iterator, Sequence
+
+from .graph import component_mask, components_in, mask_of, mask_vertices
+
+IMPLEMENTATION = "python"
+
+
+def separators(
+    adj_masks: Sequence[int], verts: Sequence[int], universe: int, sizes: Iterable[int]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Candidate separators Z of the graph induced on `universe`.
+
+    Yields ``(|Z|, z_mask, components)`` for every Z drawn from `verts`
+    with |Z| in `sizes` (increasing), in ``combinations`` order within a
+    size; the components of the graph minus Z are ordered by lowest vertex.
+    """
+    for k in sizes:
+        for zs in combinations(verts, k):
+            z_mask = mask_of(zs)
+            yield k, z_mask, components_in(adj_masks, universe & ~z_mask)
+
+
+def _sum_window_reachable(sizes, lo: int, hi: int) -> bool:
+    """Is some subset sum of `sizes` within [lo, hi]?"""
+    if hi < lo or hi < 0:
+        return False
+    ach = 1
+    for s in sizes:
+        ach |= ach << s
+    window = ((1 << (hi - max(lo, 0) + 1)) - 1) << max(lo, 0)
+    return bool(ach & window)
+
+
+def _greedy_a_side(z_mask: int, comps, weights, lo: int, hi: int):
+    """The A side Z + (chosen components) picked by the greedy rule.
+
+    A grouping is feasible when the chosen components' total weight lands
+    in [lo, hi].  Components must be ordered by lowest vertex.  The walk
+    stops as soon as the running weight is feasible; otherwise it takes a
+    component exactly when a feasible completion still exists with it.
+    This is deterministic but not the lexicographically smallest A side:
+    on edges {0,4}, {2,3} with isolated 1 it returns {0,4}, not {0,1,4}.
+    Returns None if no grouping is feasible.
+    """
+    if not _sum_window_reachable(weights, lo, hi):
+        return None
+    a_mask = z_mask
+    cur = 0
+    for i, comp in enumerate(comps):
+        if lo <= cur <= hi:
+            return a_mask
+        rest = weights[i + 1 :]
+        if _sum_window_reachable(rest, lo - cur - weights[i], hi - cur - weights[i]):
+            a_mask |= comp
+            cur += weights[i]
+    assert lo <= cur <= hi
+    return a_mask
+
+
+def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
+    """Minimum-order separation balancing the vertices of W.
+
+    Both strict sides may hold at most 2|W|/3 vertices of W.  Returns
+    (order, z_mask, a_mask) with the deterministic tie-break (smallest
+    order, first separator in ``combinations`` order, then the greedy A
+    side of ``_greedy_a_side``), or None if no such separation of order
+    <= max_order exists.  The B side is the complement of (a_mask minus
+    z_mask).
+    """
+    hi = (2 * w_mask.bit_count()) // 3
+    sizes = range(min(max_order, n) + 1)
+    for k, z_mask, comps in separators(adj_masks, range(n), (1 << n) - 1, sizes):
+        lo = (w_mask & ~z_mask).bit_count() - hi
+        weights = [(c & w_mask).bit_count() for c in comps]
+        a_mask = _greedy_a_side(z_mask, comps, weights, lo, hi)
+        if a_mask is not None:
+            return k, z_mask, a_mask
+    return None
+
+
+def min_balanced_separation(n, adj_masks, max_order):
+    """Minimum-order balanced separation: the W = V case of
+    ``min_w_balanced_separation``, with the same result and tie-break."""
+    return min_w_balanced_separation(n, adj_masks, (1 << n) - 1, max_order)
+
+
+def separation_number(n, adj_masks) -> int:
+    """max over induced subgraphs of the minimum balanced-separation order."""
+    best = 0
+    for sub in range(1, 1 << n):
+        nn = sub.bit_count()
+        if (nn + 2) // 3 <= best:
+            # (Z, V) with |Z| = ceil(nn/3) is always balanced
+            continue
+        hi = (2 * nn) // 3
+        # the search ends by |Z| = ceil(nn/3) at the latest
+        for k, _, comps in separators(adj_masks, mask_vertices(sub), sub, count(best)):
+            if _sum_window_reachable([c.bit_count() for c in comps], nn - k - hi, hi):
+                best = k
+                break
+    return best
+
+
+def treewidth(n, adj_masks):
+    """Exact treewidth via DP over subsets of elimination prefixes.
+
+    Returns (tw, elimination_order).
+    """
+    if n == 0:
+        return -1, ()
+    size = 1 << n
+    opt = [0] * size
+    choice = [0] * size
+    opt[0] = -1
+    for sub in range(1, size):
+        best_cost = n
+        best_v = -1
+        for v in mask_vertices(sub):
+            prev = sub ^ (1 << v)
+            reach = component_mask(adj_masks, sub, v)
+            nbr = 0
+            for u in mask_vertices(reach):
+                nbr |= adj_masks[u]
+            cost = max(opt[prev], (nbr & ~sub).bit_count())
+            if cost < best_cost:
+                best_cost = cost
+                best_v = v
+        opt[sub] = best_cost
+        choice[sub] = best_v
+    order = [0] * n
+    sub = size - 1
+    for pos in range(n - 1, -1, -1):
+        v = choice[sub]
+        order[pos] = v
+        sub ^= 1 << v
+    return opt[size - 1], tuple(order)

@@ -3,8 +3,11 @@
 Exact searches enumerate candidate separators by increasing size; whether a
 separator admits a balanced assignment of the remaining components is a
 subset-sum question, answered in the kernels.  Tie-break everywhere:
-smallest order, then lexicographically smallest separator, then
-lexicographically smallest A side.
+smallest order, then the first separator in ``itertools.combinations``
+order (lexicographically smallest), then a greedy A side: walk the
+components of G - Z in order of lowest vertex and take each one when a
+balanced completion still exists with it, stopping as soon as the sides
+balance.  That A side is not always the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -15,9 +18,17 @@ from math import comb
 from typing import Callable, Iterable, Optional
 
 from . import kernels
-from .kernels._pykernels import components_in
 from .errors import NotSeparatedError, SizeLimitExceededError
-from .graph import Graph, Separation, VertexSet, _check_vertices, _mask_vertices, mask_of
+from .graph import (
+    Graph,
+    Separation,
+    VertexSet,
+    _check_vertices,
+    components_in,
+    is_balanced,
+    mask_of,
+    mask_vertices,
+)
 from .menger import disjoint_paths, separates
 
 EXACT_LIMIT_SEPARATION = 20
@@ -46,7 +57,7 @@ class SeparatorOracleOutcome:
 def _separation_from_masks(G: Graph, z_mask: int, a_mask: int) -> Separation:
     b_mask = (G.full_mask() & ~a_mask) | z_mask
     return Separation(
-        frozenset(_mask_vertices(a_mask)), frozenset(_mask_vertices(b_mask))
+        frozenset(mask_vertices(a_mask)), frozenset(mask_vertices(b_mask))
     )
 
 
@@ -67,7 +78,7 @@ def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int
         else:
             y_mask |= comp
     return Separation(
-        frozenset(_mask_vertices(x_mask)), frozenset(_mask_vertices(y_mask))
+        frozenset(mask_vertices(x_mask)), frozenset(mask_vertices(y_mask))
     )
 
 
@@ -122,8 +133,6 @@ def balanced_separation_within(
 
 
 def _heuristic_balanced_within(G: Graph, a: int, seed: int, trials: int) -> SeparatorOracleOutcome:
-    from .graph import is_balanced
-
     best: Optional[Separation] = None
 
     def better(s: Separation, t: Optional[Separation]) -> bool:
@@ -152,11 +161,8 @@ def _heuristic_balanced_within(G: Graph, a: int, seed: int, trials: int) -> Sepa
         if res.separator is None:
             continue
         sep = stz_separation(G, S, res.separator, T)
-        try:
-            if is_balanced(G, sep) and sep.order <= a and better(sep, best):
-                best = sep
-        except Exception:  # pragma: no cover - stz output is always valid
-            raise
+        if is_balanced(G, sep) and sep.order <= a and better(sep, best):
+            best = sep
     if best is None:
         return SeparatorOracleOutcome(None, frozenset(range(G.n)), certified=False)
     return SeparatorOracleOutcome(best, None, certified=True)

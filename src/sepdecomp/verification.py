@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Optional
 
 from . import generators, kernels
-from .constructor import construct
+from .constructor import CONSTANTS, construct
 from .decomposition import RootedTreeDecomposition, validate_decomposition, width
 from .errors import (
     InvalidInputError,
@@ -254,10 +254,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             record.assertions = len(rep.assertion_log)
             ok, _ = validate_decomposition(G, rep.decomposition)
             record.validated = ok
-            record.bound_ok = (
-                rep.bound_den * (rep.width + 1) <= rep.bound_num
-                and rep.bound_den * rep.width < rep.bound_num
-            )
+            record.bound_ok = CONSTANTS.width_bound_ok(rep.width, rep.a_used)
             record.passed = ok and record.bound_ok
         except Exception as exc:  # noqa: BLE001 - suite must never abort
             record.error = f"{type(exc).__name__}: {exc}"

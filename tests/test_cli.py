@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+from sepdecomp import cli
 from sepdecomp.cli import dispatch
 from sepdecomp.generators import cycle_graph, grid_graph, path_graph
 from sepdecomp.pace import parse_gr, parse_td, write_gr
@@ -64,6 +66,18 @@ class TestConstruct:
     def test_infeasible_a_is_usage_error(self, tmp_path, capsys):
         g = gr(tmp_path, grid_graph(6, 6))
         assert dispatch(["construct", "--input", g, "--a", "1"]) == 2
+
+    def test_width_bound_is_strict(self, tmp_path, monkeypatch, capsys):
+        # 139*(7914+1) == 7915*139: a bag of exactly c*a vertices breaks the bound
+        real = cli.construct
+
+        def fake(G, a, W, **kwargs):
+            rep = real(G, 1, W, **kwargs)
+            return dataclasses.replace(rep, a_used=139, width=7914, bound_num=7915 * 139)
+
+        monkeypatch.setattr(cli, "construct", fake)
+        g = gr(tmp_path, path_graph(10))
+        assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
 
     def test_dot_output(self, tmp_path):
         g = gr(tmp_path, path_graph(40))

@@ -34,20 +34,17 @@ CONSTRUCT_CASES = {
     "tree150s5_a1": (lambda: random_tree(150, 5), 1),
     "tree150s5_a3": (lambda: random_tree(150, 5), 3),
 }
-THEOREM2_SEEDS = range(6)
-# fixed-a theorem2 runs with many W-balanced oracle calls (and one failure)
-THEOREM2_EXTRA = {
+# a=None runs at a = sep(G); the fixed-a cases make many W-balanced oracle
+# calls, and cycle20_a1 fails
+THEOREM2_CASES = {
+    **{f"gnp12s{s}_asep": (lambda s=s: gnp_graph(12, 0.3, s), None) for s in range(6)},
+    **{f"gnp16s{s}_a{a}": (lambda s=s: gnp_graph(16, 0.2, s), a) for s in range(4) for a in (2, 3)},
     "grid4x5_a2": (lambda: grid_graph(4, 5), 2),
     "grid4x5_a3": (lambda: grid_graph(4, 5), 3),
     "cycle20_a1": (lambda: cycle_graph(20), 1),
     "cycle20_a2": (lambda: cycle_graph(20), 2),
     "tree20s3_a1": (lambda: random_tree(20, 3), 1),
     "path20_a1": (lambda: path_graph(20), 1),
-    **{
-        f"gnp16s{s}_a{a}": (lambda s=s: gnp_graph(16, 0.2, s), a)
-        for s in range(4)
-        for a in (2, 3)
-    },
 }
 
 
@@ -61,7 +58,11 @@ def construct_digest(name: str) -> str:
     return _sha(write_td(construct(G, a, {0}).decomposition, G))
 
 
-def theorem2_outcome(G, a: int) -> dict:
+def theorem2_outcome(name: str) -> dict:
+    make, a = THEOREM2_CASES[name]
+    G = make()
+    if a is None:
+        a = separation_number(G)
     try:
         td = construct_theorem2(G, a).decomposition
     except (RecursionGuardError, WBalancedUnavailableError) as exc:
@@ -69,42 +70,27 @@ def theorem2_outcome(G, a: int) -> dict:
     return {"a": a, "sha256": _sha(write_td(td, G))}
 
 
-def theorem2_gnp(seed: int) -> dict:
-    G = gnp_graph(12, 0.3, seed)
-    return theorem2_outcome(G, separation_number(G))
-
-
-def theorem2_extra(name: str) -> dict:
-    make, a = THEOREM2_EXTRA[name]
-    return theorem2_outcome(make(), a)
-
-
-def kernel_cases() -> list[dict]:
-    """Seeded gnp graphs with n <= 10, each kernel on several orders."""
-    cases = []
+def kernel_cases() -> dict[str, list[dict]]:
+    """Seeded gnp graphs with n <= 10, keyed by seed, each kernel on several
+    orders."""
+    groups = {}
     rng = random.Random(7)
     for seed in range(40):
         n = random.Random(seed).randint(1, 10)
-        for a in sorted({1, 2, n}):
-            cases.append({"fn": "min_balanced_separation", "n": n, "seed": seed, "max_order": a})
         w_mask = rng.randint(1, (1 << n) - 1)
-        for a in sorted({1, n}):
-            cases.append(
-                {"fn": "min_w_balanced_separation", "n": n, "seed": seed,
-                 "w_mask": w_mask, "max_order": a}
-            )
-        cases.append({"fn": "separation_number", "n": min(n, 9), "seed": seed})
-        cases.append({"fn": "treewidth", "n": min(n, 8), "seed": seed})
-    return cases
+        groups[f"{seed:02d}"] = [
+            *({"fn": "min_balanced_separation", "n": n, "max_order": a} for a in sorted({1, 2, n})),
+            *({"fn": "min_w_balanced_separation", "n": n, "w_mask": w_mask, "max_order": a}
+              for a in sorted({1, n})),
+            {"fn": "separation_number", "n": min(n, 9)},
+            {"fn": "treewidth", "n": min(n, 8)},
+        ]
+    return groups
 
 
-def run_kernel(case: dict):
-    G = gnp_graph(case["n"], 0.4, case["seed"])
-    args = [G.n, G.adj_masks]
-    if "w_mask" in case:
-        args.append(case["w_mask"])
-    if "max_order" in case:
-        args.append(case["max_order"])
+def run_kernel(seed: int, case: dict):
+    G = gnp_graph(case["n"], 0.4, seed)
+    args = [G.n, G.adj_masks] + [case[k] for k in ("w_mask", "max_order") if k in case]
     # JSON has no tuples: compare in the stored form
     return json.loads(json.dumps(getattr(kernels, case["fn"])(*args)))
 
@@ -112,9 +98,11 @@ def run_kernel(case: dict):
 def compute_golden() -> dict:
     return {
         "construct": {name: construct_digest(name) for name in CONSTRUCT_CASES},
-        "theorem2": {str(s): theorem2_gnp(s) for s in THEOREM2_SEEDS},
-        "theorem2_extra": {name: theorem2_extra(name) for name in THEOREM2_EXTRA},
-        "kernels": [dict(case, result=run_kernel(case)) for case in kernel_cases()],
+        "theorem2": {name: theorem2_outcome(name) for name in THEOREM2_CASES},
+        "kernels": {
+            key: [dict(case, result=run_kernel(int(key), case)) for case in cases]
+            for key, cases in kernel_cases().items()
+        },
     }
 
 
@@ -128,35 +116,29 @@ def test_construct_td(golden, name):
     assert construct_digest(name) == golden["construct"][name]
 
 
-@pytest.mark.parametrize("seed", THEOREM2_SEEDS)
-def test_theorem2_td(golden, seed):
-    assert theorem2_gnp(seed) == golden["theorem2"][str(seed)]
-
-
-@pytest.mark.parametrize("name", sorted(THEOREM2_EXTRA))
-def test_theorem2_extra_td(golden, name):
-    assert theorem2_extra(name) == golden["theorem2_extra"][name]
+@pytest.mark.parametrize("name", sorted(THEOREM2_CASES))
+def test_theorem2_td(golden, name):
+    assert theorem2_outcome(name) == golden["theorem2"][name]
 
 
 def test_kernel_tuples(golden):
     stored = golden["kernels"]
-    assert [{k: v for k, v in c.items() if k != "result"} for c in stored] == kernel_cases()
-    for case in stored:
-        assert run_kernel(case) == case["result"], case
+    assert {
+        key: [{k: v for k, v in case.items() if k != "result"} for case in cases]
+        for key, cases in stored.items()
+    } == kernel_cases()
+    for key, cases in stored.items():
+        for case in cases:
+            assert run_kernel(int(key), case) == case["result"], (key, case)
 
 
 def dumps(golden: dict) -> str:
-    """JSON with one pin per line, so a changed pin is a one-line diff."""
+    """JSON with one line per case (per graph for the kernels), so a changed
+    pin is a one-line diff."""
     sections = []
-    for key, value in sorted(golden.items()):
-        if isinstance(value, dict):
-            entries = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(value.items())]
-            brackets = "{}"
-        else:
-            entries = [json.dumps(v, sort_keys=True) for v in value]
-            brackets = "[]"
-        body = ",\n  ".join(entries)
-        sections.append(f"{json.dumps(key)}: {brackets[0]}\n  {body}\n {brackets[1]}")
+    for key, pins in sorted(golden.items()):
+        lines = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(pins.items())]
+        sections.append(json.dumps(key) + ": {\n  " + ",\n  ".join(lines) + "\n }")
     return "{\n " + ",\n ".join(sections) + "\n}\n"
 
 

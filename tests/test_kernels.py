@@ -1,38 +1,26 @@
-import random
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdecomp import kernels
-from sepdecomp.generators import gnp_graph
-from sepdecomp.kernels import _pykernels
-
-_ck = kernels._ckernels
-needs_compiled = pytest.mark.skipif(
-    _ck is None, reason="compiled kernels unavailable"
-)
-
-
-def random_graph(n, seed):
-    return gnp_graph(n, 0.4, seed)
+from sepdecomp.generators import cycle_graph, path_graph
+from sepdecomp.graph import Separation, build_graph, component_mask, components_in, is_balanced
 
 
 class TestPureHelpers:
     def test_component_mask(self):
         # 0-1 edge, isolated 2: masks 0b011 and 0b100
         adj = (0b010, 0b001, 0b000)
-        assert _pykernels.component_mask(adj, 0b111, 0) == 0b011
-        assert _pykernels.components_in(adj, 0b111) == [0b011, 0b100]
+        assert component_mask(adj, 0b111, 0) == 0b011
+        assert components_in(adj, 0b111) == [0b011, 0b100]
 
     def test_components_respect_universe(self):
         adj = (0b010, 0b101, 0b010)
-        assert _pykernels.components_in(adj, 0b101) == [0b001, 0b100]
+        assert components_in(adj, 0b101) == [0b001, 0b100]
 
     def test_sum_window(self):
-        assert _pykernels._sum_window_reachable([2, 3], 2, 3)
-        assert not _pykernels._sum_window_reachable([2, 3], 4, 4)
-        assert _pykernels._sum_window_reachable([], 0, 0)
+        assert kernels._sum_window_reachable([2, 3], 2, 3)
+        assert not kernels._sum_window_reachable([2, 3], 4, 4)
+        assert kernels._sum_window_reachable([], 0, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 6), max_size=7), st.integers(0, 20), st.integers(0, 20))
@@ -42,100 +30,48 @@ class TestPureHelpers:
             for picks in __import__("itertools").product((0, 1), repeat=len(sizes))
         }
         expected = any(lo <= r <= hi for r in reachable)
-        assert _pykernels._sum_window_reachable(sizes, lo, hi) == expected
+        assert kernels._sum_window_reachable(sizes, lo, hi) == expected
 
 
 class TestPureKernels:
     def test_big_graph_bigint_path(self):
         # n = 70 exceeds any single machine word; order-1 search still exact
-        from sepdecomp.generators import path_graph
-
         G = path_graph(70)
-        found = _pykernels.min_balanced_separation(G.n, G.adj_masks, 1)
-        assert found is not None and found[0] == 1
-
-    def test_no_separation_within_order(self):
-        from sepdecomp.generators import cycle_graph
-
-        G = cycle_graph(10)
-        assert _pykernels.min_balanced_separation(G.n, G.adj_masks, 1) is None
-
-
-@needs_compiled
-class TestDifferential:
-    """The compiled kernels must agree with the pure ones bit for bit."""
-
-    def test_min_balanced(self):
-        for seed in range(40):
-            G = random_graph(random.Random(seed).randint(1, 10), seed)
-            for a in (1, 2, G.n):
-                assert _ck.min_balanced_separation(
-                    G.n, G.adj_masks, a
-                ) == _pykernels.min_balanced_separation(G.n, G.adj_masks, a)
-
-    def test_min_w_balanced(self):
-        rng = random.Random(7)
-        for seed in range(40):
-            n = rng.randint(1, 10)
-            G = random_graph(n, seed)
-            w_mask = rng.randint(1, (1 << n) - 1)
-            assert _ck.min_w_balanced_separation(
-                G.n, G.adj_masks, w_mask, n
-            ) == _pykernels.min_w_balanced_separation(G.n, G.adj_masks, w_mask, n)
-
-    def test_separation_number(self):
-        for seed in range(40):
-            G = random_graph(random.Random(seed + 99).randint(1, 9), seed)
-            assert _ck.separation_number(G.n, G.adj_masks) == (
-                _pykernels.separation_number(G.n, G.adj_masks)
-            )
-
-    def test_treewidth(self):
-        for seed in range(30):
-            G = random_graph(random.Random(seed + 5).randint(1, 8), seed)
-            assert _ck.treewidth(G.n, G.adj_masks) == _pykernels.treewidth(
-                G.n, G.adj_masks
-            )
-
-    def test_compiled_treewidth_size_cap(self):
-        with pytest.raises(ValueError):
-            _ck.treewidth(29, tuple([0] * 29))
-
-
-class TestSelection:
-    def test_large_n_routes_to_python(self):
-        from sepdecomp.generators import path_graph
-
-        G = path_graph(70)  # above the 62-vertex compiled limit
         found = kernels.min_balanced_separation(G.n, G.adj_masks, 1)
         assert found is not None and found[0] == 1
 
+    def test_no_separation_within_order(self):
+        G = cycle_graph(10)
+        assert kernels.min_balanced_separation(G.n, G.adj_masks, 1) is None
+
+    def test_greedy_a_side_tie_break(self):
+        # components {0,4}, {1}, {2,3}: the greedy walk takes {0,4} and stops
+        # once the sides balance, although ({0,1,4}, {2,3}) is also balanced
+        # with order 0 and has the lexicographically smaller A side
+        G = build_graph(5, [(0, 4), (2, 3)])
+        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.n) == (0, 0, 0b10001)
+        assert kernels._greedy_a_side(0, [0b10001, 0b00010, 0b01100], [2, 1, 2], 2, 3) == 0b10001
+        alt = Separation(frozenset({0, 1, 4}), frozenset({2, 3}))
+        assert is_balanced(G, alt) and alt.order == 0
+        assert sorted(alt.a_side) < [0, 4]
+
+    def test_separators_order(self):
+        G = path_graph(3)
+        assert list(kernels.separators(G.adj_masks, range(3), 0b111, range(2))) == [
+            (0, 0b000, [0b111]),
+            (1, 0b001, [0b110]),
+            (1, 0b010, [0b001, 0b100]),
+            (1, 0b100, [0b011]),
+        ]
+
+    def test_separators_respect_universe(self):
+        G = path_graph(4)
+        # inside {0, 1, 3}, removing 1 leaves 0 and 3 apart
+        assert list(kernels.separators(G.adj_masks, [1], 0b1011, [1])) == [
+            (1, 0b0010, [0b0001, 0b1000])
+        ]
+
+
+class TestSelection:
     def test_implementation_flag(self):
-        assert kernels.IMPLEMENTATION in ("compiled", "python")
-
-    def test_pure_python_env_override(self):
-        import os
-        import subprocess
-        import sys
-
-        import sepdecomp
-
-        # The child must import the same sepdecomp as this process, whether
-        # it comes from a source checkout on PYTHONPATH or an installed copy.
-        pkg_root = os.path.dirname(os.path.dirname(sepdecomp.__file__))
-        env = dict(os.environ, SEPDECOMP_PURE_PYTHON="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from sepdecomp import kernels; print(kernels.IMPLEMENTATION)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "python"
+        assert kernels.IMPLEMENTATION == "python"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from sepdecomp.generators import (
 )
 from sepdecomp.graph import Separation, build_graph
 from sepdecomp.decomposition import validate_decomposition, width
+from sepdecomp import verification
 from sepdecomp.verification import (
     InstanceSpec,
     SuiteConfig,
@@ -168,6 +170,19 @@ class TestSuite:
         rep = run_suite(cfg)
         assert not rep.passed
         assert rep.records[0].error
+
+    def test_width_bound_is_strict(self, monkeypatch):
+        # 139*(7914+1) == 7915*139: a bag of exactly c*a vertices breaks the bound
+        real = verification.construct
+
+        def fake(G, a, W, **kwargs):
+            rep = real(G, a, W, **kwargs)
+            return dataclasses.replace(rep, a_used=139, width=7914, bound_num=7915 * 139)
+
+        monkeypatch.setattr(verification, "construct", fake)
+        rep = run_suite(SuiteConfig(instances=(InstanceSpec("path", {"n": 10}),)))
+        record = rep.records[0]
+        assert record.validated and not record.bound_ok and not record.passed
 
     def test_deterministic(self):
         cfg = SuiteConfig(instances=(InstanceSpec("gnp", {"n": 13, "p": 0.25}),))
