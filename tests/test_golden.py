@@ -2,8 +2,9 @@
 
 ``tests/data/golden.json`` holds the sha256 of ``write_td`` for a corpus
 that drives the recursion (a = 3 runs the exact certifying oracle), the
-``construct_theorem2`` outputs on small graphs, and the raw result
-tuples of the four search kernels.  A refactor must reproduce all of them
+``construct_theorem2`` outputs on small graphs, the raw result tuples of
+the four search kernels, and the paths, separators and W-sequences of the
+Menger layer on seeded graphs.  A refactor must reproduce all of them
 exactly; a change of tie-break has to be argued, not regenerated away.
 
 ``python tests/test_golden.py`` prints the current values in the same
@@ -21,8 +22,10 @@ from sepdecomp import kernels
 from sepdecomp.constructor import construct, construct_theorem2
 from sepdecomp.errors import RecursionGuardError, WBalancedUnavailableError
 from sepdecomp.generators import cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
+from sepdecomp.menger import disjoint_paths
 from sepdecomp.pace import write_td
 from sepdecomp.separations import separation_number
+from sepdecomp.wsequence import build_w_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 
@@ -95,9 +98,78 @@ def run_kernel(seed: int, case: dict):
     return json.loads(json.dumps(getattr(kernels, case["fn"])(*args)))
 
 
+GRAPH_KINDS = {
+    "gnp": gnp_graph, "tree": random_tree, "grid": grid_graph,
+    "cycle": cycle_graph, "path": path_graph,
+}
+
+
+def make_graph(spec: list):
+    kind, *args = spec
+    return GRAPH_KINDS[kind](*args)
+
+
+def _graph_spec(rng: random.Random, i: int) -> list:
+    kind = ("gnp", "tree", "grid", "cycle", "gnp_sparse")[i % 5]
+    if kind == "gnp":
+        return ["gnp", rng.randint(2, 30), rng.choice([0.15, 0.3, 0.5]), i]
+    if kind == "gnp_sparse":  # mostly disconnected
+        return ["gnp", rng.randint(4, 30), 0.06, i]
+    if kind == "tree":
+        return ["tree", rng.randint(2, 40), i]
+    if kind == "grid":
+        return ["grid", rng.randint(1, 6), rng.randint(2, 7)]
+    return ["cycle", rng.randint(3, 40)]
+
+
+def menger_cases() -> dict[str, dict]:
+    """Seeded (G, S, T, cap) cases for disjoint_paths, and (G, W, w) cases
+    for build_w_sequence with |W| in {1, 2, 3}.  Every fourth flow case
+    forces S and T to overlap, and every sixth caps at most |S & T|."""
+    rng = random.Random(13)
+    cases = {}
+    for i in range(300):
+        spec = _graph_spec(rng, i)
+        n = make_graph(spec).n
+        S = rng.sample(range(n), rng.randint(0 if i % 50 == 0 else 1, max(1, n // 3)))
+        T = rng.sample(range(n), rng.randint(1, max(1, n // 3)))
+        if i % 4 == 0:
+            T = sorted(set(T) | set(S[: rng.randint(1, 3)]))
+        common = len(set(S) & set(T))
+        cap = rng.randint(0, common) if i % 6 == 0 else rng.randint(1, n + 1)
+        cases[f"disjoint_paths {i:03d}"] = {
+            "graph": spec, "S": sorted(S), "T": sorted(T), "cap": cap,
+        }
+    for i in range(60):
+        spec = _graph_spec(rng, i)
+        n = make_graph(spec).n
+        W = sorted(rng.sample(range(n), min(n, 1 + i % 3)))
+        cases[f"build_w_sequence {i:02d}"] = {
+            "graph": spec, "W": W, "w": rng.randint(1, len(W)),
+        }
+    return cases
+
+
+def run_menger(case: dict) -> dict:
+    G = make_graph(case["graph"])
+    if "cap" in case:
+        res = disjoint_paths(G, case["S"], case["T"], case["cap"])
+        return {
+            "paths": [list(p.vertices) for p in res.paths],
+            "separator": None if res.separator is None else sorted(res.separator),
+        }
+    ws = build_w_sequence(G, case["W"], case["w"])
+    return {
+        "levels": [sorted(lvl) for lvl in ws.levels],
+        "z_set": sorted(ws.z_set),
+        "witness_paths": [[list(p.vertices) for p in fam] for fam in ws.witness_paths],
+    }
+
+
 def compute_golden() -> dict:
     return {
         "construct": {name: construct_digest(name) for name in CONSTRUCT_CASES},
+        "menger": {key: dict(case, result=run_menger(case)) for key, case in menger_cases().items()},
         "theorem2": {name: theorem2_outcome(name) for name in THEOREM2_CASES},
         "kernels": {
             key: [dict(case, result=run_kernel(int(key), case)) for case in cases]
@@ -130,6 +202,15 @@ def test_kernel_tuples(golden):
     for key, cases in stored.items():
         for case in cases:
             assert run_kernel(int(key), case) == case["result"], (key, case)
+
+
+def test_menger_results(golden):
+    stored = golden["menger"]
+    assert {
+        key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
+    } == menger_cases()
+    wrong = [key for key, case in stored.items() if run_menger(case) != case["result"]]
+    assert not wrong
 
 
 def dumps(golden: dict) -> str:
