@@ -102,3 +102,7 @@ class ParseError(SepDecompError):
 
 class PreconditionFailedError(SepDecompError):
     pass
+
+
+class PostconditionFailedError(SepDecompError):
+    """An internal guarantee did not hold; the message names the function."""

@@ -1,18 +1,21 @@
 """Vertex-disjoint S-T paths and matching minimum separators.
 
 Unit-vertex-capacity max flow via vertex splitting with breadth-first
-augmentation.  Neighbor order is ascending vertex id throughout, so the
+augmentation (Even & Tarjan 1975).  The split network is kept in flat
+per-vertex arrays: a vertex carries at most one unit, so its flow is the
+node feeding its in-copy and the node its out-copy feeds.  Each augmenting
+search is O(n + m) and scans arcs in ascending split-node id, so the
 returned paths and separator are deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import VertexOutOfRangeError
-from .graph import Graph, VertexSet
+from .errors import PostconditionFailedError
+from .graph import Graph, VertexSet, _check_vertices, component_mask, mask_of
 
 
 @dataclass(frozen=True)
@@ -38,59 +41,69 @@ class PathResult:
     separator: Optional[VertexSet]
 
 
-def _check(G: Graph, S: Iterable[int]) -> frozenset[int]:
-    S = frozenset(S)
-    for v in S:
-        if not (0 <= v < G.n):
-            raise VertexOutOfRangeError(v, G.n)
-    return S
+# Split-network node ids: 2v = v_in, 2v+1 = v_out, then source and sink.
+# Arcs: v_in -> v_out (capacity 1); u_out -> v_in for every edge uv; source
+# -> v_in for v in S; v_out -> sink for v in T.  Vertices in both S and T
+# are length-0 paths and take no part in the network.
+_NONE = -1  # no flow through the vertex; an unreached node
+_REMOVED = -2  # marks the in-copy of a vertex of S & T as never reachable
 
 
-# Flow network node ids: 2v = v_in, 2v+1 = v_out, then source and sink.
-def _flow_network(G: Graph, avoid: frozenset[int], S: frozenset[int], T: frozenset[int]):
-    src = 2 * G.n
-    snk = 2 * G.n + 1
-    big = G.n + 1
-    cap: dict[int, dict[int, int]] = {i: {} for i in range(2 * G.n + 2)}
+def _augment(adj, fresh, sources, T, pred, succ) -> Optional[list[int]]:
+    """One breadth-first search of the residual network from `fresh`, the
+    initial parent array.
 
-    def add(u, v, c):
-        cap[u][v] = c
-        cap[v].setdefault(u, 0)
-
-    for v in range(G.n):
-        if v in avoid:
+    On success, pushes a unit along the path found and returns None.  On
+    failure, returns the search's parent array: the nodes it reached are
+    those with a parent >= 0.
+    """
+    par = fresh[:]
+    snk = len(par) - 1
+    src = snk - 1
+    queue = [2 * v for v in sources if pred[v] != src]
+    for x in queue:
+        par[x] = src
+    push = queue.append
+    for x in queue:
+        v = x >> 1
+        p = pred[v]
+        if not x & 1:
+            # v_in: with flow through v the only residual arc runs back to
+            # the node feeding v_in, otherwise the only one is v_in -> v_out
+            y = x + 1 if p == _NONE else p
+            if par[y] == _NONE:
+                par[y] = x
+                push(y)
             continue
-        add(2 * v, 2 * v + 1, 1)
-        for u in G.adjacency[v]:
-            if u not in avoid:
-                add(2 * v + 1, 2 * u, big)
-    for v in sorted(S):
-        add(src, 2 * v, 1)
-    for v in sorted(T):
-        add(2 * v + 1, snk, 1)
-    return cap, src, snk
-
-
-def _augment(cap, src, snk) -> bool:
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == snk:
+        nbrs = adj[v]
+        if p != _NONE:  # residual v_out -> v_in sits among the u_in
+            k = bisect_left(nbrs, v)
+            nbrs = nbrs[:k] + (v,) + nbrs[k:]
+        for u in nbrs:
+            y = 2 * u
+            if par[y] == _NONE:
+                par[y] = x
+                push(y)
+        if v in T and succ[v] != snk:
+            par[snk] = x
             break
-        for v in sorted(cap[u]):
-            if v not in parent and cap[u][v] > 0:
-                parent[v] = u
-                queue.append(v)
-    if snk not in parent:
-        return False
-    v = snk
-    while v != src:
-        u = parent[v]
-        cap[u][v] -= 1
-        cap[v][u] += 1
-        v = u
-    return True
+    else:
+        return par
+    y = snk
+    while y != src:
+        x = par[y]
+        if y == snk:
+            succ[x >> 1] = snk
+        elif not y & 1:
+            u = y >> 1
+            if x == y + 1:  # cancels the unit through u
+                pred[u] = succ[u] = _NONE
+            else:
+                pred[u] = x
+                if x != src:
+                    succ[x >> 1] = y
+        y = x
+    return None
 
 
 def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> PathResult:
@@ -100,112 +113,84 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     When fewer than `cap` paths exist, a minimum separator of matching size
     is returned; it contains S∩T and removing it destroys all S-T paths.
     """
-    S = _check(G, S)
-    T = _check(G, T)
+    S = _check_vertices(G, S)
+    T = _check_vertices(G, T)
     common = sorted(S & T)
     if cap <= len(common):
         return PathResult(
             tuple(VertexPath((v,)) for v in common[:cap]), None
         )
-    avoid = frozenset(common)
-    S2 = S - avoid
-    T2 = T - avoid
-    net, src, snk = _flow_network(G, avoid, S2, T2)
+    n = G.n
+    src = 2 * n
+    snk = src + 1
+    # pred[v]: node feeding v_in; succ[v]: node fed by v_out
+    pred = [_NONE] * n
+    succ = [_NONE] * n
+    fresh = [_NONE] * (snk + 1)
+    fresh[src] = src
+    for v in common:
+        fresh[2 * v] = _REMOVED
+    sources = sorted(S.difference(common))
+    T2 = T.difference(common)
     want = cap - len(common)
     flow = 0
-    while flow < want and _augment(net, src, snk):
+    reach = None
+    while flow < want:
+        reach = _augment(G.adjacency, fresh, sources, T2, pred, succ)
+        if reach is not None:
+            break
         flow += 1
 
     paths = [VertexPath((v,)) for v in common]
-    # flow on an original arc = original capacity minus residual; with unit
-    # vertex capacities every carried arc has flow exactly 1
-    big = G.n + 1
-    flow_on: set[tuple[int, int]] = set()
-    for u in net:
-        for w, residual in net[u].items():
-            if _forward(u, w, src, snk, G.n):
-                cap0 = big if u % 2 == 1 and w % 2 == 0 and w != snk and u != src else 1
-                if cap0 - residual > 0:
-                    flow_on.add((u, w))
-    for v in sorted(S2):
-        if (src, 2 * v) not in flow_on:
+    for v in sources:
+        if pred[v] != src:
             continue
         walk = [v]
-        node = 2 * v
-        while node != snk:
-            nxt = None
-            for w in sorted(net[node]):
-                if (node, w) in flow_on:
-                    nxt = w
-                    break
-            assert nxt is not None, "flow decomposition lost a unit"
-            flow_on.remove((node, nxt))
-            if nxt != snk and nxt % 2 == 0:
-                walk.append(nxt // 2)
-            node = nxt
+        u = v
+        while succ[u] != snk:
+            if succ[u] == _NONE:
+                raise PostconditionFailedError(
+                    "disjoint_paths: flow decomposition lost a unit"
+                )
+            u = succ[u] >> 1
+            walk.append(u)
         paths.append(VertexPath(tuple(walk)))
 
-    if flow == want:
+    if reach is None:
         return PathResult(tuple(paths), None)
 
-    # residual reachability gives the minimum cut, hence the separator
-    reach = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, c in net[u].items():
-            if c > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
+    # the last search's reach gives the minimum cut, hence the separator
     sep = set(common)
-    for v in range(G.n):
-        if v in avoid:
-            continue
-        vin, vout = 2 * v, 2 * v + 1
-        if vin in reach and vout not in reach:
+    for v in range(n):
+        if reach[2 * v] >= 0 and reach[2 * v + 1] == _NONE:
             sep.add(v)
-    for v in S2:
-        if 2 * v not in reach and net[src].get(2 * v) == 0:
+    for v in sources:
+        if reach[2 * v] == _NONE and pred[v] == src:
             sep.add(v)
     for v in T2:
-        if 2 * v + 1 in reach and net[2 * v + 1].get(snk) == 0:
+        if reach[2 * v + 1] >= 0 and succ[v] == snk:
             sep.add(v)
-    assert len(sep) == len(paths), "min cut does not certify the flow value"
+    if len(sep) != len(paths):
+        raise PostconditionFailedError(
+            f"disjoint_paths: min cut of size {len(sep)} does not certify "
+            f"{len(paths)} paths"
+        )
     return PathResult(tuple(paths), frozenset(sep))
 
 
-def _forward(node: int, w: int, src: int, snk: int, n: int) -> bool:
-    """Is node->w an arc of the original network (not a pure residual)?"""
-    if node == src:
-        return w != snk and w % 2 == 0
-    if w == snk:
-        return node % 2 == 1
-    if node % 2 == 0:
-        return w == node + 1
-    return w % 2 == 0 and w != node - 1
-
-
 def separates(G: Graph, Z: Iterable[int], S: Iterable[int], T: Iterable[int]) -> bool:
-    """True iff every S-T path of G meets Z."""
-    Z = _check(G, Z)
-    S = _check(G, S)
-    T = _check(G, T)
-    if not (S & T) <= Z:
-        return False
-    blocked = Z
-    frontier = sorted(S - blocked)
-    seen = set(frontier)
-    targets = T - blocked
-    if seen & targets:
-        return False
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in G.adjacency[u]:
-                if v not in seen and v not in blocked:
-                    if v in targets:
-                        return False
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
+    """True iff every S-T path of G meets Z: no component of G - Z meets
+    both S and T (a vertex of S & T outside Z is such a path)."""
+    Z = _check_vertices(G, Z)
+    S = _check_vertices(G, S)
+    T = _check_vertices(G, T)
+    z_mask = mask_of(Z)
+    universe = G.full_mask() & ~z_mask
+    s_mask = mask_of(S) & universe
+    t_mask = mask_of(T) & universe
+    while s_mask:
+        comp = component_mask(G.adj_masks, universe, (s_mask & -s_mask).bit_length() - 1)
+        if comp & t_mask:
+            return False
+        s_mask &= ~comp
     return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyWError, WidthOutOfRangeError
+from .errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
 from .graph import Graph, VertexSet, _check_vertices, induced_subgraph
 from .menger import VertexPath, disjoint_paths, separates
 
@@ -69,8 +69,14 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
             new_level, tails = _extend(current, res.paths, W)
             levels.append(frozenset(new_level))
             witness.append(tails)
-            assert len(z) == r, "Menger separator size must equal path count"
-            assert z <= levels[-1], "separator must lie inside the last layer"
+            if len(z) != r:
+                raise PostconditionFailedError(
+                    f"build_w_sequence: separator of size {len(z)} for {r} paths"
+                )
+            if not z <= levels[-1]:
+                raise PostconditionFailedError(
+                    "build_w_sequence: separator leaves the last layer"
+                )
             return WSequence(
                 levels=tuple(levels), width_w=w, z_set=frozenset(z),
                 witness_paths=tuple(witness),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sepdecomp.errors import NotSeparatedError, SizeLimitExceededError
@@ -9,6 +11,7 @@ from sepdecomp.generators import (
     random_tree,
 )
 from sepdecomp.graph import build_graph, is_balanced, is_separation, is_w_balanced
+from sepdecomp.menger import separates
 from sepdecomp.separations import (
     balanced_separation_within,
     make_oracle,
@@ -30,6 +33,22 @@ class TestStzSeparation:
         G = path_graph(3)
         with pytest.raises(NotSeparatedError):
             stz_separation(G, {0}, set(), {2})
+        # a shared vertex outside Z is a length-0 S-T path
+        with pytest.raises(NotSeparatedError):
+            stz_separation(G, {1}, {0}, {1, 2})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raises_exactly_when_not_separates(self, seed):
+        rng = random.Random(seed)
+        G = gnp_graph(9, 0.25, seed)
+        for _ in range(40):
+            S, Z, T = (set(rng.sample(range(9), rng.randint(0, 4))) for _ in range(3))
+            try:
+                stz_separation(G, S, Z, T)
+                raised = False
+            except NotSeparatedError:
+                raised = True
+            assert raised == (not separates(G, Z, S, T)), (S, Z, T)
 
     def test_empty_s(self):
         G = path_graph(3)

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdecomp.errors import EmptyWError, WidthOutOfRangeError
+from sepdecomp import wsequence
+from sepdecomp.errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
 from sepdecomp.generators import complete_graph, gnp_graph, path_graph
 from sepdecomp.graph import build_graph
+from sepdecomp.menger import PathResult
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
 
 
@@ -57,6 +59,29 @@ class TestErrors:
     def test_width_above_w(self):
         with pytest.raises(WidthOutOfRangeError):
             build_w_sequence(path_graph(3), {0, 1}, 3)
+
+
+class TestPostconditions:
+    """A Menger separator that breaks the W-sequence's final condition
+    raises a typed error (a plain assert would vanish under python -O)."""
+
+    @pytest.mark.parametrize("bogus, message", [
+        (frozenset({2, 3}), "separator of size 2 for 1 paths"),
+        (frozenset({3}), "separator leaves the last layer"),
+    ])
+    def test_bad_separator(self, monkeypatch, bogus, message):
+        real = wsequence.disjoint_paths
+
+        def fake(G, S, T, cap):
+            res = real(G, S, T, cap)
+            return res if res.separator is None else PathResult(res.paths, bogus)
+
+        monkeypatch.setattr(wsequence, "disjoint_paths", fake)
+        # W = {0, 1} with 1 isolated: one path 2-0, so the last layer is
+        # {0, 1, 2} and the true separator has size 1
+        G = build_graph(4, [(0, 2), (2, 3)])
+        with pytest.raises(PostconditionFailedError, match=f"build_w_sequence: {message}"):
+            build_w_sequence(G, {0, 1}, 2)
 
 
 class TestValidateRejects:
