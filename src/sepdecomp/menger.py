@@ -132,14 +132,11 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
         fresh[2 * v] = _REMOVED
     sources = sorted(S.difference(common))
     T2 = T.difference(common)
-    want = cap - len(common)
-    flow = 0
     reach = None
-    while flow < want:
+    for _ in range(cap - len(common)):
         reach = _augment(G.adjacency, fresh, sources, T2, pred, succ)
         if reach is not None:
             break
-        flow += 1
 
     paths = [VertexPath((v,)) for v in common]
     for v in sources:

@@ -193,6 +193,8 @@ def min_w_balanced_separation(
     return _separation_from_masks(G, z_mask, a_mask)
 
 
+# collections.abc.Callable, not typing.Callable: typing caches subscripted
+# aliases, and its cache would keep every re-imported copy of the package alive
 Oracle = Callable[[Graph], SeparatorOracleOutcome]
 
 
