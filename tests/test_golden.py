@@ -98,10 +98,7 @@ def run_kernel(seed: int, case: dict):
     return json.loads(json.dumps(getattr(kernels, case["fn"])(*args)))
 
 
-GRAPH_KINDS = {
-    "gnp": gnp_graph, "tree": random_tree, "grid": grid_graph,
-    "cycle": cycle_graph, "path": path_graph,
-}
+GRAPH_KINDS = {"gnp": gnp_graph, "tree": random_tree, "grid": grid_graph, "cycle": cycle_graph}
 
 
 def make_graph(spec: list):
