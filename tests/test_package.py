@@ -1,5 +1,5 @@
 """Checks on the package as a whole, each in a child interpreter so that the
-test session's imports stay untouched: re-importing the package frees the
+running tests' imports stay untouched: re-importing the package frees the
 old copy, and the golden constructions come out the same under python -O."""
 
 import json
@@ -40,7 +40,7 @@ print(json.dumps({{
 
 def run_child(code: str, *flags: str) -> dict:
     """Run `code` in a fresh interpreter that imports sepdecomp from the
-    same tree as this session; return the JSON it prints."""
+    same tree as the running tests; return the JSON it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
