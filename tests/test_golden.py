@@ -3,7 +3,8 @@
 ``tests/data/golden.json`` holds the sha256 of ``write_td`` for a corpus
 that drives the recursion (a = 3 runs the exact certifying oracle), the
 ``construct_theorem2`` outputs on small graphs, the raw result tuples of
-the four search kernels, and the paths, separators and W-sequences of the
+the four search kernels, the separation kernels' tuples on larger graphs
+with many cut vertices, and the paths, separators and W-sequences of the
 Menger layer on seeded graphs.  A refactor must reproduce all of them
 exactly; a change of tie-break has to be argued, not regenerated away.
 
@@ -22,6 +23,7 @@ from sepdecomp import kernels
 from sepdecomp.constructor import construct, construct_theorem2
 from sepdecomp.errors import RecursionGuardError, WBalancedUnavailableError
 from sepdecomp.generators import cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
+from sepdecomp.graph import build_graph, mask_of
 from sepdecomp.menger import disjoint_paths
 from sepdecomp.pace import write_td
 from sepdecomp.separations import separation_number
@@ -91,6 +93,46 @@ def kernel_cases() -> dict[str, list[dict]]:
     return groups
 
 
+def cut_vertex_cases() -> dict[str, dict]:
+    """Separation-kernel calls on seeded trees, paths, cycles and partial
+    2-trees with n = 30..120: graphs with many cut vertices, where a
+    separator's last vertex splits its component into several pieces.
+    W is every vertex (both kernels), a random subset or a sparse one.
+    A few 3-row grids add searches that end at order 3."""
+    rng = random.Random(29)
+    cases = {}
+    for i in range(64):
+        kind = ("tree", "path", "cycle", "ptree2")[i % 4]
+        n = rng.randint(30, 120)
+        spec = [kind, n] + ([i] if kind in ("tree", "ptree2") else [])
+        case = {"graph": spec, "max_order": 1 + i // 4 % 3}
+        w_kind = i // 16
+        if w_kind == 1:
+            case["w_mask"] = rng.getrandbits(n) or 1
+        elif w_kind == 2:
+            case["w_mask"] = mask_of(rng.sample(range(n), rng.randint(2, n // 8)))
+        elif w_kind == 3:
+            case["w_mask"] = (1 << n) - 1
+        cases[f"{kind} {i:02d}"] = case
+    # 3-row grids need order 3, so the search runs through two-vertex prefixes
+    for i in range(4):
+        cols = rng.randint(10, 25)
+        case = {"graph": ["grid", 3, cols], "max_order": 3}
+        if i % 2:
+            case["w_mask"] = rng.getrandbits(3 * cols) or 1
+        cases[f"grid {i:02d}"] = case
+    return cases
+
+
+def run_cut_vertex(case: dict):
+    G = make_graph(case["graph"])
+    if "w_mask" in case:
+        found = kernels.min_w_balanced_separation(G.n, G.adj_masks, case["w_mask"], case["max_order"])
+    else:
+        found = kernels.min_balanced_separation(G.n, G.adj_masks, case["max_order"])
+    return None if found is None else list(found)
+
+
 def run_kernel(seed: int, case: dict):
     G = gnp_graph(case["n"], 0.4, seed)
     args = [G.n, G.adj_masks] + [case[k] for k in ("w_mask", "max_order") if k in case]
@@ -98,7 +140,25 @@ def run_kernel(seed: int, case: dict):
     return json.loads(json.dumps(getattr(kernels, case["fn"])(*args)))
 
 
-GRAPH_KINDS = {"gnp": gnp_graph, "tree": random_tree, "grid": grid_graph, "cycle": cycle_graph}
+def partial_2tree(n: int, seed: int):
+    """Seeded partial 2-tree with shuffled ids: a 2-tree grown from a
+    triangle, each edge kept with probability 0.8 (often disconnected)."""
+    rng = random.Random(seed)
+    edges = {(0, 1), (0, 2), (1, 2)}
+    cliques = [(0, 1), (0, 2), (1, 2)]
+    for v in range(3, n):
+        u, w = cliques[rng.randrange(len(cliques))]
+        edges |= {(u, v), (w, v)}
+        cliques += [(u, v), (w, v)]
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return build_graph(n, [(ids[u], ids[v]) for u, v in sorted(edges) if rng.random() < 0.8])
+
+
+GRAPH_KINDS = {
+    "gnp": gnp_graph, "tree": random_tree, "grid": grid_graph, "cycle": cycle_graph,
+    "path": path_graph, "ptree2": partial_2tree,
+}
 
 
 def make_graph(spec: list):
@@ -166,6 +226,7 @@ def run_menger(case: dict) -> dict:
 def compute_golden() -> dict:
     return {
         "construct": {name: construct_digest(name) for name in CONSTRUCT_CASES},
+        "cut_vertex": {key: dict(case, result=run_cut_vertex(case)) for key, case in cut_vertex_cases().items()},
         "menger": {key: dict(case, result=run_menger(case)) for key, case in menger_cases().items()},
         "theorem2": {name: theorem2_outcome(name) for name in THEOREM2_CASES},
         "kernels": {
@@ -207,6 +268,15 @@ def test_menger_results(golden):
         key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
     } == menger_cases()
     wrong = [key for key, case in stored.items() if run_menger(case) != case["result"]]
+    assert not wrong
+
+
+def test_cut_vertex_results(golden):
+    stored = golden["cut_vertex"]
+    assert {
+        key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
+    } == cut_vertex_cases()
+    wrong = [key for key, case in stored.items() if run_cut_vertex(case) != case["result"]]
     assert not wrong
 
 
