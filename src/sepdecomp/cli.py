@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write a graphviz rendering here")
     p.add_argument("--stats", help="write run statistics here (JSON)")
     p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_SEP_NUMBER)
-    p.add_argument("--debug-assertions", action="store_true")
+    p.add_argument("--debug-assertions", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="validate a .td against a .gr")

@@ -39,7 +39,7 @@ from .graph import (
 )
 from .kernels import separators
 from .separations import Oracle, make_oracle, stz_separation
-from .wsequence import build_w_sequence
+from .wsequence import _sequence_tail
 
 
 @dataclass(frozen=True)
@@ -207,18 +207,15 @@ def _construct(
         stats.base_cases += 1
         return _single_bag(G), 0
 
-    ws = build_w_sequence(G, W, len(W))
-    Z = ws.z_set
-    ell = ws.ell
-    w_top = ws.levels[ell + 1]
-    S = frozenset(range(G.n)) - ws.levels[ell]
+    w_ell, w_top, Z, ell_is_zero = _sequence_tail(G, W)
+    S = frozenset(range(G.n)) - w_ell
     sep_xy = stz_separation(G, S, Z, W)
     X, Y = sep_xy.a_side, sep_xy.b_side
     claims.check("z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
     claims.check("xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
     claims.check("y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
 
-    if ell == 0:
+    if ell_is_zero:
         ty = RootedTreeDecomposition(G.n, (-1,), (W | Z,))
         ty_root = 0
     else:

@@ -5,9 +5,12 @@ search, separation number, and exact treewidth.  They are plain Python and
 work for any n, since vertex sets are Python ints used as bitmasks.
 
 Graphs come in as ``(n, adj_masks)`` where ``adj_masks[v]`` is the neighbor
-bitmask of vertex v.  Every separator search goes through ``separators``,
-which lists candidate separators by increasing size; each caller applies
-its own feasibility and selection rule to the components left behind.
+bitmask of vertex v.  ``separators`` lists candidate separators by
+increasing size, with the components each leaves behind; the separation
+number and the W-balanced iteration of ``construct_theorem2`` apply their
+own rules to it.  The (W-)balanced separation search visits the same
+candidates in the same order, but gets their pieces from one low-link DFS
+per separator prefix instead of one component search per candidate.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations, count
 from typing import Iterable, Iterator, Sequence
 
+from .errors import PostconditionFailedError
 from .graph import component_mask, components_in, mask_of, mask_vertices
 
 IMPLEMENTATION = "python"
@@ -68,7 +72,10 @@ def _greedy_a_side(z_mask: int, comps, weights, lo: int, hi: int):
         if _sum_window_reachable(rest, lo - cur - weights[i], hi - cur - weights[i]):
             a_mask |= comp
             cur += weights[i]
-    assert lo <= cur <= hi
+    if not lo <= cur <= hi:
+        raise PostconditionFailedError(
+            f"_greedy_a_side: weight {cur} outside [{lo}, {hi}] after the walk"
+        )
     return a_mask
 
 
@@ -81,15 +88,109 @@ def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
     side of ``_greedy_a_side``), or None if no such separation of order
     <= max_order exists.  The B side is the complement of (a_mask minus
     z_mask).
+
+    A separator Z of size k >= 1 is a prefix Z' of k-1 vertices plus a
+    last vertex z > max Z'.  For each prefix, one DFS per component of
+    G - Z' records discovery times, low-links and W-weights of subtrees
+    (Hopcroft & Tarjan's articulation-point search), so the W-weights of
+    the pieces of G - Z' - z come out in O(deg z) for every z: the child
+    subtrees c of z with low[c] >= disc[z], the rest of z's component
+    unless z is the DFS root, and the other components unchanged.  Whether
+    a balanced grouping exists depends only on those weights, so the
+    components themselves are only listed for the winning separator.
     """
     hi = (2 * w_mask.bit_count()) // 3
-    sizes = range(min(max_order, n) + 1)
-    for k, z_mask, comps in separators(adj_masks, range(n), (1 << n) - 1, sizes):
-        lo = (w_mask & ~z_mask).bit_count() - hi
-        weights = [(c & w_mask).bit_count() for c in comps]
-        a_mask = _greedy_a_side(z_mask, comps, weights, lo, hi)
-        if a_mask is not None:
-            return k, z_mask, a_mask
+    nbrs = [mask_vertices(m) for m in adj_masks]
+    for k in range(min(max_order, n) + 1):
+        if k == 0:
+            a_mask = _a_side(adj_masks, w_mask, 0, hi)
+            if a_mask is not None:
+                return 0, 0, a_mask
+            continue
+        for prefix in combinations(range(n), k - 1):
+            z = _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi)
+            if z is not None:
+                z_mask = mask_of(prefix) | 1 << z
+                a_mask = _a_side(adj_masks, w_mask, z_mask, hi)
+                if a_mask is None:
+                    raise PostconditionFailedError(
+                        "min_w_balanced_separation: the pieces of the separator "
+                        "balance, its components do not"
+                    )
+                return k, z_mask, a_mask
+    return None
+
+
+def _a_side(adj_masks, w_mask: int, z_mask: int, hi: int):
+    """``_greedy_a_side`` over the components of G - Z."""
+    comps = components_in(adj_masks, ((1 << len(adj_masks)) - 1) & ~z_mask)
+    weights = [(c & w_mask).bit_count() for c in comps]
+    return _greedy_a_side(z_mask, comps, weights, (w_mask & ~z_mask).bit_count() - hi, hi)
+
+
+def _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi):
+    """Smallest z > max(prefix) such that Z = prefix + z leaves pieces
+    with a W-balanced grouping, or None."""
+    start = prefix[-1] + 1 if prefix else 0
+    if start >= n:
+        return None
+    z_prefix = mask_of(prefix)
+    lo_prefix = (w_mask & ~z_prefix).bit_count() - hi
+    disc = [-1] * n
+    for v in prefix:
+        disc[v] = -2  # removed: neither visited nor a back-edge target
+    low = [0] * n
+    sub_w = [0] * n
+    root_of = [-1] * n
+    cut_pieces: dict[int, list[int]] = {}  # z -> nonzero W-weights of split-off subtrees
+    comps = components_in(adj_masks, ((1 << n) - 1) & ~z_prefix)
+    comp_w = [(c & w_mask).bit_count() for c in comps]
+    t = 0
+    for c in comps:
+        if not c >> start:
+            continue  # no candidate z in this component
+        root = (c & -c).bit_length() - 1
+        disc[root] = low[root] = t
+        t += 1
+        sub_w[root] = w_mask >> root & 1
+        root_of[root] = root
+        stack = [(root, -1, iter(nbrs[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for u in it:
+                d = disc[u]
+                if d == -1:
+                    disc[u] = low[u] = t
+                    t += 1
+                    sub_w[u] = w_mask >> u & 1
+                    root_of[u] = root
+                    stack.append((u, v, iter(nbrs[u])))
+                    break
+                if d >= 0 and u != p and d < low[v]:
+                    low[v] = d
+            else:
+                stack.pop()
+                if p >= 0:
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    sub_w[p] += sub_w[v]
+                    if low[v] >= disc[p] and sub_w[v]:
+                        cut_pieces.setdefault(p, []).append(sub_w[v])
+    # the other components' nonzero weights, per component (keyed by root)
+    others: dict[int, list[int]] = {}
+    for z in range(start, n):
+        root = root_of[z]
+        rest = others.get(root)
+        if rest is None:
+            rest = others[root] = [
+                wt for c, wt in zip(comps, comp_w) if wt and not c >> root & 1
+            ]
+        wz = w_mask >> z & 1
+        pieces = cut_pieces.get(z, [])
+        if z != root:
+            pieces = pieces + [sub_w[root] - wz - sum(pieces)]
+        if _sum_window_reachable(rest + pieces, lo_prefix - wz, hi):
+            return z
     return None
 
 

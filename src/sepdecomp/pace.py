@@ -77,6 +77,8 @@ def parse_td(text: str) -> RootedTreeDecomposition:
                 header = tuple(int(p) for p in parts[2:])
             except ValueError:
                 raise ParseError("non-integer header fields", lineno) from None
+            if min(header) < 0:
+                raise ParseError("negative header fields", lineno)
             continue
         if header is None:
             raise ParseError("content before header", lineno)
@@ -90,6 +92,8 @@ def parse_td(text: str) -> RootedTreeDecomposition:
                 raise ParseError(f"bad bag index {idx}", lineno)
             if any(not (1 <= v <= header[2]) for v in verts):
                 raise ParseError("bag vertex out of range", lineno)
+            if len(set(verts)) != len(verts):
+                raise ParseError("repeated vertex in bag", lineno)
             bag_lines[idx] = verts
             continue
         if len(parts) != 2:
@@ -103,11 +107,15 @@ def parse_td(text: str) -> RootedTreeDecomposition:
         tree_edges.append((i, j))
     if header is None:
         raise ParseError("missing 's td' header", 0)
-    n_bags, _, n = header
+    n_bags, max_bag, n = header
     if n_bags == 0:
         raise ParseError("decomposition needs at least one bag", 0)
-    if set(bag_lines) != set(range(1, n_bags + 1)):
+    # indices are distinct and within 1..n_bags, so counting them suffices
+    if len(bag_lines) != n_bags:
         raise ParseError("missing bag lines", 0)
+    largest = max(len(verts) for verts in bag_lines.values())
+    if max_bag != largest:
+        raise ParseError(f"header max-bag {max_bag} but largest bag has {largest}", 0)
     if len(tree_edges) != n_bags - 1:
         raise ParseError(f"expected {n_bags - 1} tree edges", 0)
     adj: dict[int, list[int]] = {i: [] for i in range(1, n_bags + 1)}

@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from . import kernels
-from .errors import NotSeparatedError, SizeLimitExceededError
+from .errors import NotSeparatedError, PostconditionFailedError, SizeLimitExceededError
 from .graph import (
     Graph,
     Separation,
@@ -91,7 +91,11 @@ def min_balanced_separation(G: Graph, exact_limit: int = EXACT_LIMIT_SEPARATION)
     if G.n > exact_limit:
         raise SizeLimitExceededError(G.n, exact_limit, "min_balanced_separation")
     found = kernels.min_balanced_separation(G.n, G.adj_masks, G.n)
-    assert found is not None, "a balanced separation of order <= n always exists"
+    if found is None:
+        raise PostconditionFailedError(
+            "min_balanced_separation: no balanced separation of order <= n, "
+            "although (V, V) is one"
+        )
     _, z_mask, a_mask = found
     return _separation_from_masks(G, z_mask, a_mask)
 
@@ -188,7 +192,11 @@ def min_w_balanced_separation(
     if G.n > exact_limit:
         raise SizeLimitExceededError(G.n, exact_limit, "min_w_balanced_separation")
     found = kernels.min_w_balanced_separation(G.n, G.adj_masks, mask_of(W), G.n)
-    assert found is not None, "(V, V) is always W-balanced"
+    if found is None:
+        raise PostconditionFailedError(
+            "min_w_balanced_separation: no W-balanced separation, "
+            "although (V, V) is one"
+        )
     _, z_mask, a_mask = found
     return _separation_from_masks(G, z_mask, a_mask)
 

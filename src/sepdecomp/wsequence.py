@@ -4,6 +4,8 @@ A W-sequence of width w is a chain W = W_0 ⊆ ... ⊆ W_{l+1} where each new
 layer contributes exactly w fresh vertices linked to W by vertex-disjoint
 paths inside the layer, the final layer contributes fewer than w, and a
 separator of that final deficit size cuts everything beyond W_l off from W.
+``construct`` reads only the tail of the sequence (``_sequence_tail``),
+which for |W| = 1 needs no flow at all.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
-from .graph import Graph, VertexSet, _check_vertices, induced_subgraph
+from .graph import (
+    Graph,
+    VertexSet,
+    _check_vertices,
+    component_mask,
+    induced_subgraph,
+    mask_vertices,
+)
 from .menger import VertexPath, disjoint_paths, separates
 
 
@@ -85,6 +94,22 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
         current = new_level
         levels.append(frozenset(new_level))
         witness.append(tails)
+
+
+def _sequence_tail(G: Graph, W: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet, bool]:
+    """(W_l, W_{l+1}, Z, l == 0) of the width-|W| W-sequence of W.
+
+    With W = {v}, every round adds one vertex of v's component and the
+    sequence ends when none is left, whatever paths the flow picks; so
+    W_l = W_{l+1} = that component, Z is empty and l = 0 exactly when the
+    component is {v}.  Larger W reads the tail of ``build_w_sequence``.
+    """
+    if len(W) == 1:
+        (v,) = W
+        comp = frozenset(mask_vertices(component_mask(G.adj_masks, G.full_mask(), v)))
+        return comp, comp, frozenset(), len(comp) == 1
+    ws = build_w_sequence(G, W, len(W))
+    return ws.levels[ws.ell], ws.levels[ws.ell + 1], ws.z_set, ws.ell == 0
 
 
 def _extend(current: set, paths, W: frozenset):

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdecomp import kernels
+from sepdecomp.errors import PostconditionFailedError
 from sepdecomp.generators import cycle_graph, path_graph
 from sepdecomp.graph import Separation, build_graph, component_mask, components_in, is_balanced
 
@@ -54,6 +56,13 @@ class TestPureKernels:
         alt = Separation(frozenset({0, 1, 4}), frozenset({2, 3}))
         assert is_balanced(G, alt) and alt.order == 0
         assert sorted(alt.a_side) < [0, 4]
+
+    def test_greedy_a_side_postcondition(self, monkeypatch):
+        # with a subset-sum test that always says yes, the walk ends outside
+        # the window; the check is an exception, so it also runs under -O
+        monkeypatch.setattr(kernels, "_sum_window_reachable", lambda sizes, lo, hi: True)
+        with pytest.raises(PostconditionFailedError, match="_greedy_a_side"):
+            kernels._greedy_a_side(0, [0b1], [5], 1, 2)
 
     def test_separators_order(self):
         G = path_graph(3)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdecomp.decomposition import RootedTreeDecomposition, separation_tree
-from sepdecomp.errors import InvalidDecompositionError, ParseError
+from sepdecomp.errors import InvalidDecompositionError, ParseError, SepDecompError
 from sepdecomp.generators import complete_graph, gnp_graph, path_graph
 from sepdecomp.graph import build_graph
 from sepdecomp.pace import export_dot, parse_gr, parse_td, write_gr, write_td
@@ -96,6 +96,9 @@ class TestTdFormat:
             "s td 2 1 1\nb 1 1\nb 2 1\n1 1\n",  # self-loop tree edge
             "s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n1 2\n",  # disconnected
             "s td 0 0 0\n",  # zero bags
+            "s td 1 0 -5\nb 1\n",  # negative n
+            "s td 1 1 3\nb 1 1 1 2\n",  # repeated vertex in a bag
+            "s td 1 0 3\nb 1 1 2 3\n",  # max-bag field disagrees with the bags
         ],
     )
     def test_parse_errors(self, text):
@@ -124,3 +127,98 @@ def test_gr_td_pipeline_round_trips(n, seed):
     t = separation_tree(G, -(-n // 3), 1)
     text = write_td(t, G)
     assert write_td(parse_td(text), G) == text
+
+
+# Fuzz inputs: lines of small integer tokens in the shape of each format,
+# and valid files with one line kept, commented, swapped, dropped, repeated
+# or rewritten.
+_ints = st.integers(-2, 9).map(str)
+_noise = st.text(alphabet="pstdwbc -0123456789x", max_size=12)
+_gr_line = st.one_of(
+    st.tuples(st.just("p tw"), _ints, _ints).map(" ".join),
+    st.tuples(_ints, _ints).map(" ".join),
+    st.just("c note"),
+    st.just(""),
+    _noise,
+)
+_td_line = st.one_of(
+    st.tuples(st.just("s td"), _ints, _ints, _ints).map(" ".join),
+    st.tuples(st.just("b"), _ints, st.lists(_ints, max_size=4).map(" ".join)).map(" ".join),
+    st.tuples(_ints, _ints).map(" ".join),
+    st.just("c note"),
+    _noise,
+)
+
+
+@st.composite
+def _edited(draw, valid_text, line):
+    lines = draw(valid_text).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["keep", "comment", "swap", "drop", "repeat", "rewrite"]))
+    if edit == "comment":
+        lines.insert(i, "c note")
+    elif edit == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "drop":
+        del lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    elif edit == "rewrite":
+        lines[i] = draw(line)
+    return "\n".join(lines) + "\n"
+
+
+_valid_gr = st.builds(lambda n, seed: write_gr(gnp_graph(n, 0.4, seed)),
+                      st.integers(1, 6), st.integers(0, 100))
+
+
+def _valid_td_text(n, seed):
+    G = gnp_graph(n, 0.4, seed)
+    return write_td(separation_tree(G, -(-n // 3), 1), G)
+
+
+_valid_td = st.builds(_valid_td_text, st.integers(1, 6), st.integers(0, 100))
+
+
+def _shape(t):
+    """A decomposition up to the numbering of its nodes."""
+    pairs = sorted(
+        (sorted(t.bags[x]), sorted(t.bags[p])) for x, p in enumerate(t.parents) if p != -1
+    )
+    return t.host_n, sorted(t.bags[t.root]), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(_gr_line, max_size=6).map(lambda ls: "\n".join(ls) + "\n"),
+    _edited(_valid_gr, _gr_line),
+))
+def test_parse_gr_fuzz(text):
+    try:
+        G = parse_gr(text)
+    except SepDecompError:
+        return
+    assert parse_gr(write_gr(G)) == G
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(_td_line, max_size=6).map(lambda ls: "\n".join(ls) + "\n"),
+    _edited(_valid_td, _td_line),
+))
+def test_parse_td_fuzz(text):
+    """A parsed .td either fails validation against the edgeless graph on
+    its vertices, or writes back to a file that parses to the same tree."""
+    try:
+        t = parse_td(text)
+    except SepDecompError:
+        return
+    G = build_graph(t.host_n, [])
+    try:
+        out = write_td(t, G)
+    except InvalidDecompositionError:
+        return
+    back = parse_td(out)
+    assert _shape(back) == _shape(t)
+    assert write_td(back, G) == out

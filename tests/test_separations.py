@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sepdecomp.errors import NotSeparatedError, SizeLimitExceededError
+from sepdecomp import kernels
+from sepdecomp.errors import NotSeparatedError, PostconditionFailedError, SizeLimitExceededError
 from sepdecomp.generators import (
     complete_graph,
     cycle_graph,
@@ -20,6 +21,21 @@ from sepdecomp.separations import (
     separation_number,
     stz_separation,
 )
+
+
+class TestPostconditions:
+    """A kernel that misses the always-existing (V, V) separation raises a
+    typed error naming the function (a plain assert would vanish under -O)."""
+
+    def test_min_balanced(self, monkeypatch):
+        monkeypatch.setattr(kernels, "min_balanced_separation", lambda n, adj, k: None)
+        with pytest.raises(PostconditionFailedError, match="^min_balanced_separation:"):
+            min_balanced_separation(path_graph(4))
+
+    def test_min_w_balanced(self, monkeypatch):
+        monkeypatch.setattr(kernels, "min_w_balanced_separation", lambda n, adj, w, k: None)
+        with pytest.raises(PostconditionFailedError, match="^min_w_balanced_separation:"):
+            min_w_balanced_separation(path_graph(4), {0, 3})
 
 
 class TestStzSeparation:

@@ -121,3 +121,20 @@ def test_random_sequences_validate(data):
     ok, tags = validate_w_sequence(G, ws)
     assert ok, tags
     assert ws.levels[0] == W and ws.width_w == w
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tail_matches_full_sequence(data):
+    """The tail that construct reads agrees with the witnessed sequence:
+    in closed form for |W| = 1 (connected or not, W isolated or not), read
+    from build_w_sequence for larger W."""
+    n = data.draw(st.integers(1, 14))
+    p = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.4]))
+    G = gnp_graph(n, p, data.draw(st.integers(0, 10_000)))
+    size = data.draw(st.sampled_from([1, 1, 1, 2, 3]))
+    W = frozenset(data.draw(st.permutations(range(n)))[:size])
+    ws = build_w_sequence(G, W, len(W))
+    expected = (ws.levels[ws.ell], ws.levels[ws.ell + 1], ws.z_set, ws.ell == 0)
+    assert wsequence._sequence_tail(G, W) == expected
