@@ -2,7 +2,8 @@
 
 ``tests/data/golden.json`` holds the sha256 of ``write_td`` for a corpus
 that drives the recursion (a = 3 runs the exact certifying oracle), the
-``construct_theorem2`` outputs on small graphs, the raw result tuples of
+``construct_theorem2`` outputs on small graphs, the raw node ids and bags
+of some of those runs, the raw result tuples of
 the four search kernels, the separation kernels' tuples on larger graphs
 with many cut vertices, and the paths, separators and W-sequences of the
 Menger layer on seeded graphs.  A refactor must reproduce all of them
@@ -51,6 +52,13 @@ THEOREM2_CASES = {
     "tree20s3_a1": (lambda: random_tree(20, 3), 1),
     "path20_a1": (lambda: path_graph(20), 1),
 }
+# the .td digests renumber nodes in preorder; these pin the node ids too
+NODE_ID_CASES = {
+    **{name: (make, a, lambda G: {0}) for name, (make, a) in CONSTRUCT_CASES.items()},
+    "path120_a1_ends": (lambda: path_graph(120), 1, lambda G: {0, G.n - 1}),
+    "cycle150_a2_ends": (lambda: cycle_graph(150), 2, lambda G: {0, G.n - 1}),
+}
+NODE_ID_THEOREM2 = ("grid4x5_a2", "tree20s3_a1")
 
 
 def _sha(text: str) -> str:
@@ -73,6 +81,18 @@ def theorem2_outcome(name: str) -> dict:
     except (RecursionGuardError, WBalancedUnavailableError) as exc:
         return {"a": a, "error": type(exc).__name__}
     return {"a": a, "sha256": _sha(write_td(td, G))}
+
+
+def node_ids_digest(name: str) -> str:
+    """sha256 of the raw (parents, bags) of a run."""
+    if name in NODE_ID_THEOREM2:
+        make, a = THEOREM2_CASES[name]
+        td = construct_theorem2(make(), a).decomposition
+    else:
+        make, a, W = NODE_ID_CASES[name]
+        G = make()
+        td = construct(G, a, W(G)).decomposition
+    return _sha(repr((td.parents, [sorted(b) for b in td.bags])))
 
 
 def kernel_cases() -> dict[str, list[dict]]:
@@ -228,6 +248,7 @@ def compute_golden() -> dict:
         "construct": {name: construct_digest(name) for name in CONSTRUCT_CASES},
         "cut_vertex": {key: dict(case, result=run_cut_vertex(case)) for key, case in cut_vertex_cases().items()},
         "menger": {key: dict(case, result=run_menger(case)) for key, case in menger_cases().items()},
+        "node_ids": {name: node_ids_digest(name) for name in [*NODE_ID_CASES, *NODE_ID_THEOREM2]},
         "theorem2": {name: theorem2_outcome(name) for name in THEOREM2_CASES},
         "kernels": {
             key: [dict(case, result=run_kernel(int(key), case)) for case in cases]
@@ -249,6 +270,11 @@ def test_construct_td(golden, name):
 @pytest.mark.parametrize("name", sorted(THEOREM2_CASES))
 def test_theorem2_td(golden, name):
     assert theorem2_outcome(name) == golden["theorem2"][name]
+
+
+@pytest.mark.parametrize("name", sorted([*NODE_ID_CASES, *NODE_ID_THEOREM2]))
+def test_construct_node_ids(golden, name):
+    assert node_ids_digest(name) == golden["node_ids"][name]
 
 
 def test_kernel_tuples(golden):
