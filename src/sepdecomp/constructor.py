@@ -10,7 +10,6 @@ cross-multiplications; the constants are exact rationals.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -24,6 +23,7 @@ from .decomposition import (
 from .errors import (
     InvalidInputError,
     OracleFailureError,
+    PostconditionFailedError,
     RecursionGuardError,
     SizeLimitExceededError,
     WBalancedUnavailableError,
@@ -37,7 +37,7 @@ from .graph import (
     mask_of,
     mask_vertices,
 )
-from .kernels import separators
+from .kernels import _sum_in_window, separators
 from .separations import Oracle, make_oracle, stz_separation
 from .wsequence import _sequence_tail
 
@@ -113,8 +113,9 @@ def _counted_oracle(oracle: Oracle, stats: RecursionStats) -> Oracle:
 
 
 class _Claims:
-    def __init__(self, enabled: bool):
+    def __init__(self, enabled: bool, where: str):
         self.enabled = enabled
+        self.where = where
         self.log: list[AssertionRecord] = []
 
     def check(self, claim: str, ok: bool, context: str):
@@ -122,7 +123,7 @@ class _Claims:
             return
         self.log.append(AssertionRecord(claim, context, ok))
         if not ok:
-            raise AssertionError(f"claim {claim} violated: {context}")
+            raise PostconditionFailedError(f"{self.where}: claim {claim} violated: {context}")
 
 
 def construct(
@@ -132,11 +133,11 @@ def construct(
     oracle: Optional[Oracle] = None,
     debug_assertions: bool = True,
 ) -> ConstructReport:
-    """Decomposition of width < (7915/139)*a with W inside some bag.
+    """Decomposition of width < (7915/139)*a with W inside the root bag.
 
     The oracle must produce balanced separations of order <= a for every
     subgraph it is handed; with an exact oracle a failure certifies
-    sep(G) > a.
+    sep(G) > a.  The certificate node is the root, node 0.
     """
     W = _check_vertices(G, W)
     if a < 1:
@@ -148,41 +149,26 @@ def construct(
     if oracle is None:
         oracle = make_oracle(a)
     stats = RecursionStats()
-    claims = _Claims(debug_assertions)
+    claims = _Claims(debug_assertions, "construct")
     oracle = _counted_oracle(oracle, stats)
-    limit = max(sys.getrecursionlimit(), 40 * (G.n + 100))
-    sys.setrecursionlimit(limit)
-    td, cert = _construct(G, a, W, oracle, stats, claims, G.n + 1, 0)
+    td = _construct(G, a, W, oracle, stats, claims)
     w = width(td)
     if not CONSTANTS.width_bound_ok(w, a):
-        raise AssertionError(f"width {w} violates the (7915/139)*a bound for a={a}")
-    assert W <= td.bags[cert]
+        raise PostconditionFailedError(
+            f"construct: width {w} violates the (7915/139)*a bound for a={a}"
+        )
+    if not W <= td.bags[0]:
+        raise PostconditionFailedError("construct: W is not inside the root bag")
     return ConstructReport(
         decomposition=td,
         a_used=a,
         width=w,
         bound_num=7915 * a,
         bound_den=139,
-        certificate_node=cert,
+        certificate_node=0,
         recursion_stats=stats,
         assertion_log=tuple(claims.log),
     )
-
-
-def _single_bag(G: Graph) -> RootedTreeDecomposition:
-    return RootedTreeDecomposition(G.n, (-1,), (frozenset(range(G.n)),))
-
-
-def _reroot(td: RootedTreeDecomposition, r: int) -> RootedTreeDecomposition:
-    parents = list(td.parents)
-    prev = -1
-    x = r
-    while x != -1:
-        nxt = parents[x]
-        parents[x] = prev
-        prev = x
-        x = nxt
-    return RootedTreeDecomposition(td.host_n, tuple(parents), td.bags)
 
 
 def _construct(
@@ -192,63 +178,118 @@ def _construct(
     oracle: Oracle,
     stats: RecursionStats,
     claims: _Claims,
-    parent_n: int,
-    depth: int,
-) -> tuple[RootedTreeDecomposition, int]:
-    if G.n >= parent_n:
-        raise RecursionGuardError(
-            f"subproblem size {G.n} did not decrease below {parent_n}"
+) -> RootedTreeDecomposition:
+    """The recursion of ``construct``, run on an explicit stack of work items.
+
+    A frame ``(H, host, W, ids, p, parent_n, depth)`` decomposes the induced
+    subgraph H, whose vertex v is ``host[v]`` in G, below the node ``ids[p]``.
+    A bag item ``(bag, ids, y, p)`` is the inner node y of a frame's T_Y,
+    with its bag in host ids.  Items are popped in the order the recursion
+    visits them: a frame's T_Y in preorder, each leaf's subproblem in place
+    of the leaf, then the X side.  So every node is appended once, after its
+    parent, and ``ids`` records the node id of each T_Y node as it comes.
+    """
+    parents: list[int] = []
+    bags: list[VertexSet] = []
+    stack: list[tuple] = [(G, tuple(range(G.n)), W, [-1], 0, G.n + 1, 0)]
+    while stack:
+        item = stack.pop()
+        if len(item) == 4:
+            bag, ids, y, p = item
+            ids[y] = len(parents)
+            parents.append(ids[p])
+            bags.append(bag)
+            continue
+        H, host, W, up, p, parent_n, depth = item
+        if H.n >= parent_n:
+            raise RecursionGuardError(
+                f"subproblem size {H.n} did not decrease below {parent_n}"
+            )
+        stats.construct_calls += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        stats.max_subproblem = max(stats.max_subproblem, H.n)
+        if CONSTANTS.base_case(H.n, a):
+            stats.base_cases += 1
+            parents.append(up[p])
+            bags.append(frozenset(host))
+            continue
+
+        w_ell, w_top, Z, ell_is_zero = _sequence_tail(H, W)
+        S = frozenset(range(H.n)) - w_ell
+        sep_xy = stz_separation(H, S, Z, W)
+        X, Y = sep_xy.a_side, sep_xy.b_side
+        claims.check("z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
+        claims.check("xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
+        claims.check("y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
+
+        if ell_is_zero:
+            t_y = RootedTreeDecomposition(H.n, (-1,), (W | Z,))
+            leaves = frozenset()
+        else:
+            t_y = _t_y(H, a, W, Z, X, Y, w_top, oracle, stats, claims)
+            leaves = frozenset(t_y.leaves())
+        order = t_y.preorder()
+        root = order[0]
+        if root in leaves or not (W | Z) <= t_y.bags[root]:
+            raise PostconditionFailedError(
+                "construct: the T_Y root is a leaf or misses W ∪ Z"
+            )
+        inner = [len(t_y.bags[y]) for y in order if y not in leaves]
+        claims.check(
+            "treewidth_bound",
+            all(CONSTANTS.width_bound_ok(size - 1, a) for size in inner),
+            f"max T_Y bag {max(inner)} vs a={a}",
         )
-    stats.construct_calls += 1
-    stats.max_depth = max(stats.max_depth, depth)
-    stats.max_subproblem = max(stats.max_subproblem, G.n)
 
-    if CONSTANTS.base_case(G.n, a):
-        stats.base_cases += 1
-        return _single_bag(G), 0
-
-    w_ell, w_top, Z, ell_is_zero = _sequence_tail(G, W)
-    S = frozenset(range(G.n)) - w_ell
-    sep_xy = stz_separation(G, S, Z, W)
-    X, Y = sep_xy.a_side, sep_xy.b_side
-    claims.check("z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
-    claims.check("xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
-    claims.check("y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
-
-    if ell_is_zero:
-        ty = RootedTreeDecomposition(G.n, (-1,), (W | Z,))
-        ty_root = 0
-    else:
-        ty, ty_root = _build_t_y(G, a, W, Z, X, Y, w_top, oracle, stats, claims, depth)
-    assert (W | Z) <= ty.bags[ty_root]
-    claims.check(
-        "treewidth_bound",
-        all(CONSTANTS.width_bound_ok(len(b) - 1, a) for b in ty.bags),
-        f"max T_Y bag {max(len(b) for b in ty.bags)} vs a={a}",
-    )
-
-    if not (X - Y):
-        return ty, ty_root
-
-    w_next = Z if Z else frozenset({min(X)})
-    HX, new_to_old = induced_subgraph(G, X)
-    old_to_new = {o: nw for nw, o in new_to_old.items()}
-    tx, tx_cert = _construct(
-        HX, a, frozenset(old_to_new[v] for v in w_next),
-        oracle, stats, claims, G.n, depth + 1,
-    )
-    tx = _reroot(tx, tx_cert)
-    parents = list(ty.parents)
-    bags = list(ty.bags)
-    offset = len(parents)
-    for x in range(tx.size):
-        p = tx.parents[x]
-        parents.append(ty_root if p == -1 else p + offset)
-        bags.append(frozenset(new_to_old[v] for v in tx.bags[x]))
-    return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags)), ty_root
+        ids = [0] * t_y.size
+        ids[root] = len(parents)
+        parents.append(up[p])
+        bags.append(frozenset(host[v] for v in t_y.bags[root]))
+        if X - Y:
+            w_next = Z if Z else frozenset({min(X)})
+            stack.append(_frame(H, host, X, w_next, ids, root, depth))
+        boundaries = t_y.boundaries()
+        interiors = t_y.interiors()
+        items = []
+        for y in order[1:]:
+            q = t_y.parents[y]
+            if y not in leaves:
+                items.append((frozenset(host[v] for v in t_y.bags[y]), ids, y, q))
+                continue
+            bnd = boundaries[y]
+            claims.check(
+                "leaf_interface",
+                CONSTANTS.t.denominator * len(bnd) <= CONSTANTS.t.numerator * a,
+                f"leaf boundary {len(bnd)} vs t*a, a={a}",
+            )
+            region = interiors[y] | bnd
+            if region:
+                w_leaf = bnd or frozenset({min(region)})
+                items.append(_frame(H, host, region, w_leaf, ids, q, depth))
+            else:
+                items.append((frozenset(), ids, y, q))
+        stack.extend(reversed(items))
+    return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
 
 
-def _build_t_y(
+def _frame(
+    H: Graph,
+    host: tuple[int, ...],
+    region: VertexSet,
+    W: VertexSet,
+    ids: list[int],
+    p: int,
+    depth: int,
+) -> tuple:
+    """The frame for the subproblem H[region] with W (in H's ids) marked,
+    below the node ids[p]."""
+    sub, sub_to_h = induced_subgraph(H, region)
+    h_to_sub = {o: nw for nw, o in sub_to_h.items()}
+    sub_host = tuple(host[sub_to_h[v]] for v in range(sub.n))
+    return sub, sub_host, frozenset(h_to_sub[v] for v in W), ids, p, H.n, depth + 1
+
+
+def _t_y(
     G: Graph,
     a: int,
     W: VertexSet,
@@ -259,9 +300,9 @@ def _build_t_y(
     oracle: Oracle,
     stats: RecursionStats,
     claims: _Claims,
-    depth: int,
-) -> tuple[RootedTreeDecomposition, int]:
-    """Decompose G[Y] with W ∪ Z in the root bag (the ell >= 1 case)."""
+) -> RootedTreeDecomposition:
+    """The restricted separation tree of G[Y], in G's ids, whose root bag
+    holds W ∪ Z (the ell >= 1 case); its leaves are still to be decomposed."""
     H, new_to_old = induced_subgraph(G, w_top)
     old_to_new = {o: nw for nw, o in new_to_old.items()}
 
@@ -282,52 +323,9 @@ def _build_t_y(
     )
     b_local = frozenset(old_to_new[v] for v in Y)
     t_dbl = restrict_decomposition(H, t_prime, Separation(a_local, b_local))
-    root = t_dbl.root
-    assert frozenset(old_to_new[v] for v in (W | Z)) <= t_dbl.bags[root]
-
-    boundaries = t_dbl.boundaries()
-    interiors = t_dbl.interiors()
-    leaves = set(t_dbl.leaves())
-    assert root not in leaves or t_dbl.size == 1
-
-    parents: list[int] = []
-    bags: list[VertexSet] = []
-    new_idx: dict[int, int] = {}
-    for y in t_dbl.preorder():
-        p = t_dbl.parents[y]
-        new_parent = -1 if p == -1 else new_idx[p]
-        if y not in leaves:
-            new_idx[y] = len(parents)
-            parents.append(new_parent)
-            bags.append(frozenset(new_to_old[v] for v in t_dbl.bags[y]))
-            continue
-        bnd = boundaries[y]
-        claims.check(
-            "leaf_interface",
-            CONSTANTS.t.denominator * len(bnd) <= CONSTANTS.t.numerator * a,
-            f"leaf boundary {len(bnd)} vs t*a, a={a}",
-        )
-        region = frozenset(new_to_old[v] for v in (interiors[y] | bnd))
-        if not region:
-            new_idx[y] = len(parents)
-            parents.append(new_parent)
-            bags.append(frozenset())
-            continue
-        w_leaf = frozenset(new_to_old[v] for v in bnd) or frozenset({min(region)})
-        HY, leaf_to_old = induced_subgraph(G, region)
-        leaf_old_to_new = {o: nw for nw, o in leaf_to_old.items()}
-        sub, sub_cert = _construct(
-            HY, a, frozenset(leaf_old_to_new[v] for v in w_leaf),
-            oracle, stats, claims, G.n, depth + 1,
-        )
-        sub = _reroot(sub, sub_cert)
-        offset = len(parents)
-        new_idx[y] = offset  # the grafted root replaces the leaf
-        for x in range(sub.size):
-            sp = sub.parents[x]
-            parents.append(new_parent if sp == -1 else sp + offset)
-            bags.append(frozenset(leaf_to_old[v] for v in sub.bags[x]))
-    return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags)), new_idx[root]
+    return RootedTreeDecomposition(
+        G.n, t_dbl.parents, tuple(frozenset(new_to_old[v] for v in b) for b in t_dbl.bags)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +339,15 @@ def _useful_w_balanced(G: Graph, w_mask: int, wpad_mask: int, a: int):
 
     Balance is measured against wpad (W padded up to 3a); degeneracy against
     the true W: a candidate is rejected when one full side together with a
-    separator inside W would hand a child the parent's own (X, Y) state.
+    separator inside W would hand a child the parent's own (X, Y) state,
+    that is when Z ⊆ W and the grouping takes no component or every one.
     Among the groupings of the first separator that has a useful one, the
-    lexicographically smallest A side (by sorted vertex tuple) wins; every
-    grouping of components is tried.  Returns (z_mask, a_mask) or raises.
+    lexicographically smallest A side (by sorted vertex tuple) wins.  The
+    walk over the components, by lowest vertex m, finds it: it stops once
+    the running weight fits, the grouping is useful and A has no vertex
+    above m, as A is then a prefix of every later choice; otherwise it
+    takes the component whenever a useful completion still exists with it.
+    Returns (z_mask, a_mask) or raises.
     """
     full = G.full_mask()
     hi = (2 * wpad_mask.bit_count()) // 3
@@ -352,27 +355,29 @@ def _useful_w_balanced(G: Graph, w_mask: int, wpad_mask: int, a: int):
     for _, z_mask, comps in separators(G.adj_masks, range(G.n), full, range(min(a, G.n) + 1)):
         weights = [(c & wpad_mask).bit_count() for c in comps]
         lo = (wpad_mask & ~z_mask).bit_count() - hi
-        best = None
-        for sel in range(1 << len(comps)):
-            s = sum(wt for i, wt in enumerate(weights) if sel >> i & 1)
-            if not (lo <= s <= hi):
-                continue
-            a_mask = z_mask
-            for i, c in enumerate(comps):
-                if sel >> i & 1:
-                    a_mask |= c
-            b_mask = (full & ~a_mask) | z_mask
-            degenerate = (
-                a_mask == full and (a_mask & b_mask) & ~w_mask == 0
-            ) or (b_mask == full and a_mask & ~w_mask == 0)
-            if degenerate:
-                saw_degenerate = True
-                continue
-            key = tuple(mask_vertices(a_mask))
-            if best is None or key < best[0]:
-                best = (key, a_mask)
-        if best is not None:
-            return z_mask, best[1]
+        guard = (z_mask & ~w_mask) == 0  # may the grouping be degenerate?
+        # sums[i][e][f]: the subset sums of comps[i:] over the subsets that
+        # are non-empty if e and leave some component out if f
+        sums = [[[1, 0], [0, 0]]]
+        for wt in reversed(weights):
+            nxt = sums[-1]
+            sums.append([[nxt[e][0] | nxt[0][f] << wt for f in (0, 1)] for e in (0, 1)])
+        sums.reverse()
+        if not _sum_in_window(sums[0][guard][guard], lo, hi):
+            saw_degenerate |= guard and (lo <= 0 <= hi or lo <= sum(weights) <= hi)
+            continue
+        a_mask, s, took, skipped = z_mask, 0, False, False
+        for i, c in enumerate(comps):
+            if lo <= s <= hi and (took or not guard) and a_mask < (c & -c):
+                break
+            wt = weights[i]
+            if _sum_in_window(sums[i + 1][0][guard and not skipped], lo - s - wt, hi - s - wt):
+                a_mask |= c
+                s += wt
+                took = True
+            else:
+                skipped = True
+        return z_mask, a_mask
     if saw_degenerate:
         raise RecursionGuardError(
             "only degenerate W-balanced separations available"
@@ -395,22 +400,24 @@ def construct_theorem2(
     if G.n > exact_limit:
         raise SizeLimitExceededError(G.n, exact_limit, "exhaustive separation search")
     stats = RecursionStats()
-    claims = _Claims(debug_assertions)
+    claims = _Claims(debug_assertions, "construct_theorem2")
     parents: list[int] = [-1]
     bags: list[VertexSet] = [frozenset()]
-
-    def extend(X: VertexSet, Y: VertexSet, node: int):
+    # (X, Y, node): extend the decomposition below `node` by one of G[X]
+    stack = [(frozenset(range(G.n)), frozenset(), 0)] if G.n else []
+    while stack:
+        X, Y, node = stack.pop()
         stats.construct_calls += 1
         W = X & Y
         claims.check("order_3a", len(W) <= 3 * a, f"|X∩Y|={len(W)}")
         rem = X - Y
         if not rem:
-            return
+            continue
         if len(X) <= 4 * a:
             claims.check("bag_4a", len(X) <= 4 * a, f"leaf bag {len(X)}")
             parents.append(node)
             bags.append(X)
-            return
+            continue
         # pad W to exactly 3a with the smallest uncovered vertices; balancing
         # the padded set is what forces both child states to shrink
         pad = sorted(rem)[: 3 * a - len(W)]
@@ -432,17 +439,14 @@ def construct_theorem2(
         parents.append(node)
         bags.append(bag)
         here = len(parents) - 1
-        extend(A, Y | sep_z, here)
-        extend(B, Y | A, here)
-
-    if G.n > 0:
-        limit = max(sys.getrecursionlimit(), 40 * (G.n + 100))
-        sys.setrecursionlimit(limit)
-        extend(frozenset(range(G.n)), frozenset(), 0)
+        stack.append((B, Y | A, here))
+        stack.append((A, Y | sep_z, here))
     td = RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
     w = width(td)
     if not w < 4 * a:
-        raise AssertionError(f"width {w} violates the 4a bound for a={a}")
+        raise PostconditionFailedError(
+            f"construct_theorem2: width {w} violates the 4a bound for a={a}"
+        )
     return ConstructReport(
         decomposition=td,
         a_used=a,

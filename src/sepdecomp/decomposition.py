@@ -196,14 +196,16 @@ def separation_tree(
     parents: list[int] = []
     bags: list[VertexSet] = []
 
-    def rec(vset: VertexSet, bnd: VertexSet, parent: int) -> int:
+    # (vertex set, boundary, parent node); the A child is popped first
+    stack = [(frozenset(range(n)), frozenset(), -1)]
+    while stack:
+        vset, bnd, parent = stack.pop()
         idx = len(parents)
         parents.append(parent)
-        bags.append(frozenset())
         inner = vset - bnd
         if pow3 * len(inner) <= n * pow2:
-            bags[idx] = vset
-            return idx
+            bags.append(vset)
+            continue
         H, new_to_old = induced_subgraph(G, inner)
         outcome = oracle(H)
         if not outcome.found:
@@ -217,12 +219,9 @@ def separation_tree(
         A = frozenset(new_to_old[v] for v in sep.a_side)
         B = frozenset(new_to_old[v] for v in sep.b_side)
         bag = bnd | (A & B)
-        bags[idx] = bag
+        bags.append(bag)
         # the boundary rides along into both children so that its edges into
         # the interior stay covered; each child's boundary is this node's bag
-        rec(A | bnd, bag, idx)
-        rec(B | bnd, bag, idx)
-        return idx
-
-    rec(frozenset(range(n)), frozenset(), -1)
+        stack.append((B | bnd, bag, idx))
+        stack.append((A | bnd, bag, idx))
     return RootedTreeDecomposition(n, tuple(parents), tuple(bags))

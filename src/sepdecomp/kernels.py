@@ -39,15 +39,19 @@ def separators(
             yield k, z_mask, components_in(adj_masks, universe & ~z_mask)
 
 
+def _sum_in_window(sums: int, lo: int, hi: int) -> bool:
+    """Does the subset-sum bitset `sums` (bit s set: s is a sum) hold a sum
+    within [lo, hi]?"""
+    lo = max(lo, 0)
+    return lo <= hi and (sums >> lo) & ((2 << (hi - lo)) - 1) != 0
+
+
 def _sum_window_reachable(sizes, lo: int, hi: int) -> bool:
     """Is some subset sum of `sizes` within [lo, hi]?"""
-    if hi < lo or hi < 0:
-        return False
     ach = 1
     for s in sizes:
         ach |= ach << s
-    window = ((1 << (hi - max(lo, 0) + 1)) - 1) << max(lo, 0)
-    return bool(ach & window)
+    return _sum_in_window(ach, lo, hi)
 
 
 def _greedy_a_side(z_mask: int, comps, weights, lo: int, hi: int):

@@ -19,6 +19,7 @@ from .constructor import CONSTANTS, construct
 from .decomposition import RootedTreeDecomposition, validate_decomposition, width
 from .errors import (
     InvalidInputError,
+    PostconditionFailedError,
     PreconditionFailedError,
     SizeLimitExceededError,
 )
@@ -76,8 +77,12 @@ def treewidth_exact(G: Graph, exact_limit: int = EXACT_LIMIT_TREEWIDTH) -> Treew
     value, order = kernels.treewidth(G.n, G.adj_masks)
     td = _witness_from_elimination(G, order)
     ok, violations = validate_decomposition(G, td)
-    assert ok, violations
-    assert width(td) == value, (width(td), value)
+    if not ok:
+        raise PostconditionFailedError(f"treewidth_exact: invalid witness: {violations[:3]}")
+    if width(td) != value:
+        raise PostconditionFailedError(
+            f"treewidth_exact: witness width {width(td)} is not the treewidth {value}"
+        )
     return TreewidthResult(value, order, td)
 
 

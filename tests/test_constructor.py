@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from sepdecomp.constructor import (
     CONSTANTS,
     Constants,
+    _useful_w_balanced,
     construct,
     construct_theorem2,
     find_min_feasible_a,
@@ -12,7 +16,9 @@ from sepdecomp.constructor import (
 from sepdecomp.errors import (
     InvalidInputError,
     OracleFailureError,
+    RecursionGuardError,
     SizeLimitExceededError,
+    WBalancedUnavailableError,
 )
 from sepdecomp.generators import (
     complete_graph,
@@ -22,8 +28,10 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph
+from sepdecomp.graph import build_graph, mask_vertices
 from sepdecomp.decomposition import validate_decomposition, width
+from sepdecomp.kernels import separators
+from sepdecomp.pace import write_td
 from sepdecomp.separations import make_oracle, separation_number
 
 
@@ -164,6 +172,72 @@ class TestTheorem2:
     def test_a_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             construct_theorem2(path_graph(5), 0)
+
+
+def exhaustive_useful_w_balanced(G, w_mask: int, wpad_mask: int, a: int):
+    """Reference for `_useful_w_balanced`: tries every grouping of every
+    separator's components and keeps the smallest useful A side."""
+    full = G.full_mask()
+    hi = (2 * wpad_mask.bit_count()) // 3
+    saw_degenerate = False
+    for _, z_mask, comps in separators(G.adj_masks, range(G.n), full, range(min(a, G.n) + 1)):
+        weights = [(c & wpad_mask).bit_count() for c in comps]
+        lo = (wpad_mask & ~z_mask).bit_count() - hi
+        best = None
+        for sel in range(1 << len(comps)):
+            if not lo <= sum(wt for i, wt in enumerate(weights) if sel >> i & 1) <= hi:
+                continue
+            a_mask = z_mask
+            for i, c in enumerate(comps):
+                if sel >> i & 1:
+                    a_mask |= c
+            b_mask = (full & ~a_mask) | z_mask
+            if (a_mask == full and (a_mask & b_mask) & ~w_mask == 0) or (
+                b_mask == full and a_mask & ~w_mask == 0
+            ):
+                saw_degenerate = True
+                continue
+            key = tuple(mask_vertices(a_mask))
+            if best is None or key < best[0]:
+                best = (key, a_mask)
+        if best is not None:
+            return z_mask, best[1]
+    if saw_degenerate:
+        raise RecursionGuardError("only degenerate W-balanced separations available")
+    raise WBalancedUnavailableError(frozenset(mask_vertices(wpad_mask)), a)
+
+
+class TestUsefulWBalanced:
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (RecursionGuardError, WBalancedUnavailableError) as exc:
+            return type(exc).__name__
+
+    def test_matches_exhaustive(self):
+        # gnp graphs with n <= 12, often with many components; W may be
+        # empty, as at the first step of construct_theorem2
+        rng = random.Random(11)
+        seen = Counter()
+        for i in range(400):
+            n = rng.randint(1, 12)
+            G = gnp_graph(n, rng.choice([0.08, 0.15, 0.3]), i)
+            w_mask = rng.getrandbits(n)
+            args = (G, w_mask, w_mask | rng.getrandbits(n), rng.randint(1, 3))
+            want = self._outcome(exhaustive_useful_w_balanced, *args)
+            assert self._outcome(_useful_w_balanced, *args) == want, (i, args[1:])
+            seen[want if isinstance(want, str) else "found"] += 1
+        assert set(seen) == {"found", "RecursionGuardError", "WBalancedUnavailableError"}, seen
+
+    def test_star(self):
+        # the centre of K_{1,19} leaves 19 components, 2^19 groupings; the
+        # digest is the exhaustive search's output
+        G = build_graph(20, [(0, i) for i in range(1, 20)])
+        td = construct_theorem2(G, 1).decomposition
+        assert hashlib.sha256(write_td(td, G).encode()).hexdigest() == (
+            "f15f9d1afcf5627ccc26ca550bc3cd4713ca083ec715c927579bff4b6dd04459"
+        )
 
 
 class TestFindMinFeasibleA:

@@ -1,12 +1,16 @@
 """Checks on the package as a whole, each in a child interpreter so that the
 running tests' imports stay untouched: re-importing the package frees the
-old copy, and the golden constructions come out the same under python -O."""
+old copy, the golden constructions come out the same under python -O, the
+constructions leave the interpreter's state alone, and a violated claim
+raises a typed error with or without -O."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sepdecomp
 
@@ -37,6 +41,44 @@ print(json.dumps({{
 }}))
 """
 
+STATE = """
+import gc, sys
+import sepdecomp
+from sepdecomp.generators import gnp_graph, path_graph
+limit = sys.getrecursionlimit()
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+sepdecomp.construct(path_graph(400), 1, {0})
+sepdecomp.construct_theorem2(gnp_graph(12, 0.3, 0), 2)
+sepdecomp.separation_tree(path_graph(60), 1, 4)
+gc.collect()
+garbage = sorted({type(x).__name__ for x in gc.garbage})
+print(json.dumps({
+    "file": sepdecomp.__file__,
+    "limit": [limit, sys.getrecursionlimit()],
+    "garbage": garbage,
+}))
+"""
+
+CLAIM = """
+import sepdecomp
+from sepdecomp import constructor
+from sepdecomp.errors import PostconditionFailedError
+from sepdecomp.generators import path_graph
+
+class NoBagFits(constructor.Constants):
+    def width_bound_ok(self, w, a):
+        return False
+
+constructor.CONSTANTS = NoBagFits()
+try:
+    constructor.construct(path_graph(100), 1, {0})
+    message = None
+except PostconditionFailedError as exc:
+    message = str(exc)
+print(json.dumps({"file": sepdecomp.__file__, "message": message}))
+"""
+
 
 def run_child(code: str, *flags: str) -> dict:
     """Run `code` in a fresh interpreter that imports sepdecomp from the
@@ -64,3 +106,16 @@ def test_golden_construct_under_optimize():
     assert out["debug"] is False
     golden = json.loads((TESTS / "data" / "golden.json").read_text())
     assert out["construct"] == golden["construct"]
+
+
+def test_constructions_leave_interpreter_state_alone():
+    # no recursion limit is raised, and no reference cycle is left behind
+    out = run_child(STATE)
+    assert out["limit"][1] == out["limit"][0]
+    assert out["garbage"] == []
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_violated_claim_raises_typed_error(flags):
+    out = run_child(CLAIM, *flags)
+    assert (out["message"] or "").startswith("construct: claim treewidth_bound violated")
