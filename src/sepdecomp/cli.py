@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["path", "cycle", "tree", "grid", "complete", "gnp"],
+        choices=["path", "cycle", "tree", "grid", "complete", "gnp", "ktree"],
     )
     p.add_argument("--params", help="comma-separated key=value, e.g. n=10,p=0.3")
     p.add_argument("--seed", type=int)

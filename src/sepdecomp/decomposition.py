@@ -121,26 +121,30 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
         for y in reversed(chain):
             if depth[y] == -2:
                 depth[y] = depth[td.parents[y]] + 1
-    for b in td.bags:
+    # one pass over the bags: holders[v] lists the nodes holding v, ascending
+    holders: list[list[int]] = [[] for _ in range(G.n)]
+    for x, b in enumerate(td.bags):
         for v in b:
-            if not (0 <= v < G.n):
+            if 0 <= v < G.n:
+                holders[v].append(x)
+            else:
                 violations.append(f"bag vertex {v} out of range")
-    # (i) every edge inside some bag
+    # (i) every edge inside some bag: scan the shorter holder list
     for u, v in G.edges():
-        if not any(u in b and v in b for b in td.bags):
+        nodes, other = (holders[u], v) if len(holders[u]) <= len(holders[v]) else (holders[v], u)
+        if not any(other in td.bags[x] for x in nodes):
             violations.append(f"edge ({u},{v}) uncovered")
     # (ii) the nodes holding each vertex induce a non-empty subtree
-    for v in range(G.n):
-        holders = [x for x in range(n_nodes) if v in td.bags[x]]
-        if not holders:
+    for v, hs in enumerate(holders):
+        if not hs:
             violations.append(f"vertex {v} in no bag")
             continue
-        holder_set = set(holders)
+        holder_set = set(hs)
         internal_edges = sum(
-            1 for x in holders
+            1 for x in hs
             if td.parents[x] != -1 and td.parents[x] in holder_set
         )
-        if internal_edges != len(holders) - 1:
+        if internal_edges != len(hs) - 1:
             violations.append(f"vertex {v} bags not connected")
     return not violations, violations
 

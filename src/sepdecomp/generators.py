@@ -82,10 +82,34 @@ def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
     return build_graph(n, edges)
 
 
+def partial_ktree(n: int, k: int, keep: float = 0.8, seed: int = 0) -> Graph:
+    """Random partial k-tree: treewidth <= k, so every subgraph has a
+    balanced separation of order <= k+1.
+
+    A k-tree grows from a (k+1)-clique by joining each new vertex to a
+    uniformly chosen k-clique; each edge is then kept with probability
+    `keep`.  Vertices keep their insertion order as ids, so eliminating
+    them from the highest id down meets each vertex with at most its k
+    attachment vertices still present.
+    """
+    if k < 0 or n <= k:
+        raise InvalidInputError(f"a partial k-tree needs 0 <= k < n, got k={k}, n={n}")
+    if not 0.0 <= keep <= 1.0:
+        raise InvalidInputError("keep must be in [0, 1]")
+    rng = random.Random(seed)
+    edges = {(u, v) for v in range(k + 1) for u in range(v)}
+    cliques = [tuple(c for c in range(k + 1) if c != x) for x in range(k + 1)]
+    for v in range(k + 1, n):
+        clique = cliques[rng.randrange(len(cliques))]
+        edges.update((u, v) for u in clique)
+        cliques.extend(tuple(c for c in clique if c != x) + (v,) for x in clique)
+    return build_graph(n, [e for e in sorted(edges) if rng.random() < keep])
+
+
 def generate(kind: str, params: dict, seed: Optional[int] = None) -> Graph:
     """Dispatch by family name; `seed` overrides params["seed"] when given."""
     params = dict(params)
-    if seed is not None and kind in ("tree", "gnp"):
+    if seed is not None and kind in ("tree", "gnp", "ktree"):
         params.setdefault("seed", seed)
     if kind == "path":
         return path_graph(int(params["n"]))
@@ -102,5 +126,12 @@ def generate(kind: str, params: dict, seed: Optional[int] = None) -> Graph:
     if kind == "gnp":
         return gnp_graph(
             int(params["n"]), float(params["p"]), int(params.get("seed", 0))
+        )
+    if kind == "ktree":
+        return partial_ktree(
+            int(params["n"]),
+            int(params["k"]),
+            float(params.get("keep", 0.8)),
+            int(params.get("seed", 0)),
         )
     raise InvalidInputError(f"unknown generator kind {kind!r}")

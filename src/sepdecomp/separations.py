@@ -2,18 +2,25 @@
 
 Exact searches enumerate candidate separators by increasing size; whether a
 separator admits a balanced assignment of the remaining components is a
-subset-sum question, answered in the kernels.  Tie-break everywhere:
+subset-sum question, answered in the kernels.  Their tie-break:
 smallest order, then the first separator in ``itertools.combinations``
 order (lexicographically smallest), then a greedy A side: walk the
 components of G - Z in order of lowest vertex and take each one when a
 balanced completion still exists with it, stopping as soon as the sides
 balance.  That A side is not always the lexicographically smallest one.
+
+Past the exact search's budget, a deterministic cutter proposes separators
+(the empty set, the centroid bag of a min-degree elimination forest, the
+first ceil(n/3) vertices, then min cuts between growing BFS balls) and
+groups the components each leaves with the same greedy A side.  It returns
+the first that balances with order <= a, and its misses are not
+certificates.  Nothing here draws randomness.
 """
 
 from __future__ import annotations
 
-import random
-from collections.abc import Callable
+import heapq
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
@@ -35,7 +42,6 @@ from .menger import disjoint_paths
 EXACT_LIMIT_SEPARATION = 20
 EXACT_LIMIT_SEP_NUMBER = 14
 CANDIDATE_BUDGET = 2_000_000
-HEURISTIC_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,6 @@ def balanced_separation_within(
     mode: str = "auto",
     exact_limit: int = EXACT_LIMIT_SEPARATION,
     candidate_budget: int = CANDIDATE_BUDGET,
-    seed: int = 0,
-    trials: int = HEURISTIC_TRIALS,
 ) -> SeparatorOracleOutcome:
     """Balanced separation of order <= a, or a witness.
 
@@ -119,8 +123,12 @@ def balanced_separation_within(
     budget: either n <= exact_limit, or the number of candidate separators
     of size <= a is within candidate_budget (the search need not look past
     order a, so it stays exact on large graphs with small a).  Otherwise,
-    heuristic mode tries randomized minimum cuts; its failures are not
-    certificates.
+    and always in heuristic mode, a deterministic cutter tries a few
+    candidate separators (the empty set, the centroid bag of a min-degree
+    elimination forest, the first ceil(n/3) vertices, min cuts between
+    growing BFS balls) and groups the components left by each with the
+    exact search's greedy; a separation is returned only once it is checked
+    balanced with order <= a, and a miss is an uncertified failure.
     """
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -137,43 +145,109 @@ def balanced_separation_within(
         )
     if mode == "exact":
         raise SizeLimitExceededError(G.n, exact_limit, "exact balanced separation")
-    return _heuristic_balanced_within(G, a, seed, trials)
+    return _cutter_balanced_within(G, a)
 
 
-def _heuristic_balanced_within(G: Graph, a: int, seed: int, trials: int) -> SeparatorOracleOutcome:
-    best: Optional[Separation] = None
+def _cutter_balanced_within(G: Graph, a: int) -> SeparatorOracleOutcome:
+    """The first of the cutter's candidate separators Z with |Z| <= a whose
+    components the exact search's greedy groups into a balanced separation.
 
-    def better(s: Separation, t: Optional[Separation]) -> bool:
-        if t is None:
-            return True
-        ks, kt = s.order, t.order
-        return (ks, sorted(s.separator), sorted(s.a_side)) < (
-            kt, sorted(t.separator), sorted(t.a_side)
-        )
-
-    # the trivial (Z, V) separation is balanced once |Z| >= n/3
-    k0 = -(-G.n // 3)
-    if k0 <= a:
-        z = frozenset(range(k0))
-        cand = Separation(z, frozenset(range(G.n)))
-        if better(cand, best):
-            best = cand
-    rng = random.Random(seed)
-    verts = list(range(G.n))
-    third = max(1, G.n // 3)
-    for _ in range(trials):
-        rng.shuffle(verts)
-        S = frozenset(verts[:third])
-        T = frozenset(verts[third : 2 * third])
-        res = disjoint_paths(G, S, T, a + 1)
-        if res.separator is None:
+    Deterministic, and no proof when it finds nothing: the failure is
+    uncertified.
+    """
+    full = G.full_mask()
+    hi = (2 * G.n) // 3
+    for z_mask in _cutter_candidates(G, a):
+        if z_mask.bit_count() > a:
             continue
-        sep = stz_separation(G, S, res.separator, T)
-        if is_balanced(G, sep) and sep.order <= a and better(sep, best):
-            best = sep
-    if best is None:
-        return SeparatorOracleOutcome(None, frozenset(range(G.n)), certified=False)
-    return SeparatorOracleOutcome(best, None, certified=True)
+        a_mask = kernels._a_side(G.adj_masks, full, z_mask, hi)
+        if a_mask is None:
+            continue
+        sep = _separation_from_masks(G, z_mask, a_mask)
+        if sep.order <= a and is_balanced(G, sep):
+            return SeparatorOracleOutcome(sep, None, certified=True)
+    return SeparatorOracleOutcome(None, frozenset(range(G.n)), certified=False)
+
+
+def _cutter_candidates(G: Graph, a: int) -> Iterator[int]:
+    """Candidate separators as masks, cheapest first: the empty set (enough
+    when no component exceeds 2n/3), the centroid bag of a min-degree
+    elimination forest (Bodlaender & Koster, Inf. & Comput. 2010), the
+    first ceil(n/3) vertices (always balanced, so a >= n/3 never fails),
+    then minimum cuts of order <= a between growing BFS balls around a
+    pseudo-peripheral pair of the largest component, in the manner of
+    FlowCutter (Hamann & Strasser, ACM JEA 2018)."""
+    yield 0
+    yield _min_degree_centroid_bag(G)
+    yield (1 << -(-G.n // 3)) - 1
+    largest = max(components_in(G.adj_masks, G.full_mask()), key=int.bit_count)
+    s = _bfs_order(G, (largest & -largest).bit_length() - 1)[-1]
+    order_s = _bfs_order(G, s)
+    order_t = _bfs_order(G, order_s[-1])
+    for f in range(1, 50):
+        k = max(1, len(order_s) * f // 100)
+        # the balls may overlap: their common vertices join the cut
+        res = disjoint_paths(G, order_s[:k], order_t[:k], a + 1)
+        if res.separator is not None:
+            yield mask_of(res.separator)
+
+
+def _min_degree_centroid_bag(G: Graph) -> int:
+    """The bag {v} + N+(v) at the vertex-count centroid of the largest tree
+    of G's min-degree elimination forest, as a mask.
+
+    Min-degree eliminates a vertex of least degree in the filled graph
+    (ties: lowest id); N+(v) are v's neighbours when it is eliminated, and
+    v's parent is the earliest-eliminated of them.  Removing the bag cuts
+    each child subtree of v off from the rest of the graph.
+    """
+    adj = list(G.adj_masks)
+    heap = [(m.bit_count(), v) for v, m in enumerate(adj)]
+    heapq.heapify(heap)
+    pos = [-1] * G.n  # elimination step of each vertex
+    order: list[int] = []
+    later = [0] * G.n
+    while heap:
+        d, v = heapq.heappop(heap)
+        if pos[v] >= 0 or d != adj[v].bit_count():
+            continue  # stale entry
+        pos[v] = len(order)
+        order.append(v)
+        nb = later[v] = adj[v]
+        for u in mask_vertices(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+            heapq.heappush(heap, (adj[u].bit_count(), u))
+    parent = [
+        min(mask_vertices(later[v]), key=pos.__getitem__) if later[v] else -1
+        for v in range(G.n)
+    ]
+    size = [1] * G.n
+    children: list[list[int]] = [[] for _ in range(G.n)]
+    for v in order:
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+            children[parent[v]].append(v)
+    v = max((u for u in range(G.n) if parent[u] < 0), key=size.__getitem__)
+    total = size[v]
+    while True:
+        heavy = next((c for c in children[v] if 2 * size[c] > total), None)
+        if heavy is None:
+            return later[v] | 1 << v
+        v = heavy
+
+
+def _bfs_order(G: Graph, s: int) -> list[int]:
+    """Vertices of s's component in breadth-first order, neighbours
+    ascending."""
+    seen = [False] * G.n
+    seen[s] = True
+    order = [s]
+    for v in order:
+        for u in G.adjacency[v]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+    return order
 
 
 def separation_number(G: Graph, exact_limit: int = EXACT_LIMIT_SEP_NUMBER) -> int:
@@ -211,14 +285,13 @@ def make_oracle(
     mode: str = "auto",
     exact_limit: int = EXACT_LIMIT_SEPARATION,
     candidate_budget: int = CANDIDATE_BUDGET,
-    seed: int = 0,
 ) -> Oracle:
     """A balanced-separation provider for separation_tree / construct."""
 
     def oracle(H: Graph) -> SeparatorOracleOutcome:
         return balanced_separation_within(
             H, a, mode=mode, exact_limit=exact_limit,
-            candidate_budget=candidate_budget, seed=seed,
+            candidate_budget=candidate_budget,
         )
 
     return oracle

@@ -3,7 +3,7 @@ import json
 
 from sepdecomp import cli
 from sepdecomp.cli import dispatch
-from sepdecomp.generators import cycle_graph, grid_graph, path_graph
+from sepdecomp.generators import cycle_graph, grid_graph, partial_ktree, path_graph
 from sepdecomp.pace import parse_gr, parse_td, write_gr
 
 
@@ -22,6 +22,10 @@ class TestGen:
     def test_stdout_default(self, capsys):
         assert dispatch(["gen", "--kind", "complete", "--params", "n=3"]) == 0
         assert capsys.readouterr().out == "p tw 3 3\n1 2\n1 3\n2 3\n"
+
+    def test_ktree(self, capsys):
+        assert dispatch(["gen", "--kind", "ktree", "--params", "n=20,k=2", "--seed", "4"]) == 0
+        assert parse_gr(capsys.readouterr().out) == partial_ktree(20, 2, seed=4)
 
     def test_bad_params(self, capsys):
         assert dispatch(["gen", "--kind", "path", "--params", "nonsense"]) == 2

@@ -25,6 +25,7 @@ from sepdecomp.generators import (
     cycle_graph,
     gnp_graph,
     grid_graph,
+    partial_ktree,
     path_graph,
     random_tree,
 )
@@ -267,8 +268,38 @@ class TestOracleInteraction:
         assert rep.recursion_stats.oracle_calls > 0
 
     def test_heuristic_failure_not_certified(self):
-        # a randomized oracle may miss an order-1 separation; its failure is
+        # a cycle has no balanced separation of order 1; the cutter's miss is
         # reported but carries no sep(G) > a certificate
         with pytest.raises(OracleFailureError) as ei:
-            construct(path_graph(120), 1, {0}, oracle=make_oracle(1, mode="heuristic"))
+            construct(cycle_graph(120), 1, {0}, oracle=make_oracle(1, mode="heuristic"))
         assert ei.value.certified is False
+
+
+class TestCutter:
+    """construct on graphs past the exact search's budget, where only the
+    cutter can answer."""
+
+    def _check(self, G, a):
+        reps = [
+            construct(G, a, {0}, oracle=make_oracle(a, mode="heuristic"))
+            for _ in range(2)
+        ]
+        ok, v = validate_decomposition(G, reps[0].decomposition)
+        assert ok, v
+        assert write_td(reps[0].decomposition, G) == write_td(reps[1].decomposition, G)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("k,n", [(3, 120), (3, 140), (3, 160), (2, 280)])
+    def test_partial_ktrees(self, k, n, seed):
+        self._check(partial_ktree(n, k, seed=seed), k + 1)
+
+    def test_grid(self):
+        self._check(grid_graph(30, 30), 30)
+
+    def test_long_cycle(self):
+        # C(2100, <=2) candidates exceed the budget, so auto mode runs the
+        # cutter too
+        G = cycle_graph(2100)
+        rep = construct(G, 2, {0})
+        ok, v = validate_decomposition(G, rep.decomposition)
+        assert ok, v

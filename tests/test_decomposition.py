@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdecomp.errors import EmptyTreeError, InvalidInputError
-from sepdecomp.generators import complete_graph, gnp_graph, path_graph
+from sepdecomp.constructor import construct
+from sepdecomp.generators import complete_graph, cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
 from sepdecomp.graph import Separation, build_graph
 from sepdecomp.decomposition import (
     RootedTreeDecomposition,
@@ -87,6 +90,113 @@ class TestValidate:
         object.__setattr__(t, "bags", ())
         with pytest.raises(EmptyTreeError):
             width(t)
+
+
+def reference_validate(G, td):
+    """validate_decomposition as it was: one scan over all bags per vertex
+    and per edge.  The one-pass version must give the same verdict and the
+    same violations, in the same order."""
+    violations = []
+    n_nodes = td.size
+    if n_nodes == 0:
+        return False, ["empty tree"]
+    depth = [-2] * n_nodes
+    for x in range(n_nodes):
+        chain = []
+        y = x
+        while depth[y] == -2:
+            chain.append(y)
+            p = td.parents[y]
+            if p == -1:
+                depth[y] = 0
+                break
+            if not (0 <= p < n_nodes):
+                violations.append(f"node {y}: parent {p} out of range")
+                return False, violations
+            if p in chain:
+                violations.append(f"cycle through node {p}")
+                return False, violations
+            y = p
+        for y in reversed(chain):
+            if depth[y] == -2:
+                depth[y] = depth[td.parents[y]] + 1
+    for b in td.bags:
+        for v in b:
+            if not (0 <= v < G.n):
+                violations.append(f"bag vertex {v} out of range")
+    for u, v in G.edges():
+        if not any(u in b and v in b for b in td.bags):
+            violations.append(f"edge ({u},{v}) uncovered")
+    for v in range(G.n):
+        holders = [x for x in range(n_nodes) if v in td.bags[x]]
+        if not holders:
+            violations.append(f"vertex {v} in no bag")
+            continue
+        holder_set = set(holders)
+        internal_edges = sum(
+            1 for x in holders
+            if td.parents[x] != -1 and td.parents[x] in holder_set
+        )
+        if internal_edges != len(holders) - 1:
+            violations.append(f"vertex {v} bags not connected")
+    return not violations, violations
+
+
+def raw_td(host_n, parents, bags):
+    """A decomposition object that skips the constructor's own checks."""
+    t = RootedTreeDecomposition.__new__(RootedTreeDecomposition)
+    object.__setattr__(t, "host_n", host_n)
+    object.__setattr__(t, "parents", tuple(parents))
+    object.__setattr__(t, "bags", tuple(frozenset(b) for b in bags))
+    return t
+
+
+def corrupted(G, t, rng):
+    """A seeded random corruption of the decomposition t of G."""
+    parents = list(t.parents)
+    bags = [set(b) for b in t.bags]
+    x = rng.randrange(t.size)
+    kind = rng.randrange(6)
+    if kind == 0 and bags[x]:
+        bags[x].discard(rng.choice(sorted(bags[x])))
+    elif kind == 1:
+        bags[x].add(rng.randrange(G.n))
+    elif kind == 2:
+        bags[x].add(rng.choice([-1, G.n, G.n + 3]))
+    elif kind == 3:
+        bags[x] = set()
+    elif kind == 4 and t.size > 1:
+        parents[x] = rng.choice([-1, t.size, rng.randrange(t.size)])
+    else:
+        v = rng.randrange(G.n)
+        bags = [b - {v} if rng.random() < 0.5 else b for b in bags]
+    return raw_td(t.host_n, parents, bags)
+
+
+class TestValidateMatchesReference:
+    @staticmethod
+    def decompositions():
+        for G, a in [
+            (path_graph(60), 1),
+            (cycle_graph(90), 2),
+            (random_tree(80, seed=5), 1),
+            (gnp_graph(40, 0.08, 3), 4),
+        ]:
+            yield G, construct(G, a, {0}).decomposition
+        for G in (grid_graph(6, 6), gnp_graph(12, 0.3, 7), complete_graph(5)):
+            yield G, separation_tree(G, -(-G.n // 3), 3)
+
+    def test_valid_and_corrupted(self):
+        rng = random.Random(0)
+        verdicts = set()
+        for G, t in self.decompositions():
+            assert validate_decomposition(G, t) == reference_validate(G, t) == (True, [])
+            for _ in range(60):
+                bad = corrupted(G, t, rng)
+                got = validate_decomposition(G, bad)
+                assert got == reference_validate(G, bad)
+                verdicts.add(got[0])
+        assert verdicts == {False, True}
 
 
 class TestRestrict:

@@ -1,0 +1,46 @@
+import pytest
+
+from sepdecomp.errors import InvalidInputError
+from sepdecomp.generators import generate, partial_ktree
+
+
+def elimination_width(G, order) -> int:
+    """Largest later-neighbourhood met while eliminating in `order` with
+    fill-in."""
+    adj = [set(G.neighbors(v)) for v in range(G.n)]
+    alive = set(range(G.n))
+    worst = -1
+    for v in order:
+        alive.discard(v)
+        nb = adj[v] & alive
+        worst = max(worst, len(nb))
+        for u in nb:
+            adj[u] |= nb - {u}
+    return worst
+
+
+class TestPartialKtree:
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_width_bound(self, k, seed):
+        # ids follow insertion order, so the reverse order has width <= k
+        G = partial_ktree(60, k, seed=seed)
+        assert elimination_width(G, reversed(range(G.n))) <= k
+
+    def test_keep_all_is_a_ktree(self):
+        G = partial_ktree(30, 3, keep=1.0, seed=2)
+        assert G.m == 6 + 3 * (30 - 4)
+        assert elimination_width(G, reversed(range(G.n))) == 3
+
+    def test_seeded(self):
+        assert partial_ktree(40, 2, seed=7) == partial_ktree(40, 2, seed=7)
+        assert partial_ktree(40, 2, seed=7) != partial_ktree(40, 2, seed=8)
+
+    def test_generate_dispatch(self):
+        G = generate("ktree", {"n": "25", "k": "2", "keep": "0.5"}, seed=3)
+        assert G == partial_ktree(25, 2, keep=0.5, seed=3)
+
+    @pytest.mark.parametrize("n,k,keep", [(3, 3, 0.8), (5, -1, 0.8), (10, 2, 1.5)])
+    def test_bad_params(self, n, k, keep):
+        with pytest.raises(InvalidInputError):
+            partial_ktree(n, k, keep=keep)

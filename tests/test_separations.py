@@ -145,7 +145,7 @@ class TestBalancedSeparationWithin:
     def test_heuristic_mode_finds_trivial(self):
         G = gnp_graph(40, 0.5, 11)
         a = -(-G.n // 3)
-        out = balanced_separation_within(G, a, mode="heuristic", seed=1)
+        out = balanced_separation_within(G, a, mode="heuristic")
         assert out.found
         assert is_balanced(G, out.separation)
         assert out.separation.order <= a
