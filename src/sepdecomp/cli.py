@@ -72,7 +72,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         W = {0}
     else:
         W = {int(tok) - 1 for tok in args.w.replace(",", " ").split()}
-    report = construct(G, a, W, debug_assertions=args.debug_assertions)
+    report = construct(G, a, W)
     ok, violations = validate_decomposition(G, report.decomposition)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.td:
@@ -159,7 +159,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         instances=instances,
         exact_limit=int(raw.get("exact_limit", 14)),
         seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-        debug_assertions=bool(raw.get("debug_assertions", True)),
     )
     report = run_suite(config)
     payload = report.to_json()
@@ -195,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write a graphviz rendering here")
     p.add_argument("--stats", help="write run statistics here (JSON)")
     p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_SEP_NUMBER)
-    p.add_argument("--debug-assertions", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="validate a .td against a .gr")

@@ -4,8 +4,9 @@
 oracle into a decomposition of width below (7915/139)*a, threading a marked
 vertex set W through the recursion so that some bag always contains it.
 ``construct_theorem2`` is the classical iteration that gets width below 4a
-out of W-balanced separations.  All threshold comparisons are exact integer
-cross-multiplications; the constants are exact rationals.
+out of W-balanced separations.  Both check their claims on every run, and
+every threshold comparison is an exact integer cross-multiplication; the
+constants are exact rationals.
 """
 
 from __future__ import annotations
@@ -38,22 +39,19 @@ from .graph import (
     mask_vertices,
 )
 from .kernels import _sum_in_window, separators
-from .separations import Oracle, make_oracle, stz_separation
+from .separations import EXACT_LIMIT_SEPARATION, Oracle, make_oracle, stz_separation
 from .wsequence import _sequence_tail
 
 
-@dataclass(frozen=True)
 class Constants:
-    """h, t and c from the width analysis, as exact rationals."""
+    """h, t and c from the width analysis, as exact rationals, with the
+    threshold tests built on them; each test is an integer
+    cross-multiplication.  t and c are derived from h here, once."""
 
-    h: int = 4
-    t: Fraction = Fraction(3888, 139)
-    c: Fraction = Fraction(7915, 139)
-
-    def __post_init__(self):
-        derived = 4 * self.h / (1 - Fraction(13, 6) * Fraction(2, 3) ** self.h)
-        if self.t != derived or self.c != 2 * self.t + 1:
-            raise InvalidInputError("inconsistent constants")
+    __slots__ = ()
+    h = 4
+    t = 4 * h / (1 - Fraction(13, 6) * Fraction(2, 3) ** h)  # 3888/139
+    c = 2 * t + 1  # 7915/139
 
     def base_case(self, n: int, a: int) -> bool:
         # n < t*a, cross-multiplied
@@ -66,6 +64,11 @@ class Constants:
     def width_bound_ok(self, w: int, a: int) -> bool:
         # every bag strictly below c*a: 139*(width+1) < 7915*a
         return self.c.denominator * (w + 1) < self.c.numerator * a
+
+    def cell_bound_ok(self, count: int, d: int, a: int) -> bool:
+        # count <= (13/6)*t*a*(2/3)^d + 3*d*a, times 6 * t.denominator * 3^d
+        den, pow3 = self.t.denominator, 3**d
+        return 6 * den * pow3 * count <= (13 * self.t.numerator * 2**d + 18 * den * pow3 * d) * a
 
 
 CONSTANTS = Constants()
@@ -113,14 +116,11 @@ def _counted_oracle(oracle: Oracle, stats: RecursionStats) -> Oracle:
 
 
 class _Claims:
-    def __init__(self, enabled: bool, where: str):
-        self.enabled = enabled
+    def __init__(self, where: str):
         self.where = where
         self.log: list[AssertionRecord] = []
 
     def check(self, claim: str, ok: bool, context: str):
-        if not self.enabled:
-            return
         self.log.append(AssertionRecord(claim, context, ok))
         if not ok:
             raise PostconditionFailedError(f"{self.where}: claim {claim} violated: {context}")
@@ -131,7 +131,6 @@ def construct(
     a: int,
     W: Iterable[int],
     oracle: Optional[Oracle] = None,
-    debug_assertions: bool = True,
 ) -> ConstructReport:
     """Decomposition of width < (7915/139)*a with W inside the root bag.
 
@@ -149,7 +148,7 @@ def construct(
     if oracle is None:
         oracle = make_oracle(a)
     stats = RecursionStats()
-    claims = _Claims(debug_assertions, "construct")
+    claims = _Claims("construct")
     oracle = _counted_oracle(oracle, stats)
     td = _construct(G, a, W, oracle, stats, claims)
     w = width(td)
@@ -163,8 +162,8 @@ def construct(
         decomposition=td,
         a_used=a,
         width=w,
-        bound_num=7915 * a,
-        bound_den=139,
+        bound_num=CONSTANTS.c.numerator * a,
+        bound_den=CONSTANTS.c.denominator,
         certificate_node=0,
         recursion_stats=stats,
         assertion_log=tuple(claims.log),
@@ -226,7 +225,7 @@ def _construct(
             t_y = RootedTreeDecomposition(H.n, (-1,), (W | Z,))
             leaves = frozenset()
         else:
-            t_y = _t_y(H, a, W, Z, X, Y, w_top, oracle, stats, claims)
+            t_y = _t_y(H, host, a, W, Z, X, Y, w_top, oracle, stats, claims)
             leaves = frozenset(t_y.leaves())
         order = t_y.preorder()
         root = order[0]
@@ -259,7 +258,7 @@ def _construct(
             bnd = boundaries[y]
             claims.check(
                 "leaf_interface",
-                CONSTANTS.t.denominator * len(bnd) <= CONSTANTS.t.numerator * a,
+                CONSTANTS.w_small_enough(len(bnd), a),
                 f"leaf boundary {len(bnd)} vs t*a, a={a}",
             )
             region = interiors[y] | bnd
@@ -291,6 +290,7 @@ def _frame(
 
 def _t_y(
     G: Graph,
+    host: tuple[int, ...],
     a: int,
     W: VertexSet,
     Z: VertexSet,
@@ -302,21 +302,29 @@ def _t_y(
     claims: _Claims,
 ) -> RootedTreeDecomposition:
     """The restricted separation tree of G[Y], in G's ids, whose root bag
-    holds W ∪ Z (the ell >= 1 case); its leaves are still to be decomposed."""
+    holds W ∪ Z (the ell >= 1 case); its leaves are still to be decomposed.
+    An oracle failure is raised with its witness in host ids (G's vertex v
+    is host[v])."""
     H, new_to_old = induced_subgraph(G, w_top)
     old_to_new = {o: nw for nw, o in new_to_old.items()}
 
-    t_prime = separation_tree(H, a, CONSTANTS.h, oracle)
+    try:
+        t_prime = separation_tree(H, a, CONSTANTS.h, oracle)
+    except OracleFailureError as exc:
+        witness = {host[new_to_old[v]] for v in exc.witness}
+        raise OracleFailureError(witness, exc.certified) from exc
     stats.separation_tree_nodes += t_prime.size
 
-    if claims.enabled:
-        wz_local = frozenset(old_to_new[v] for v in (W | Z) if v in old_to_new)
-        depths = t_prime.depths()
-        for y, intr in enumerate(t_prime.interiors()):
-            d = depths[y]
-            lhs = len(intr & wz_local)
-            rhs = Fraction(13, 6) * CONSTANTS.t * a * Fraction(2, 3) ** d + 3 * d * a
-            claims.check("cell_bound", lhs <= rhs, f"depth {d}: {lhs} <= {rhs}")
+    wz_local = frozenset(old_to_new[v] for v in (W | Z) if v in old_to_new)
+    depths = t_prime.depths()
+    for y, intr in enumerate(t_prime.interiors()):
+        d = depths[y]
+        lhs = len(intr & wz_local)
+        claims.check(
+            "cell_bound",
+            CONSTANTS.cell_bound_ok(lhs, d, a),
+            f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
+        )
 
     a_local = frozenset(
         old_to_new[v] for v in ((X & w_top) | W)
@@ -385,9 +393,7 @@ def _useful_w_balanced(G: Graph, w_mask: int, wpad_mask: int, a: int):
     raise WBalancedUnavailableError(frozenset(mask_vertices(wpad_mask)), a)
 
 
-def construct_theorem2(
-    G: Graph, a: int, exact_limit: int = 20, debug_assertions: bool = True
-) -> ConstructReport:
+def construct_theorem2(G: Graph, a: int) -> ConstructReport:
     """Width < 4a via the W-balanced separation iteration.
 
     Maintains a separation (X, Y) of order <= 3a and a decomposition of
@@ -397,10 +403,12 @@ def construct_theorem2(
     """
     if a < 1:
         raise InvalidInputError("a must be >= 1")
-    if G.n > exact_limit:
-        raise SizeLimitExceededError(G.n, exact_limit, "exhaustive separation search")
+    if G.n > EXACT_LIMIT_SEPARATION:
+        raise SizeLimitExceededError(
+            G.n, EXACT_LIMIT_SEPARATION, "exhaustive separation search"
+        )
     stats = RecursionStats()
-    claims = _Claims(debug_assertions, "construct_theorem2")
+    claims = _Claims("construct_theorem2")
     parents: list[int] = [-1]
     bags: list[VertexSet] = [frozenset()]
     # (X, Y, node): extend the decomposition below `node` by one of G[X]
@@ -459,23 +467,18 @@ def construct_theorem2(
     )
 
 
-def find_min_feasible_a(
-    G: Graph, W: Iterable[int], oracle_factory=None, debug_assertions: bool = True
-) -> ConstructReport:
+def find_min_feasible_a(G: Graph, W: Iterable[int]) -> ConstructReport:
     """Smallest a for which construct succeeds, by increasing scan."""
     W = _check_vertices(G, W)
     if G.n == 0:
         raise InvalidInputError("graph has no vertices")
     if not W:
         raise InvalidInputError("W must be non-empty")
-    if oracle_factory is None:
-        oracle_factory = make_oracle
-    start = max(1, -(-(139 * len(W)) // 3888))
+    t = CONSTANTS.t
+    start = max(1, -(-(t.denominator * len(W)) // t.numerator))  # ceil(|W|/t)
     for a in range(start, G.n + 1):
         try:
-            return construct(
-                G, a, W, oracle=oracle_factory(a), debug_assertions=debug_assertions
-            )
+            return construct(G, a, W)
         except (OracleFailureError, RecursionGuardError):
             continue
     raise InvalidInputError("no feasible a found up to n")  # pragma: no cover

@@ -62,8 +62,9 @@ class InvalidDecompositionError(SepDecompError):
 class OracleFailureError(SepDecompError):
     """The balanced-separation oracle could not supply a qualifying separation.
 
-    ``witness`` is the vertex set (in the ids of the graph handed to the
-    oracle's caller) of the subgraph that defeated the oracle.  With an exact
+    ``witness`` is the vertex set of the subgraph that defeated the oracle,
+    in the ids of the graph passed to the public function that raised the
+    error (``construct``'s G, or ``separation_tree``'s G).  With an exact
     oracle this certifies that the subgraph has no balanced separation of the
     requested order.
     """

@@ -110,30 +110,21 @@ def _bounded_candidates(n: int, a: int) -> int:
     return sum(comb(n, k) for k in range(min(a, n) + 1))
 
 
-def balanced_separation_within(
-    G: Graph,
-    a: int,
-    mode: str = "auto",
-    exact_limit: int = EXACT_LIMIT_SEPARATION,
-    candidate_budget: int = CANDIDATE_BUDGET,
-) -> SeparatorOracleOutcome:
+def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     """Balanced separation of order <= a, or a witness.
 
-    Exact (certifying) search runs when the whole order range fits the
-    budget: either n <= exact_limit, or the number of candidate separators
-    of size <= a is within candidate_budget (the search need not look past
-    order a, so it stays exact on large graphs with small a).  Otherwise,
-    and always in heuristic mode, a deterministic cutter tries a few
-    candidate separators (the empty set, the centroid bag of a min-degree
-    elimination forest, the first ceil(n/3) vertices, min cuts between
-    growing BFS balls) and groups the components left by each with the
-    exact search's greedy; a separation is returned only once it is checked
-    balanced with order <= a, and a miss is an uncertified failure.
+    The exact (certifying) search runs exactly when the number of candidate
+    separators of size <= a is within CANDIDATE_BUDGET (the search need not
+    look past order a, so it stays exact on large graphs with small a, and
+    every graph with n <= 20 fits, as 2^20 < CANDIDATE_BUDGET).  Otherwise a
+    deterministic cutter tries a few candidate separators (the empty set,
+    the centroid bag of a min-degree elimination forest, the first ceil(n/3)
+    vertices, min cuts between growing BFS balls) and groups the components
+    left by each with the exact search's greedy; a separation is returned
+    only once it is checked balanced with order <= a, and a miss is an
+    uncertified failure.
     """
-    if mode not in ("auto", "exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    exact_ok = G.n <= exact_limit or _bounded_candidates(G.n, a) <= candidate_budget
-    if mode in ("auto", "exact") and exact_ok:
+    if _bounded_candidates(G.n, a) <= CANDIDATE_BUDGET:
         found = kernels.min_balanced_separation(G.n, G.adj_masks, min(a, G.n))
         if found is None:
             return SeparatorOracleOutcome(
@@ -143,8 +134,6 @@ def balanced_separation_within(
         return SeparatorOracleOutcome(
             _separation_from_masks(G, z_mask, a_mask), None, certified=True
         )
-    if mode == "exact":
-        raise SizeLimitExceededError(G.n, exact_limit, "exact balanced separation")
     return _cutter_balanced_within(G, a)
 
 
@@ -280,18 +269,12 @@ def min_w_balanced_separation(
 Oracle = Callable[[Graph], SeparatorOracleOutcome]
 
 
-def make_oracle(
-    a: int,
-    mode: str = "auto",
-    exact_limit: int = EXACT_LIMIT_SEPARATION,
-    candidate_budget: int = CANDIDATE_BUDGET,
-) -> Oracle:
-    """A balanced-separation provider for separation_tree / construct."""
+def make_oracle(a: int) -> Oracle:
+    """The default oracle of separation_tree / construct:
+    ``balanced_separation_within(H, a)`` for each graph H it is handed, exact
+    within the candidate budget and the cutter past it."""
 
     def oracle(H: Graph) -> SeparatorOracleOutcome:
-        return balanced_separation_within(
-            H, a, mode=mode, exact_limit=exact_limit,
-            candidate_budget=candidate_budget,
-        )
+        return balanced_separation_within(H, a)
 
     return oracle

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from . import generators, kernels
 from .constructor import CONSTANTS, construct
@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitExceededError,
 )
 from .graph import Graph, Separation, VertexSet, induced_subgraph, is_separation
-from .separations import make_oracle, separation_number
+from .separations import separation_number
 from .wsequence import WSequence, validate_w_sequence
 
 EXACT_LIMIT_TREEWIDTH = 14
@@ -159,7 +159,6 @@ class SuiteConfig:
     instances: tuple[InstanceSpec, ...]
     exact_limit: int = 14
     seed: int = 0
-    debug_assertions: bool = True
 
 
 @dataclass
@@ -249,9 +248,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             if G.n <= config.exact_limit:
                 record.sep = separation_number(G, exact_limit=config.exact_limit)
                 record.tw = treewidth_exact(G, exact_limit=config.exact_limit).value
-            rep = construct(
-                G, a, {min(range(G.n))}, debug_assertions=config.debug_assertions
-            )
+            rep = construct(G, a, {min(range(G.n))})
             record.width = rep.width
             record.bound_num = rep.bound_num
             record.bound_den = rep.bound_den

@@ -396,7 +396,7 @@ def test_criterion_10_debug_claims(report):
     claims_seen = set()
     records = 0
     for G, a in corpus:
-        rep = construct(G, a, {0}, debug_assertions=True)
+        rep = construct(G, a, {0})
         assert all(r.ok for r in rep.assertion_log)
         claims_seen |= {r.claim for r in rep.assertion_log}
         records += len(rep.assertion_log)

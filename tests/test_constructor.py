@@ -7,7 +7,6 @@ import pytest
 
 from sepdecomp.constructor import (
     CONSTANTS,
-    Constants,
     _useful_w_balanced,
     construct,
     construct_theorem2,
@@ -29,11 +28,22 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, mask_vertices
+from sepdecomp.graph import build_graph, induced_subgraph, mask_vertices
 from sepdecomp.decomposition import validate_decomposition, width
 from sepdecomp.kernels import separators
 from sepdecomp.pace import write_td
-from sepdecomp.separations import make_oracle, separation_number
+from sepdecomp.separations import (
+    SeparatorOracleOutcome,
+    _cutter_balanced_within,
+    make_oracle,
+    separation_number,
+)
+
+
+def cutter_oracle(a):
+    """The cutter alone, as an oracle: what construct runs past the exact
+    search's candidate budget."""
+    return lambda H: _cutter_balanced_within(H, a)
 
 
 class TestConstants:
@@ -45,9 +55,21 @@ class TestConstants:
         assert CONSTANTS.t == 16 / (1 - Fraction(13, 6) * Fraction(16, 81))
         assert CONSTANTS.c == 2 * CONSTANTS.t + 1
 
-    def test_inconsistent_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Constants(h=4, t=Fraction(28), c=Fraction(57))
+    def test_not_settable(self):
+        with pytest.raises(AttributeError):
+            CONSTANTS.h = 5
+        with pytest.raises(TypeError):
+            type(CONSTANTS)(h=5)
+
+    def test_cell_bound_matches_fraction_formula(self):
+        # the integer test against the rational bound it replaces:
+        # count <= (13/6)*t*a*(2/3)^d + 3*d*a, at the bound and one either side
+        for d in range(13):
+            for a in range(1, 41):
+                rhs = Fraction(13, 6) * CONSTANTS.t * a * Fraction(2, 3) ** d + 3 * d * a
+                at = rhs.numerator // rhs.denominator
+                for count in (at - 1, at, at + 1):
+                    assert CONSTANTS.cell_bound_ok(count, d, a) == (count <= rhs), (d, a, count)
 
     def test_base_case_boundary(self):
         # n < (3888/139)*a flips between n=27 and n=28 at a=1
@@ -126,16 +148,13 @@ class TestConstruct:
             construct(path_graph(40), 1, set(range(29)))
 
     def test_assertion_log_populated(self):
-        rep = construct(path_graph(100), 1, {0})
-        assert all(r.ok for r in rep.assertion_log)
-        claims = {r.claim for r in rep.assertion_log}
-        assert "treewidth_bound" in claims
-
-    def test_debug_assertions_off(self):
-        rep = construct(path_graph(100), 1, {0}, debug_assertions=False)
-        assert rep.assertion_log == ()
-        ok, v = validate_decomposition(path_graph(100), rep.decomposition)
-        assert ok, v
+        # the claim checks always run: each construct that recurses logs
+        # the three claims the width bound rests on
+        for G, a in ((path_graph(100), 1), (cycle_graph(120), 2), (random_tree(150, seed=3), 1)):
+            rep = construct(G, a, {0})
+            assert all(r.ok for r in rep.assertion_log)
+            claims = {r.claim for r in rep.assertion_log}
+            assert {"cell_bound", "leaf_interface", "treewidth_bound"} <= claims, claims
 
 
 class TestTheorem2:
@@ -271,8 +290,28 @@ class TestOracleInteraction:
         # a cycle has no balanced separation of order 1; the cutter's miss is
         # reported but carries no sep(G) > a certificate
         with pytest.raises(OracleFailureError) as ei:
-            construct(cycle_graph(120), 1, {0}, oracle=make_oracle(1, mode="heuristic"))
+            construct(cycle_graph(120), 1, {0}, oracle=cutter_oracle(1))
         assert ei.value.certified is False
+
+    def test_failure_witness_in_host_ids(self):
+        # the oracle fails inside a nested subproblem; the witness must name
+        # the vertices of the graph it failed on, in G's ids (every
+        # re-indexing keeps sorted order, so the induced subgraphs are equal)
+        G = random_tree(400, seed=3)
+        failed_on = []
+
+        def oracle(H):
+            if len(failed_on) < 20:
+                failed_on.append(None)
+                return make_oracle(1)(H)
+            failed_on.append(H)
+            return SeparatorOracleOutcome(None, frozenset(range(H.n)), certified=False)
+
+        with pytest.raises(OracleFailureError) as ei:
+            construct(G, 1, {0}, oracle=oracle)
+        H = failed_on[20]
+        assert len(failed_on) == 21 and H.n < G.n
+        assert induced_subgraph(G, ei.value.witness)[0].adjacency == H.adjacency
 
 
 class TestCutter:
@@ -281,7 +320,7 @@ class TestCutter:
 
     def _check(self, G, a):
         reps = [
-            construct(G, a, {0}, oracle=make_oracle(a, mode="heuristic"))
+            construct(G, a, {0}, oracle=cutter_oracle(a))
             for _ in range(2)
         ]
         ok, v = validate_decomposition(G, reps[0].decomposition)

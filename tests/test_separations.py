@@ -14,6 +14,7 @@ from sepdecomp.generators import (
 from sepdecomp.graph import build_graph, is_balanced, is_separation, is_w_balanced
 from sepdecomp.menger import separates
 from sepdecomp.separations import (
+    _cutter_balanced_within,
     balanced_separation_within,
     make_oracle,
     min_balanced_separation,
@@ -145,14 +146,10 @@ class TestBalancedSeparationWithin:
     def test_heuristic_mode_finds_trivial(self):
         G = gnp_graph(40, 0.5, 11)
         a = -(-G.n // 3)
-        out = balanced_separation_within(G, a, mode="heuristic")
+        out = _cutter_balanced_within(G, a)
         assert out.found
         assert is_balanced(G, out.separation)
         assert out.separation.order <= a
-
-    def test_exact_mode_rejects_oversize(self):
-        with pytest.raises(SizeLimitExceededError):
-            balanced_separation_within(gnp_graph(40, 0.5, 1), 13, mode="exact")
 
 
 class TestMinWBalanced:
