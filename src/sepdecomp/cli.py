@@ -21,13 +21,7 @@ from .errors import SepDecompError, SizeLimitExceededError
 from .graph import Graph
 from .pace import export_dot, parse_gr, parse_td, write_gr, write_td
 from .separations import EXACT_LIMIT_SEP_NUMBER, separation_number
-from .verification import (
-    EXACT_LIMIT_TREEWIDTH,
-    InstanceSpec,
-    SuiteConfig,
-    run_suite,
-    treewidth_exact,
-)
+from .verification import InstanceSpec, SuiteConfig, run_suite, treewidth_exact
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -51,21 +45,21 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _auto_a(G: Graph, exact_limit: int) -> int:
-    if G.n > exact_limit:
+def _auto_a(G: Graph) -> int:
+    if G.n > EXACT_LIMIT_SEP_NUMBER:
         raise SizeLimitExceededError(
             G.n,
-            exact_limit,
+            EXACT_LIMIT_SEP_NUMBER,
             "auto a (pass --a explicitly for larger graphs)",
         )
-    return separation_number(G, exact_limit=exact_limit)
+    return separation_number(G)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     start = time.perf_counter()
     if args.a == "auto":
-        a = _auto_a(G, args.exact_limit)
+        a = _auto_a(G)
     else:
         a = int(args.a)
     if args.w == "auto":
@@ -117,20 +111,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_sep(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
-    print(separation_number(G, exact_limit=args.exact_limit))
+    print(separation_number(G))
     return OK
 
 
 def _cmd_tw(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
-    print(treewidth_exact(G, exact_limit=args.exact_limit).value)
+    print(treewidth_exact(G).value)
     return OK
 
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     if args.a == "auto":
-        a = _auto_a(G, EXACT_LIMIT_SEP_NUMBER)
+        a = _auto_a(G)
     else:
         a = int(args.a)
     report = construct_theorem2(G, a)
@@ -144,20 +138,41 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
     return OK if report.width < 4 * a else FAILURE
 
 
+SUITE_KEYS = {"instances", "seed"}
+INSTANCE_KEYS = {"kind", "params", "a", "id"}
+
+
+def _check_object(value, keys: set, where: str) -> dict:
+    """`value` as a JSON object whose keys are all in `keys`; ValueError
+    naming the first stray key otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r} (allowed: {sorted(keys)})")
+    return value
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    instances = tuple(
-        InstanceSpec(
-            kind=item["kind"],
-            params=item.get("params", {}),
-            a=item.get("a"),
-            graph_id=item.get("id"),
+    raw = _check_object(json.loads(Path(args.config).read_text()), SUITE_KEYS, "suite config")
+    items = raw.get("instances", [])
+    if not isinstance(items, list):
+        raise ValueError("suite config: 'instances' must be a JSON list")
+    instances = []
+    for i, item in enumerate(items):
+        item = _check_object(item, INSTANCE_KEYS, f"suite instance {i}")
+        if "kind" not in item:
+            raise ValueError(f"suite instance {i}: missing key 'kind'")
+        instances.append(
+            InstanceSpec(
+                kind=item["kind"],
+                params=item.get("params", {}),
+                a=item.get("a"),
+                graph_id=item.get("id"),
+            )
         )
-        for item in raw.get("instances", [])
-    )
     config = SuiteConfig(
-        instances=instances,
-        exact_limit=int(raw.get("exact_limit", 14)),
+        instances=tuple(instances),
         seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
     )
     report = run_suite(config)
@@ -193,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--td", help="write the decomposition here (.td)")
     p.add_argument("--dot", help="write a graphviz rendering here")
     p.add_argument("--stats", help="write run statistics here (JSON)")
-    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_SEP_NUMBER)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="validate a .td against a .gr")
@@ -203,12 +217,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sep", help="exact separation number")
     p.add_argument("--input", required=True)
-    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_SEP_NUMBER)
     p.set_defaults(func=_cmd_sep)
 
     p = sub.add_parser("tw", help="exact treewidth")
     p.add_argument("--input", required=True)
-    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_TREEWIDTH)
     p.set_defaults(func=_cmd_tw)
 
     p = sub.add_parser("theorem2", help="build a width < 4a decomposition")

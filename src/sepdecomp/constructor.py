@@ -107,14 +107,6 @@ class ConstructReport:
         return Fraction(self.width, self.a_used) if self.a_used else Fraction(0)
 
 
-def _counted_oracle(oracle: Oracle, stats: RecursionStats) -> Oracle:
-    def counted(H: Graph):
-        stats.oracle_calls += 1
-        return oracle(H)
-
-    return counted
-
-
 class _Claims:
     def __init__(self, where: str):
         self.where = where
@@ -149,7 +141,6 @@ def construct(
         oracle = make_oracle(a)
     stats = RecursionStats()
     claims = _Claims("construct")
-    oracle = _counted_oracle(oracle, stats)
     td = _construct(G, a, W, oracle, stats, claims)
     w = width(td)
     if not CONSTANTS.width_bound_ok(w, a):
@@ -314,6 +305,8 @@ def _t_y(
         witness = {host[new_to_old[v]] for v in exc.witness}
         raise OracleFailureError(witness, exc.certified) from exc
     stats.separation_tree_nodes += t_prime.size
+    # one oracle call per inner node
+    stats.oracle_calls += t_prime.size - len(t_prime.leaves())
 
     wz_local = frozenset(old_to_new[v] for v in (W | Z) if v in old_to_new)
     depths = t_prime.depths()

@@ -7,9 +7,11 @@ from dataclasses import dataclass
 from .errors import (
     EmptyTreeError,
     InvalidInputError,
+    InvalidSeparationError,
     OracleFailureError,
+    VertexOutOfRangeError,
 )
-from .graph import Graph, Separation, VertexSet, induced_subgraph
+from .graph import Graph, Separation, VertexSet, induced_subgraph, is_balanced
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,11 @@ def separation_tree(
     with bag V(G') once the non-boundary part fits under n*(2/3)^h, compared
     in exact integers.  Interior/boundary sizes then satisfy
     |interior| <= n*(2/3)^depth and |boundary| <= depth*a at every node.
+
+    Each inner node is one oracle call.  A miss raises OracleFailureError
+    with the oracle's ``certified`` flag; an answer that is not a balanced
+    separation of order <= a of the graph handed over raises an uncertified
+    one.  Either way the witness is that graph's vertex set, in G's ids.
     """
     if h < 0:
         raise InvalidInputError("h must be >= 0")
@@ -211,13 +218,14 @@ def separation_tree(
             continue
         H, new_to_old = induced_subgraph(G, inner)
         outcome = oracle(H)
-        if not outcome.found:
-            raise OracleFailureError(
-                {new_to_old[v] for v in (outcome.witness or range(H.n))},
-                outcome.certified,
-            )
         sep = outcome.separation
-        if sep.order > a:
+        if sep is None:
+            raise OracleFailureError(inner, outcome.certified)
+        try:
+            ok = sep.order <= a and is_balanced(H, sep)
+        except (InvalidSeparationError, VertexOutOfRangeError):
+            ok = False  # not a separation of H
+        if not ok:
             raise OracleFailureError(inner, certified=False)
         A = frozenset(new_to_old[v] for v in sep.a_side)
         B = frozenset(new_to_old[v] for v in sep.b_side)

@@ -62,11 +62,13 @@ class InvalidDecompositionError(SepDecompError):
 class OracleFailureError(SepDecompError):
     """The balanced-separation oracle could not supply a qualifying separation.
 
-    ``witness`` is the vertex set of the subgraph that defeated the oracle,
-    in the ids of the graph passed to the public function that raised the
-    error (``construct``'s G, or ``separation_tree``'s G).  With an exact
-    oracle this certifies that the subgraph has no balanced separation of the
-    requested order.
+    ``witness`` is the vertex set of the subgraph the oracle was handed, in
+    the ids of the graph passed to the public function that raised the error
+    (``construct``'s G, or ``separation_tree``'s G).  ``certified`` is the
+    oracle's own flag when it returned no separation: with an exact oracle
+    it certifies that the subgraph has no balanced separation of the
+    requested order.  An answer that is not a balanced separation of that
+    order is never certified.
     """
 
     def __init__(self, witness, certified):

@@ -107,7 +107,8 @@ def partial_ktree(n: int, k: int, keep: float = 0.8, seed: int = 0) -> Graph:
 
 
 def generate(kind: str, params: dict, seed: Optional[int] = None) -> Graph:
-    """Dispatch by family name; `seed` overrides params["seed"] when given."""
+    """Dispatch by family name.  For the seeded kinds (tree, gnp, ktree)
+    `seed` is used only when params has no "seed": params["seed"] wins."""
     params = dict(params)
     if seed is not None and kind in ("tree", "gnp", "ktree"):
         params.setdefault("seed", seed)

@@ -1,13 +1,12 @@
 """Immutable simple undirected graphs over dense integer vertex ids.
 
-Vertices are always 0..n-1.  External names, when a graph is read from a
-file, live in an optional label map and play no role in any algorithm.
+Vertices are always 0..n-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -23,9 +22,8 @@ VertexSet = frozenset[int]
 class Graph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    labels: Optional[Mapping[int, str]] = None
     # per-vertex neighbor bitmasks, precomputed for the search kernels
-    adj_masks: tuple[int, ...] = field(repr=False, default=())
+    adj_masks: tuple[int, ...] = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -60,15 +58,8 @@ class Separation:
     def separator(self) -> VertexSet:
         return self.a_side & self.b_side
 
-    def swapped(self) -> "Separation":
-        return Separation(self.b_side, self.a_side)
 
-
-def build_graph(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    labels: Optional[Mapping[int, str]] = None,
-) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple undirected graph, rejecting loops and repeats."""
     adj: list[list[int]] = [[] for _ in range(n)]
     masks = [0] * n
@@ -88,7 +79,6 @@ def build_graph(
     return Graph(
         n=n,
         adjacency=tuple(tuple(sorted(a)) for a in adj),
-        labels=labels,
         adj_masks=tuple(masks),
     )
 

@@ -26,14 +26,6 @@ class VertexPath:
         # path length = number of edges
         return len(self.vertices) - 1
 
-    @property
-    def first(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def last(self) -> int:
-        return self.vertices[-1]
-
 
 @dataclass(frozen=True)
 class PathResult:

@@ -30,7 +30,6 @@ from .errors import NotSeparatedError, PostconditionFailedError, SizeLimitExceed
 from .graph import (
     Graph,
     Separation,
-    VertexSet,
     _check_vertices,
     components_in,
     is_balanced,
@@ -46,14 +45,14 @@ CANDIDATE_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class SeparatorOracleOutcome:
-    """Either a qualifying separation, or a witness vertex set.
+    """An oracle's answer for the graph it was handed: a balanced separation
+    of order <= a, or None.
 
-    ``certified`` tells whether a missing separation is a proof (exhaustive
-    search) or merely a heuristic giving up.
+    ``certified`` tells whether a missing separation is a proof that the
+    graph has none (exhaustive search) or merely a heuristic giving up.
     """
 
     separation: Optional[Separation]
-    witness: Optional[VertexSet]
     certified: bool
 
     @property
@@ -92,10 +91,11 @@ def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int
     )
 
 
-def min_balanced_separation(G: Graph, exact_limit: int = EXACT_LIMIT_SEPARATION) -> Separation:
-    """Minimum-order balanced separation, by exhaustive separator search."""
-    if G.n > exact_limit:
-        raise SizeLimitExceededError(G.n, exact_limit, "min_balanced_separation")
+def min_balanced_separation(G: Graph) -> Separation:
+    """Minimum-order balanced separation, by exhaustive separator search
+    (n <= EXACT_LIMIT_SEPARATION)."""
+    if G.n > EXACT_LIMIT_SEPARATION:
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "min_balanced_separation")
     found = kernels.min_balanced_separation(G.n, G.adj_masks, G.n)
     if found is None:
         raise PostconditionFailedError(
@@ -111,7 +111,7 @@ def _bounded_candidates(n: int, a: int) -> int:
 
 
 def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
-    """Balanced separation of order <= a, or a witness.
+    """Balanced separation of order <= a, or None.
 
     The exact (certifying) search runs exactly when the number of candidate
     separators of size <= a is within CANDIDATE_BUDGET (the search need not
@@ -127,12 +127,10 @@ def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     if _bounded_candidates(G.n, a) <= CANDIDATE_BUDGET:
         found = kernels.min_balanced_separation(G.n, G.adj_masks, min(a, G.n))
         if found is None:
-            return SeparatorOracleOutcome(
-                None, frozenset(range(G.n)), certified=True
-            )
+            return SeparatorOracleOutcome(None, certified=True)
         _, z_mask, a_mask = found
         return SeparatorOracleOutcome(
-            _separation_from_masks(G, z_mask, a_mask), None, certified=True
+            _separation_from_masks(G, z_mask, a_mask), certified=True
         )
     return _cutter_balanced_within(G, a)
 
@@ -154,8 +152,8 @@ def _cutter_balanced_within(G: Graph, a: int) -> SeparatorOracleOutcome:
             continue
         sep = _separation_from_masks(G, z_mask, a_mask)
         if sep.order <= a and is_balanced(G, sep):
-            return SeparatorOracleOutcome(sep, None, certified=True)
-    return SeparatorOracleOutcome(None, frozenset(range(G.n)), certified=False)
+            return SeparatorOracleOutcome(sep, certified=True)
+    return SeparatorOracleOutcome(None, certified=False)
 
 
 def _cutter_candidates(G: Graph, a: int) -> Iterator[int]:
@@ -239,21 +237,21 @@ def _bfs_order(G: Graph, s: int) -> list[int]:
     return order
 
 
-def separation_number(G: Graph, exact_limit: int = EXACT_LIMIT_SEP_NUMBER) -> int:
+def separation_number(G: Graph) -> int:
     """Exact separation number: the subgraph maximum of the minimum
-    balanced-separation order (induced subgraphs suffice)."""
-    if G.n > exact_limit:
-        raise SizeLimitExceededError(G.n, exact_limit, "separation_number")
+    balanced-separation order (induced subgraphs suffice;
+    n <= EXACT_LIMIT_SEP_NUMBER)."""
+    if G.n > EXACT_LIMIT_SEP_NUMBER:
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEP_NUMBER, "separation_number")
     return kernels.separation_number(G.n, G.adj_masks)
 
 
-def min_w_balanced_separation(
-    G: Graph, W: Iterable[int], exact_limit: int = EXACT_LIMIT_SEPARATION
-) -> Separation:
-    """Minimum-order W-balanced separation (exhaustive)."""
+def min_w_balanced_separation(G: Graph, W: Iterable[int]) -> Separation:
+    """Minimum-order W-balanced separation (exhaustive;
+    n <= EXACT_LIMIT_SEPARATION)."""
     W = _check_vertices(G, W)
-    if G.n > exact_limit:
-        raise SizeLimitExceededError(G.n, exact_limit, "min_w_balanced_separation")
+    if G.n > EXACT_LIMIT_SEPARATION:
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "min_w_balanced_separation")
     found = kernels.min_w_balanced_separation(G.n, G.adj_masks, mask_of(W), G.n)
     if found is None:
         raise PostconditionFailedError(

@@ -24,10 +24,10 @@ from .errors import (
     SizeLimitExceededError,
 )
 from .graph import Graph, Separation, VertexSet, induced_subgraph, is_separation
-from .separations import separation_number
+from .separations import EXACT_LIMIT_SEP_NUMBER, separation_number
 from .wsequence import WSequence, validate_w_sequence
 
-EXACT_LIMIT_TREEWIDTH = 14
+EXACT_LIMIT_TREEWIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,11 @@ def _witness_from_elimination(G: Graph, order: tuple[int, ...]) -> RootedTreeDec
     return RootedTreeDecomposition(n, tuple(parents), tuple(bags))
 
 
-def treewidth_exact(G: Graph, exact_limit: int = EXACT_LIMIT_TREEWIDTH) -> TreewidthResult:
-    """Exact treewidth by subset DP, with a validated witness decomposition."""
-    if G.n > exact_limit:
-        raise SizeLimitExceededError(G.n, exact_limit, "exact treewidth")
+def treewidth_exact(G: Graph) -> TreewidthResult:
+    """Exact treewidth by subset DP, with a validated witness decomposition
+    (n <= EXACT_LIMIT_TREEWIDTH)."""
+    if G.n > EXACT_LIMIT_TREEWIDTH:
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_TREEWIDTH, "exact treewidth")
     value, order = kernels.treewidth(G.n, G.adj_masks)
     td = _witness_from_elimination(G, order)
     ok, violations = validate_decomposition(G, td)
@@ -128,11 +129,10 @@ def check_zw_inequality(G: Graph, ws: WSequence, ab: Separation) -> ZWCheck:
     return ZWCheck(lhs <= rhs, lhs, rhs, lhs <= secondary_rhs, secondary_rhs)
 
 
-def check_sep_le_tw(G: Graph, exact_limit: int = EXACT_LIMIT_TREEWIDTH) -> bool:
-    """sep(G) <= tw(G) + 1, both sides exact."""
-    sep = separation_number(G, exact_limit=exact_limit)
-    tw = treewidth_exact(G, exact_limit=exact_limit).value
-    return sep <= tw + 1
+def check_sep_le_tw(G: Graph) -> bool:
+    """sep(G) <= tw(G) + 1, both sides exact (n <= EXACT_LIMIT_SEP_NUMBER,
+    the smaller of the two limits)."""
+    return separation_number(G) <= treewidth_exact(G).value + 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,6 @@ class InstanceSpec:
 @dataclass(frozen=True)
 class SuiteConfig:
     instances: tuple[InstanceSpec, ...]
-    exact_limit: int = 14
     seed: int = 0
 
 
@@ -212,13 +211,13 @@ def structural_a(kind: str, G: Graph) -> Optional[int]:
     return None
 
 
-def _choose_a(spec: InstanceSpec, G: Graph, exact_limit: int) -> int:
+def _choose_a(spec: InstanceSpec, G: Graph) -> int:
     if spec.a is not None:
         return spec.a
     if G.n == 0:
         raise InvalidInputError("empty graph in suite")
-    if G.n <= exact_limit:
-        return separation_number(G, exact_limit=exact_limit)
+    if G.n <= EXACT_LIMIT_SEP_NUMBER:
+        return separation_number(G)
     a = structural_a(spec.kind, G)
     if a is None:
         # smallest a that is never below ceil(n/3)-capped necessity but
@@ -243,11 +242,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 spec.kind, spec.params, seed=config.seed * 10007 + idx
             )
             record.n, record.m = G.n, G.m
-            a = _choose_a(spec, G, config.exact_limit)
+            a = _choose_a(spec, G)
             record.a_used = a
-            if G.n <= config.exact_limit:
-                record.sep = separation_number(G, exact_limit=config.exact_limit)
-                record.tw = treewidth_exact(G, exact_limit=config.exact_limit).value
+            if G.n <= EXACT_LIMIT_SEP_NUMBER:
+                record.sep = separation_number(G)
+                record.tw = treewidth_exact(G).value
             rep = construct(G, a, {min(range(G.n))})
             record.width = rep.width
             record.bound_num = rep.bound_num

@@ -330,7 +330,7 @@ def test_criterion_7_cross_checks(report):
         assert separation_number(complete_graph(n)) == -(-n // 3)
         assert treewidth_exact(complete_graph(n)).value == n - 1
     for k in (2, 3, 4):
-        assert treewidth_exact(grid_graph(k, k), exact_limit=16).value == k
+        assert treewidth_exact(grid_graph(k, k)).value == k
     report(7, f"sep/tw cross-checks exact on {len(graphs)} graphs plus K_n and grid families")
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from sepdecomp import cli
 from sepdecomp.cli import dispatch
 from sepdecomp.generators import cycle_graph, grid_graph, partial_ktree, path_graph
@@ -135,6 +137,13 @@ class TestSepTw:
         g = gr(tmp_path, path_graph(30))
         assert dispatch(["tw", "--input", g]) == 2
 
+    @pytest.mark.parametrize("command", ["construct", "sep", "tw"])
+    def test_no_exact_limit_option(self, tmp_path, capsys, command):
+        # the size guards are constants: there is no option to move them
+        g = gr(tmp_path, cycle_graph(9))
+        assert dispatch([command, "--input", g, "--exact-limit", "20"]) == 2
+        assert "--exact-limit" in capsys.readouterr().err
+
 
 class TestTheorem2:
     def test_end_to_end(self, tmp_path, capsys):
@@ -182,6 +191,33 @@ class TestSuite:
         cfg = tmp_path / "suite.json"
         cfg.write_text("{nope")
         assert dispatch(["suite", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ([], "JSON object"),
+            ({"instances": 5}, "'instances'"),
+            ({"instances": ["path"]}, "suite instance 0"),
+            ({"instances": [{"params": {"n": 5}}]}, "'kind'"),
+            ({"instances": [], "exact_limt": 5}, "'exact_limt'"),
+            ({"instances": [], "exact_limit": 14}, "'exact_limit'"),
+            ({"instances": [{"kind": "path", "parms": {"n": 5}}]}, "'parms'"),
+        ],
+        ids=[
+            "top_level_list",
+            "instances_not_list",
+            "instance_not_object",
+            "instance_without_kind",
+            "misspelt_key",
+            "removed_key",
+            "misspelt_instance_key",
+        ],
+    )
+    def test_malformed_config(self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(config))
+        assert dispatch(["suite", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestUsage:

@@ -305,7 +305,7 @@ class TestOracleInteraction:
                 failed_on.append(None)
                 return make_oracle(1)(H)
             failed_on.append(H)
-            return SeparatorOracleOutcome(None, frozenset(range(H.n)), certified=False)
+            return SeparatorOracleOutcome(None, certified=False)
 
         with pytest.raises(OracleFailureError) as ei:
             construct(G, 1, {0}, oracle=oracle)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdecomp.errors import EmptyTreeError, InvalidInputError
+from sepdecomp.errors import EmptyTreeError, InvalidInputError, OracleFailureError
 from sepdecomp.constructor import construct
 from sepdecomp.generators import complete_graph, cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
 from sepdecomp.graph import Separation, build_graph
+from sepdecomp.separations import SeparatorOracleOutcome
 from sepdecomp.decomposition import (
     RootedTreeDecomposition,
     boundary_and_interior,
@@ -300,3 +301,37 @@ class TestSeparationTree:
     def test_negative_height_rejected(self):
         with pytest.raises(InvalidInputError):
             separation_tree(path_graph(3), 1, -1)
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            lambda H: (frozenset(range(H.n)), frozenset()),  # order 0, unbalanced
+            lambda H: (frozenset({0}), frozenset({0})),  # not a separation
+            lambda H: (frozenset({H.n}), frozenset(range(H.n))),  # vertex out of range
+            lambda H: (frozenset(range(H.n)), frozenset(range(H.n))),  # order n > a
+        ],
+        ids=["unbalanced", "non_separation", "out_of_range", "order_above_a"],
+    )
+    @pytest.mark.parametrize("via_construct", [False, True])
+    def test_out_of_contract_answer_rejected(self, answer, via_construct):
+        # such an answer is an uncertified failure on the first call; the
+        # unbalanced (V, {}) once gave an A child equal to its parent, forever
+        class Looped(Exception):
+            pass
+
+        calls = []
+
+        def oracle(H):
+            calls.append(H)
+            if len(calls) > 1000:
+                raise Looped
+            return SeparatorOracleOutcome(Separation(*answer(H)), certified=True)
+
+        G = path_graph(30)
+        with pytest.raises(OracleFailureError) as ei:
+            if via_construct:
+                construct(G, 1, {0}, oracle=oracle)
+            else:
+                separation_tree(G, 1, 4, oracle)
+        assert ei.value.certified is False and len(calls) == 1
+        assert len(ei.value.witness) == calls[0].n

@@ -1,7 +1,7 @@
 import pytest
 
 from sepdecomp.errors import InvalidInputError
-from sepdecomp.generators import generate, partial_ktree
+from sepdecomp.generators import generate, gnp_graph, partial_ktree, random_tree
 
 
 def elimination_width(G, order) -> int:
@@ -44,3 +44,19 @@ class TestPartialKtree:
     def test_bad_params(self, n, k, keep):
         with pytest.raises(InvalidInputError):
             partial_ktree(n, k, keep=keep)
+
+
+@pytest.mark.parametrize(
+    "kind,params,build",
+    [
+        ("tree", {"n": "20"}, lambda seed: random_tree(20, seed)),
+        ("gnp", {"n": "15", "p": "0.3"}, lambda seed: gnp_graph(15, 0.3, seed)),
+        ("ktree", {"n": "25", "k": "2"}, lambda seed: partial_ktree(25, 2, seed=seed)),
+    ],
+)
+def test_params_seed_wins(kind, params, build):
+    # the seed argument only fills in a missing params["seed"], so suite
+    # instances that carry their own seed keep it
+    assert generate(kind, {**params, "seed": "3"}, seed=9) == build(3)
+    assert generate(kind, params, seed=9) == build(9)
+    assert build(3) != build(9)

@@ -92,7 +92,7 @@ class TestMinBalancedSeparation:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceededError):
-            min_balanced_separation(path_graph(25), exact_limit=20)
+            min_balanced_separation(path_graph(25))
 
     def test_deterministic_tiebreak(self):
         a = min_balanced_separation(path_graph(12))

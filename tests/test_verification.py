@@ -14,8 +14,17 @@ from sepdecomp.generators import (
 )
 from sepdecomp.graph import Separation, build_graph
 from sepdecomp.decomposition import validate_decomposition, width
-from sepdecomp import verification
+from sepdecomp import constructor, kernels, verification
+from sepdecomp.constructor import construct_theorem2
+from sepdecomp.separations import (
+    EXACT_LIMIT_SEP_NUMBER,
+    EXACT_LIMIT_SEPARATION,
+    min_balanced_separation,
+    min_w_balanced_separation,
+    separation_number,
+)
 from sepdecomp.verification import (
+    EXACT_LIMIT_TREEWIDTH,
     InstanceSpec,
     SuiteConfig,
     check_sep_le_tw,
@@ -59,7 +68,49 @@ class TestTreewidth:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceededError):
-            treewidth_exact(path_graph(20), exact_limit=14)
+            treewidth_exact(path_graph(20))
+
+
+class _Worked(Exception):
+    pass
+
+
+def _no_work(*args, **kwargs):
+    raise _Worked
+
+
+class TestSizeGuards:
+    """Each exact search refuses n = its limit + 1 before any search starts,
+    and at n = its limit gets as far as its kernel (stubbed out here)."""
+
+    @pytest.mark.parametrize(
+        "call,limit",
+        [
+            (min_balanced_separation, EXACT_LIMIT_SEPARATION),
+            (lambda G: min_w_balanced_separation(G, {0}), EXACT_LIMIT_SEPARATION),
+            (separation_number, EXACT_LIMIT_SEP_NUMBER),
+            (treewidth_exact, EXACT_LIMIT_TREEWIDTH),
+            (check_sep_le_tw, EXACT_LIMIT_SEP_NUMBER),
+            (lambda G: construct_theorem2(G, 1), EXACT_LIMIT_SEPARATION),
+        ],
+        ids=[
+            "min_balanced_separation",
+            "min_w_balanced_separation",
+            "separation_number",
+            "treewidth_exact",
+            "check_sep_le_tw",
+            "construct_theorem2",
+        ],
+    )
+    def test_limit(self, call, limit, monkeypatch):
+        for name in ("min_w_balanced_separation", "min_balanced_separation", "separation_number", "treewidth"):
+            monkeypatch.setattr(kernels, name, _no_work)
+        monkeypatch.setattr(constructor, "separators", _no_work)
+        with pytest.raises(SizeLimitExceededError) as ei:
+            call(path_graph(limit + 1))
+        assert (ei.value.n, ei.value.limit) == (limit + 1, limit)
+        with pytest.raises(_Worked):
+            call(path_graph(limit))
 
 
 class TestZWInequality:
