@@ -17,10 +17,10 @@ from pathlib import Path
 from . import generators
 from .constructor import CONSTANTS, construct, construct_theorem2
 from .decomposition import validate_decomposition
-from .errors import SepDecompError, SizeLimitExceededError
+from .errors import SepDecompError
 from .graph import Graph
 from .pace import export_dot, parse_gr, parse_td, write_gr, write_td
-from .separations import EXACT_LIMIT_SEP_NUMBER, separation_number
+from .separations import separation_number
 from .verification import InstanceSpec, SuiteConfig, run_suite, treewidth_exact
 
 USAGE_ERROR = 2
@@ -45,23 +45,10 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _auto_a(G: Graph) -> int:
-    if G.n > EXACT_LIMIT_SEP_NUMBER:
-        raise SizeLimitExceededError(
-            G.n,
-            EXACT_LIMIT_SEP_NUMBER,
-            "auto a (pass --a explicitly for larger graphs)",
-        )
-    return separation_number(G)
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     start = time.perf_counter()
-    if args.a == "auto":
-        a = _auto_a(G)
-    else:
-        a = int(args.a)
+    a = separation_number(G) if args.a == "auto" else int(args.a)
     if args.w == "auto":
         W = {0}
     else:
@@ -123,10 +110,7 @@ def _cmd_tw(args: argparse.Namespace) -> int:
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
-    if args.a == "auto":
-        a = _auto_a(G)
-    else:
-        a = int(args.a)
+    a = separation_number(G) if args.a == "auto" else int(args.a)
     report = construct_theorem2(G, a)
     ok, violations = validate_decomposition(G, report.decomposition)
     if args.td:
@@ -136,10 +120,6 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
         print("; ".join(violations), file=sys.stderr)
         return FAILURE
     return OK if report.width < 4 * a else FAILURE
-
-
-SUITE_KEYS = {"instances", "seed"}
-INSTANCE_KEYS = {"kind", "params", "a", "id"}
 
 
 def _check_object(value, keys: set, where: str) -> dict:
@@ -154,13 +134,14 @@ def _check_object(value, keys: set, where: str) -> dict:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    raw = _check_object(json.loads(Path(args.config).read_text()), SUITE_KEYS, "suite config")
+    raw = json.loads(Path(args.config).read_text())
+    raw = _check_object(raw, {"instances", "seed"}, "suite config")
     items = raw.get("instances", [])
     if not isinstance(items, list):
         raise ValueError("suite config: 'instances' must be a JSON list")
     instances = []
     for i, item in enumerate(items):
-        item = _check_object(item, INSTANCE_KEYS, f"suite instance {i}")
+        item = _check_object(item, {"kind", "params", "a", "id"}, f"suite instance {i}")
         if "kind" not in item:
             raise ValueError(f"suite instance {i}: missing key 'kind'")
         instances.append(
