@@ -315,7 +315,7 @@ class TestSeparationTree:
     @pytest.mark.parametrize("via_construct", [False, True])
     def test_out_of_contract_answer_rejected(self, answer, via_construct):
         # such an answer is an uncertified failure on the first call; the
-        # unbalanced (V, {}) once gave an A child equal to its parent, forever
+        # unbalanced (V, {}) would give an A child equal to its parent, forever
         class Looped(Exception):
             pass
 
