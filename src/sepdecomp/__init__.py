@@ -12,11 +12,9 @@ from .constructor import (
     ConstructReport,
     construct,
     construct_theorem2,
-    find_min_feasible_a,
 )
 from .decomposition import (
     RootedTreeDecomposition,
-    boundary_and_interior,
     restrict_decomposition,
     separation_tree,
     validate_decomposition,
@@ -66,7 +64,6 @@ __all__ = [
     "SuiteReport",
     "WSequence",
     "balanced_separation_within",
-    "boundary_and_interior",
     "build_graph",
     "build_w_sequence",
     "check_sep_le_tw",
@@ -75,7 +72,6 @@ __all__ = [
     "construct_theorem2",
     "disjoint_paths",
     "export_dot",
-    "find_min_feasible_a",
     "induced_subgraph",
     "is_balanced",
     "is_separation",

@@ -70,7 +70,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "bound_rhs_den": report.bound_den,
             "oracle_calls": report.recursion_stats.oracle_calls,
             "elapsed_ms": elapsed_ms,
-            "assertions_checked": len(report.assertion_log),
+            "assertions_checked": sum(report.recursion_stats.claims.values()),
         }
         Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n")
     bound_ok = CONSTANTS.width_bound_ok(report.width, report.a_used)
@@ -122,28 +122,34 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
     return OK if report.width < 4 * a else FAILURE
 
 
-def _check_object(value, keys: set, where: str) -> dict:
-    """`value` as a JSON object whose keys are all in `keys`; ValueError
-    naming the first stray key otherwise."""
+_JSON_TYPES = {str: "a string", int: "an integer", dict: "a JSON object", list: "a JSON list"}
+
+
+def _check_object(value, keys: dict, where: str) -> dict:
+    """`value` as a JSON object whose keys are all in `keys`, each mapped to
+    the type of its value (a bool is no integer); ValueError naming the
+    first stray key or mistyped value otherwise."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object")
-    for key in value:
+    for key, item in value.items():
         if key not in keys:
             raise ValueError(f"{where}: unknown key {key!r} (allowed: {sorted(keys)})")
+        if type(item) is not keys[key]:
+            raise ValueError(f"{where}: {key!r} must be {_JSON_TYPES[keys[key]]}, got {item!r}")
     return value
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     raw = json.loads(Path(args.config).read_text())
-    raw = _check_object(raw, {"instances", "seed"}, "suite config")
-    items = raw.get("instances", [])
-    if not isinstance(items, list):
-        raise ValueError("suite config: 'instances' must be a JSON list")
+    raw = _check_object(raw, {"instances": list, "seed": int}, "suite config")
+    keys = {"kind": str, "params": dict, "a": int, "id": str}
     instances = []
-    for i, item in enumerate(items):
-        item = _check_object(item, {"kind", "params", "a", "id"}, f"suite instance {i}")
+    for i, item in enumerate(raw.get("instances", [])):
+        item = _check_object(item, keys, f"suite instance {i}")
         if "kind" not in item:
             raise ValueError(f"suite instance {i}: missing key 'kind'")
+        if item.get("a", 1) < 1:
+            raise ValueError(f"suite instance {i}: 'a' must be a positive integer, got {item['a']}")
         instances.append(
             InstanceSpec(
                 kind=item["kind"],
@@ -154,7 +160,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         )
     config = SuiteConfig(
         instances=tuple(instances),
-        seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
+        seed=args.seed if args.seed is not None else raw.get("seed", 0),
     )
     report = run_suite(config)
     payload = report.to_json()

@@ -11,7 +11,7 @@ constants are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -74,21 +74,20 @@ class Constants:
 CONSTANTS = Constants()
 
 
-@dataclass
+@dataclass(slots=True)
 class RecursionStats:
     construct_calls: int = 0
     base_cases: int = 0
     oracle_calls: int = 0
     separation_tree_nodes: int = 0
     max_depth: int = 0
-    max_subproblem: int = 0
+    claims: dict[str, int] = field(default_factory=dict)  # claim -> times checked
 
-
-@dataclass
-class AssertionRecord:
-    claim: str
-    context: str
-    ok: bool
+    def check(self, where: str, claim: str, ok: bool, context: str) -> None:
+        """Count one check of `claim`, raising if it failed."""
+        self.claims[claim] = self.claims.get(claim, 0) + 1
+        if not ok:
+            raise PostconditionFailedError(f"{where}: claim {claim} violated: {context}")
 
 
 @dataclass(frozen=True)
@@ -100,22 +99,6 @@ class ConstructReport:
     bound_den: int
     certificate_node: int
     recursion_stats: RecursionStats
-    assertion_log: tuple[AssertionRecord, ...]
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.width, self.a_used) if self.a_used else Fraction(0)
-
-
-class _Claims:
-    def __init__(self, where: str):
-        self.where = where
-        self.log: list[AssertionRecord] = []
-
-    def check(self, claim: str, ok: bool, context: str):
-        self.log.append(AssertionRecord(claim, context, ok))
-        if not ok:
-            raise PostconditionFailedError(f"{self.where}: claim {claim} violated: {context}")
 
 
 def construct(
@@ -140,8 +123,7 @@ def construct(
     if oracle is None:
         oracle = make_oracle(a)
     stats = RecursionStats()
-    claims = _Claims("construct")
-    td = _construct(G, a, W, oracle, stats, claims)
+    td = _construct(G, a, W, oracle, stats)
     w = width(td)
     if not CONSTANTS.width_bound_ok(w, a):
         raise PostconditionFailedError(
@@ -157,7 +139,6 @@ def construct(
         bound_den=CONSTANTS.c.denominator,
         certificate_node=0,
         recursion_stats=stats,
-        assertion_log=tuple(claims.log),
     )
 
 
@@ -167,7 +148,6 @@ def _construct(
     W: VertexSet,
     oracle: Oracle,
     stats: RecursionStats,
-    claims: _Claims,
 ) -> RootedTreeDecomposition:
     """The recursion of ``construct``, run on an explicit stack of work items.
 
@@ -197,7 +177,6 @@ def _construct(
             )
         stats.construct_calls += 1
         stats.max_depth = max(stats.max_depth, depth)
-        stats.max_subproblem = max(stats.max_subproblem, H.n)
         if CONSTANTS.base_case(H.n, a):
             stats.base_cases += 1
             parents.append(up[p])
@@ -208,15 +187,15 @@ def _construct(
         S = frozenset(range(H.n)) - w_ell
         sep_xy = stz_separation(H, S, Z, W)
         X, Y = sep_xy.a_side, sep_xy.b_side
-        claims.check("z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
-        claims.check("xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
-        claims.check("y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
+        stats.check("construct", "z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
+        stats.check("construct", "xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
+        stats.check("construct", "y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
 
         if ell_is_zero:
             t_y = RootedTreeDecomposition(H.n, (-1,), (W | Z,))
             leaves = frozenset()
         else:
-            t_y = _t_y(H, host, a, W, Z, X, Y, w_top, oracle, stats, claims)
+            t_y = _t_y(H, host, a, W, Z, X, Y, w_top, oracle, stats)
             leaves = frozenset(t_y.leaves())
         order = t_y.preorder()
         root = order[0]
@@ -225,7 +204,8 @@ def _construct(
                 "construct: the T_Y root is a leaf or misses W ∪ Z"
             )
         inner = [len(t_y.bags[y]) for y in order if y not in leaves]
-        claims.check(
+        stats.check(
+            "construct",
             "treewidth_bound",
             all(CONSTANTS.width_bound_ok(size - 1, a) for size in inner),
             f"max T_Y bag {max(inner)} vs a={a}",
@@ -247,7 +227,8 @@ def _construct(
                 items.append((frozenset(host[v] for v in t_y.bags[y]), ids, y, q))
                 continue
             bnd = boundaries[y]
-            claims.check(
+            stats.check(
+                "construct",
                 "leaf_interface",
                 CONSTANTS.w_small_enough(len(bnd), a),
                 f"leaf boundary {len(bnd)} vs t*a, a={a}",
@@ -290,7 +271,6 @@ def _t_y(
     w_top: VertexSet,
     oracle: Oracle,
     stats: RecursionStats,
-    claims: _Claims,
 ) -> RootedTreeDecomposition:
     """The restricted separation tree of G[Y], in G's ids, whose root bag
     holds W ∪ Z (the ell >= 1 case); its leaves are still to be decomposed.
@@ -313,7 +293,8 @@ def _t_y(
     for y, intr in enumerate(t_prime.interiors()):
         d = depths[y]
         lhs = len(intr & wz_local)
-        claims.check(
+        stats.check(
+            "construct",
             "cell_bound",
             CONSTANTS.cell_bound_ok(lhs, d, a),
             f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
@@ -401,7 +382,6 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
             G.n, EXACT_LIMIT_SEPARATION, "exhaustive separation search"
         )
     stats = RecursionStats()
-    claims = _Claims("construct_theorem2")
     parents: list[int] = [-1]
     bags: list[VertexSet] = [frozenset()]
     # (X, Y, node): extend the decomposition below `node` by one of G[X]
@@ -410,12 +390,12 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         X, Y, node = stack.pop()
         stats.construct_calls += 1
         W = X & Y
-        claims.check("order_3a", len(W) <= 3 * a, f"|X∩Y|={len(W)}")
+        stats.check("construct_theorem2", "order_3a", len(W) <= 3 * a, f"|X∩Y|={len(W)}")
         rem = X - Y
         if not rem:
             continue
         if len(X) <= 4 * a:
-            claims.check("bag_4a", len(X) <= 4 * a, f"leaf bag {len(X)}")
+            stats.check("construct_theorem2", "bag_4a", len(X) <= 4 * a, f"leaf bag {len(X)}")
             parents.append(node)
             bags.append(X)
             continue
@@ -436,7 +416,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         sep_z = frozenset(new_to_old[v] for v in mask_vertices(z_mask))
         B = (X - A) | sep_z
         bag = W | sep_z
-        claims.check("bag_4a", len(bag) <= 4 * a, f"bag {len(bag)}")
+        stats.check("construct_theorem2", "bag_4a", len(bag) <= 4 * a, f"bag {len(bag)}")
         parents.append(node)
         bags.append(bag)
         here = len(parents) - 1
@@ -456,22 +436,5 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         bound_den=1,
         certificate_node=0,
         recursion_stats=stats,
-        assertion_log=tuple(claims.log),
     )
 
-
-def find_min_feasible_a(G: Graph, W: Iterable[int]) -> ConstructReport:
-    """Smallest a for which construct succeeds, by increasing scan."""
-    W = _check_vertices(G, W)
-    if G.n == 0:
-        raise InvalidInputError("graph has no vertices")
-    if not W:
-        raise InvalidInputError("W must be non-empty")
-    t = CONSTANTS.t
-    start = max(1, -(-(t.denominator * len(W)) // t.numerator))  # ceil(|W|/t)
-    for a in range(start, G.n + 1):
-        try:
-            return construct(G, a, W)
-        except (OracleFailureError, RecursionGuardError):
-            continue
-    raise InvalidInputError("no feasible a found up to n")  # pragma: no cover

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    EmptyTreeError,
     InvalidInputError,
     InvalidSeparationError,
     OracleFailureError,
@@ -90,8 +89,6 @@ class RootedTreeDecomposition:
 
 
 def width(td: RootedTreeDecomposition) -> int:
-    if td.size == 0:
-        raise EmptyTreeError("decomposition has no nodes")
     return max(len(b) for b in td.bags) - 1
 
 
@@ -99,8 +96,6 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
     """Check tree well-formedness and both tree-decomposition properties."""
     violations: list[str] = []
     n_nodes = td.size
-    if n_nodes == 0:
-        return False, ["empty tree"]
     # well-formed tree: valid parents, no cycles, all nodes reach the root
     depth = [-2] * n_nodes
     for x in range(n_nodes):
@@ -148,12 +143,6 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
         if internal_edges != len(hs) - 1:
             violations.append(f"vertex {v} bags not connected")
     return not violations, violations
-
-
-def boundary_and_interior(td: RootedTreeDecomposition, x: int) -> tuple[VertexSet, VertexSet]:
-    if not (0 <= x < td.size):
-        raise InvalidInputError(f"node {x} not in tree")
-    return td.boundaries()[x], td.interiors()[x]
 
 
 def restrict_decomposition(

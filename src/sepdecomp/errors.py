@@ -47,10 +47,6 @@ class WidthOutOfRangeError(SepDecompError):
     pass
 
 
-class EmptyTreeError(SepDecompError):
-    pass
-
-
 class InvalidInputError(SepDecompError):
     pass
 

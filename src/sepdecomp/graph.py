@@ -6,7 +6,7 @@ Vertices are always 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -29,9 +29,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
@@ -53,10 +50,6 @@ class Separation:
     @property
     def order(self) -> int:
         return len(self.a_side & self.b_side)
-
-    @property
-    def separator(self) -> VertexSet:
-        return self.a_side & self.b_side
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -110,11 +103,6 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     return H, dict(enumerate(old_ids))
 
 
-def components(G: Graph) -> list[VertexSet]:
-    """Connected components, each a frozenset, ordered by smallest member."""
-    return [frozenset(mask_vertices(c)) for c in components_in(G.adj_masks, G.full_mask())]
-
-
 def component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
     """Bitmask of the component of `start` inside `universe`."""
     comp = 1 << start
@@ -159,39 +147,32 @@ def mask_of(S: Iterable[int]) -> int:
     return m
 
 
-def check_separation(G: Graph, A: Iterable[int], B: Iterable[int]) -> tuple[bool, int]:
-    """Whether (A, B) is a separation of G; the order |A∩B| is reported
-    regardless of validity."""
-    A = _check_vertices(G, A)
-    B = _check_vertices(G, B)
-    order = len(A & B)
-    if A | B != frozenset(range(G.n)):
-        return False, order
-    b_only = mask_of(B - A)
-    for u in A - B:
-        if G.adj_masks[u] & b_only:
-            return False, order
-    return True, order
+def _strict_sides(G: Graph, sep: Separation) -> Optional[tuple[int, int]]:
+    """The strict sides A \\ B and B \\ A of `sep` as bitmasks, or None unless
+    they cover V(G) with no edge between the strict sides."""
+    A, B = _check_vertices(G, sep.a_side), _check_vertices(G, sep.b_side)
+    a_only, b_mask = A - B, mask_of(B - A)
+    if len(A | B) != G.n or any(G.adj_masks[u] & b_mask for u in a_only):
+        return None
+    return mask_of(a_only), b_mask
 
 
 def is_separation(G: Graph, sep: Separation) -> bool:
-    return check_separation(G, sep.a_side, sep.b_side)[0]
+    return _strict_sides(G, sep) is not None
 
 
 def is_balanced(G: Graph, sep: Separation) -> bool:
     """Both strict sides hold at most 2n/3 vertices (exact arithmetic)."""
-    if not is_separation(G, sep):
-        raise InvalidSeparationError(f"not a separation of G: {sep}")
-    a_only = len(sep.a_side - sep.b_side)
-    b_only = len(sep.b_side - sep.a_side)
-    return 3 * a_only <= 2 * G.n and 3 * b_only <= 2 * G.n
+    return _balanced(G, sep, G.full_mask())
 
 
 def is_w_balanced(G: Graph, sep: Separation, W: Iterable[int]) -> bool:
     """Both strict sides hold at most 2|W|/3 vertices of W."""
-    W = _check_vertices(G, W)
-    if not is_separation(G, sep):
+    return _balanced(G, sep, mask_of(_check_vertices(G, W)))
+
+
+def _balanced(G: Graph, sep: Separation, w_mask: int) -> bool:
+    sides = _strict_sides(G, sep)
+    if sides is None:
         raise InvalidSeparationError(f"not a separation of G: {sep}")
-    a_w = len((sep.a_side - sep.b_side) & W)
-    b_w = len((sep.b_side - sep.a_side) & W)
-    return 3 * a_w <= 2 * len(W) and 3 * b_w <= 2 * len(W)
+    return all(3 * (s & w_mask).bit_count() <= 2 * w_mask.bit_count() for s in sides)

@@ -36,9 +36,6 @@ class TreewidthResult:
     elimination_order: tuple[int, ...]
     decomposition: RootedTreeDecomposition
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def _witness_from_elimination(G: Graph, order: tuple[int, ...]) -> RootedTreeDecomposition:
     """Tree decomposition read off an elimination order.
@@ -211,17 +208,20 @@ def structural_a(kind: str, G: Graph) -> Optional[int]:
     return None
 
 
-def _choose_a(spec: InstanceSpec, G: Graph) -> int:
+def _choose_a(spec: InstanceSpec, G: Graph, sep: Optional[int]) -> int:
+    """The configured a, else the exact separation number `sep` (None when
+    G is too large for it), else the family's known value."""
     if spec.a is not None:
         return spec.a
     if G.n == 0:
         raise InvalidInputError("empty graph in suite")
-    if G.n <= EXACT_LIMIT_SEP_NUMBER:
-        return separation_number(G)
+    if sep is not None:
+        return sep
     a = structural_a(spec.kind, G)
     if a is None:
-        # smallest a that is never below ceil(n/3)-capped necessity but
-        # always sufficient: fall back to the trivial upper bound
+        # no known value: ceil(n/3) always suffices, since (any ceil(n/3)
+        # vertices, V) is a balanced separation of G, and likewise of every
+        # subgraph the oracle is handed
         a = -(-G.n // 3)
     return a
 
@@ -242,17 +242,17 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 spec.kind, spec.params, seed=config.seed * 10007 + idx
             )
             record.n, record.m = G.n, G.m
-            a = _choose_a(spec, G)
-            record.a_used = a
             if G.n <= EXACT_LIMIT_SEP_NUMBER:
                 record.sep = separation_number(G)
                 record.tw = treewidth_exact(G).value
+            a = _choose_a(spec, G, record.sep)
+            record.a_used = a
             rep = construct(G, a, {min(range(G.n))})
             record.width = rep.width
             record.bound_num = rep.bound_num
             record.bound_den = rep.bound_den
             record.oracle_calls = rep.recursion_stats.oracle_calls
-            record.assertions = len(rep.assertion_log)
+            record.assertions = sum(rep.recursion_stats.claims.values())
             ok, _ = validate_decomposition(G, rep.decomposition)
             record.validated = ok
             record.bound_ok = CONSTANTS.width_bound_ok(rep.width, rep.a_used)

@@ -202,6 +202,13 @@ class TestSuite:
             ({"instances": [], "exact_limt": 5}, "'exact_limt'"),
             ({"instances": [], "exact_limit": 14}, "'exact_limit'"),
             ({"instances": [{"kind": "path", "parms": {"n": 5}}]}, "'parms'"),
+            ({"instances": [{"kind": "path", "params": {"n": 5}, "a": "2"}]}, "suite instance 0: 'a'"),
+            ({"instances": [{"kind": "path", "params": {"n": 5}, "a": 0}]}, "suite instance 0: 'a'"),
+            ({"instances": [{"kind": "path", "params": {"n": 5}, "a": True}]}, "suite instance 0: 'a'"),
+            ({"instances": [], "seed": 1.5}, "suite config: 'seed'"),
+            ({"instances": [{"kind": "path", "params": [5]}]}, "suite instance 0: 'params'"),
+            ({"instances": [{"kind": 3}]}, "suite instance 0: 'kind'"),
+            ({"instances": [{"kind": "path", "id": 7}]}, "suite instance 0: 'id'"),
         ],
         ids=[
             "top_level_list",
@@ -211,6 +218,13 @@ class TestSuite:
             "misspelt_key",
             "removed_key",
             "misspelt_instance_key",
+            "a_string",
+            "a_zero",
+            "a_bool",
+            "seed_float",
+            "params_not_object",
+            "kind_not_string",
+            "id_not_string",
         ],
     )
     def test_malformed_config(self, tmp_path, capsys, config, named):

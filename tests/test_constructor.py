@@ -10,7 +10,6 @@ from sepdecomp.constructor import (
     _useful_w_balanced,
     construct,
     construct_theorem2,
-    find_min_feasible_a,
 )
 from sepdecomp.errors import (
     InvalidInputError,
@@ -129,8 +128,7 @@ class TestConstruct:
 
     def test_ratio(self):
         rep = construct(path_graph(50), 1, {0})
-        assert rep.ratio == Fraction(rep.width, rep.a_used)
-        assert rep.ratio < Fraction(7915, 139)
+        assert Fraction(rep.width, rep.a_used) < Fraction(7915, 139)
         assert Fraction(rep.bound_num, rep.bound_den) == Fraction(7915, 139)
 
     def test_a_too_small_fails(self):
@@ -148,13 +146,12 @@ class TestConstruct:
             construct(path_graph(40), 1, set(range(29)))
 
     def test_assertion_log_populated(self):
-        # the claim checks always run: each construct that recurses logs
-        # the three claims the width bound rests on
+        # the claim checks always run: each construct that recurses counts
+        # checks of the three claims the width bound rests on
         for G, a in ((path_graph(100), 1), (cycle_graph(120), 2), (random_tree(150, seed=3), 1)):
-            rep = construct(G, a, {0})
-            assert all(r.ok for r in rep.assertion_log)
-            claims = {r.claim for r in rep.assertion_log}
-            assert {"cell_bound", "leaf_interface", "treewidth_bound"} <= claims, claims
+            claims = construct(G, a, {0}).recursion_stats.claims
+            assert {"cell_bound", "leaf_interface", "treewidth_bound"} <= set(claims), claims
+            assert all(count > 0 for count in claims.values())
 
 
 class TestTheorem2:
@@ -258,27 +255,6 @@ class TestUsefulWBalanced:
         assert hashlib.sha256(write_td(td, G).encode()).hexdigest() == (
             "f15f9d1afcf5627ccc26ca550bc3cd4713ca083ec715c927579bff4b6dd04459"
         )
-
-
-class TestFindMinFeasibleA:
-    def test_path(self):
-        rep = find_min_feasible_a(path_graph(100), {0})
-        assert rep.a_used == 1
-
-    def test_complete_small(self):
-        # K6 fits the base case already at a=1 (6 < 3888/139)
-        rep = find_min_feasible_a(complete_graph(6), {0})
-        assert rep.a_used == 1 and rep.decomposition.size == 1
-
-    def test_empty_graph(self):
-        with pytest.raises(InvalidInputError):
-            find_min_feasible_a(build_graph(0, []), set())
-
-    def test_grid_needs_larger_a(self):
-        rep = find_min_feasible_a(grid_graph(6, 6), {0})
-        assert rep.a_used >= 2
-        ok, v = validate_decomposition(grid_graph(6, 6), rep.decomposition)
-        assert ok, v
 
 
 class TestOracleInteraction:

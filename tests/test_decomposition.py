@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdecomp.errors import EmptyTreeError, InvalidInputError, OracleFailureError
+from sepdecomp.errors import InvalidInputError, OracleFailureError
 from sepdecomp.constructor import construct
 from sepdecomp.generators import complete_graph, cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
 from sepdecomp.graph import Separation, build_graph
 from sepdecomp.separations import SeparatorOracleOutcome
 from sepdecomp.decomposition import (
     RootedTreeDecomposition,
-    boundary_and_interior,
     restrict_decomposition,
     separation_tree,
     validate_decomposition,
@@ -45,9 +44,8 @@ class TestStructure:
     def test_boundary_interior(self):
         # path decomposition of P4: bags {0,1},{1,2},{2,3} in a chain
         t = td(4, [-1, 0, 1], [{0, 1}, {1, 2}, {2, 3}])
-        assert boundary_and_interior(t, 0) == (frozenset(), {0, 1, 2, 3})
-        assert boundary_and_interior(t, 1) == ({1}, {2, 3})
-        assert boundary_and_interior(t, 2) == ({2}, {3})
+        assert t.boundaries() == [frozenset(), {1}, {2}]
+        assert t.interiors() == [{0, 1, 2, 3}, {2, 3}, {3}]
 
     def test_width(self):
         assert width(td(3, [-1], [{0, 1, 2}])) == 2
@@ -83,14 +81,6 @@ class TestValidate:
         object.__setattr__(t, "bags", (frozenset({0}),) * 3)
         ok, v = validate_decomposition(build_graph(1, []), t)
         assert not ok and any("cycle" in s for s in v)
-
-    def test_empty_tree_width(self):
-        t = RootedTreeDecomposition.__new__(RootedTreeDecomposition)
-        object.__setattr__(t, "host_n", 0)
-        object.__setattr__(t, "parents", ())
-        object.__setattr__(t, "bags", ())
-        with pytest.raises(EmptyTreeError):
-            width(t)
 
 
 def reference_validate(G, td):

@@ -8,15 +8,16 @@ from sepdecomp.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
+from sepdecomp.generators import gnp_graph
 from sepdecomp.graph import (
     Separation,
     build_graph,
-    check_separation,
-    components,
+    components_in,
     induced_subgraph,
     is_balanced,
     is_separation,
     is_w_balanced,
+    mask_vertices,
 )
 
 
@@ -78,7 +79,7 @@ class TestInducedSubgraph:
 class TestComponents:
     def test_split(self):
         G = build_graph(5, [(0, 1), (3, 4)])
-        assert components(G) == [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})]
+        assert components_in(G.adj_masks, G.full_mask()) == [0b11, 0b100, 0b11000]
 
 
 class TestSeparation:
@@ -86,8 +87,7 @@ class TestSeparation:
         G = build_graph(3, [(0, 1), (1, 2)])
         sep = Separation(frozenset({0, 1}), frozenset({1, 2}))
         assert is_separation(G, sep)
-        ok, order = check_separation(G, sep.a_side, sep.b_side)
-        assert ok and order == 1 and sep.separator == {1}
+        assert sep.order == 1
 
     def test_crossing_edge_invalid(self):
         G = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -124,3 +124,63 @@ class TestSeparation:
         sep = Separation(frozenset(range(k)), frozenset(range(G.n)))
         assert is_separation(G, sep)
         assert is_balanced(G, sep)
+
+
+@st.composite
+def gnp_with_sides(draw):
+    """A gnp graph on n <= 10 vertices, a side pair (A, B) and a set W.  Half
+    the pairs are separations built from a separator and its components,
+    the rest are arbitrary subsets, mostly not separations."""
+    n = draw(st.integers(1, 10))
+    G = gnp_graph(n, draw(st.sampled_from((0.2, 0.4, 0.7))), draw(st.integers(0, 1 << 20)))
+    subsets = st.frozensets(st.integers(0, n - 1), max_size=n)
+    W = draw(subsets)
+    if draw(st.booleans()):
+        return G, draw(subsets), draw(subsets), W
+    Z = draw(subsets)
+    A, B = set(Z), set(Z)
+    rest = G.full_mask() & ~sum(1 << v for v in Z)
+    for c in components_in(G.adj_masks, rest):
+        (A if draw(st.booleans()) else B).update(mask_vertices(c))
+    return G, frozenset(A), frozenset(B), W
+
+
+def reference_strict_sides(G, A, B):
+    """The strict sides of (A, B) as frozensets, or None for a non-separation."""
+    if A | B != frozenset(range(G.n)):
+        return None
+    if any(G.has_edge(u, v) for u in A - B for v in B - A):
+        return None
+    return A - B, B - A
+
+
+class TestSeparationChecksAgainstReference:
+    @given(gnp_with_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdicts(self, case):
+        G, A, B, W = case
+        sep = Separation(A, B)
+        sides = reference_strict_sides(G, A, B)
+        assert is_separation(G, sep) == (sides is not None)
+        if sides is None:
+            with pytest.raises(InvalidSeparationError):
+                is_balanced(G, sep)
+            with pytest.raises(InvalidSeparationError):
+                is_w_balanced(G, sep, W)
+            return
+        assert is_balanced(G, sep) == all(3 * len(s) <= 2 * G.n for s in sides)
+        assert is_w_balanced(G, sep, W) == all(3 * len(s & W) <= 2 * len(W) for s in sides)
+
+    @given(gnp_with_sides(), st.sampled_from(("a", "b", "w")), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_out_of_range_vertex_raises(self, case, where, data):
+        G, A, B, W = case
+        bad = data.draw(st.one_of(st.integers(-50, -1), st.integers(G.n, G.n + 50)))
+        A, B, W = (s | {bad} if where == key else s for s, key in ((A, "a"), (B, "b"), (W, "w")))
+        sep = Separation(A, B)
+        checks = [lambda: is_w_balanced(G, sep, W)]
+        if where != "w":
+            checks += [lambda: is_separation(G, sep), lambda: is_balanced(G, sep)]
+        for check in checks:
+            with pytest.raises(VertexOutOfRangeError):
+                check()

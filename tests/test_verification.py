@@ -50,7 +50,7 @@ class TestTreewidth:
     )
     def test_known_values(self, G, tw):
         res = treewidth_exact(G)
-        assert res.value == tw == int(res)
+        assert res.value == tw
 
     def test_witness_validates(self):
         for seed in range(6):
@@ -234,6 +234,21 @@ class TestSuite:
         rep = run_suite(SuiteConfig(instances=(InstanceSpec("path", {"n": 10}),)))
         record = rep.records[0]
         assert record.validated and not record.bound_ok and not record.passed
+
+    def test_separation_number_computed_once(self, monkeypatch):
+        # a small instance without "a" uses its exact sep both as a and in the record
+        real = verification.separation_number
+        calls = []
+
+        def counted(G):
+            calls.append(G.n)
+            return real(G)
+
+        monkeypatch.setattr(verification, "separation_number", counted)
+        rep = run_suite(SuiteConfig(instances=(InstanceSpec("gnp", {"n": 12, "p": 0.3}),)))
+        record = rep.records[0]
+        assert rep.passed and calls == [12]
+        assert record.a_used == record.sep
 
     def test_deterministic(self):
         cfg = SuiteConfig(instances=(InstanceSpec("gnp", {"n": 13, "p": 0.25}),))
