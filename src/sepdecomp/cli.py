@@ -17,7 +17,7 @@ from pathlib import Path
 from . import generators
 from .constructor import CONSTANTS, construct, construct_theorem2
 from .decomposition import validate_decomposition
-from .errors import SepDecompError
+from .errors import InvalidInputError, SepDecompError
 from .graph import Graph
 from .pace import export_dot, parse_gr, parse_td, write_gr, write_td
 from .separations import separation_number
@@ -150,6 +150,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             raise ValueError(f"suite instance {i}: missing key 'kind'")
         if item.get("a", 1) < 1:
             raise ValueError(f"suite instance {i}: 'a' must be a positive integer, got {item['a']}")
+        try:
+            generators.checked_params(item["kind"], item.get("params", {}))
+        except InvalidInputError as exc:
+            raise ValueError(f"suite instance {i}: {exc}") from exc
         instances.append(
             InstanceSpec(
                 kind=item["kind"],
@@ -223,11 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("gen", help="generate a graph in .gr format")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["path", "cycle", "tree", "grid", "complete", "gnp", "ktree"],
-    )
+    p.add_argument("--kind", required=True, choices=list(generators.KINDS))
     p.add_argument("--params", help="comma-separated key=value, e.g. n=10,p=0.3")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

@@ -151,17 +151,18 @@ def _construct(
 ) -> RootedTreeDecomposition:
     """The recursion of ``construct``, run on an explicit stack of work items.
 
-    A frame ``(H, host, W, ids, p, parent_n, depth)`` decomposes the induced
-    subgraph H, whose vertex v is ``host[v]`` in G, below the node ``ids[p]``.
-    A bag item ``(bag, ids, y, p)`` is the inner node y of a frame's T_Y,
-    with its bag in host ids.  Items are popped in the order the recursion
-    visits them: a frame's T_Y in preorder, each leaf's subproblem in place
-    of the leaf, then the X side.  So every node is appended once, after its
-    parent, and ``ids`` records the node id of each T_Y node as it comes.
+    A frame ``(region, W, ids, p, parent_n, depth)`` decomposes G[region],
+    with W marked, below the node ``ids[p]``; both sets are in G's ids, and
+    G[region] is induced only when the frame recurses.  A bag item
+    ``(bag, ids, y, p)`` is the inner node y of a frame's T_Y.  Items are
+    popped in the order the recursion visits them: a frame's T_Y in
+    preorder, each leaf's subproblem in place of the leaf, then the X side.
+    So every node is appended once, after its parent, and ``ids`` records
+    the node id of each T_Y node as it comes.
     """
     parents: list[int] = []
     bags: list[VertexSet] = []
-    stack: list[tuple] = [(G, tuple(range(G.n)), W, [-1], 0, G.n + 1, 0)]
+    stack: list[tuple] = [(frozenset(range(G.n)), W, [-1], 0, G.n + 1, 0)]
     while stack:
         item = stack.pop()
         if len(item) == 4:
@@ -170,32 +171,36 @@ def _construct(
             parents.append(ids[p])
             bags.append(bag)
             continue
-        H, host, W, up, p, parent_n, depth = item
-        if H.n >= parent_n:
+        region, W, up, p, parent_n, depth = item
+        n = len(region)
+        if n >= parent_n:
             raise RecursionGuardError(
-                f"subproblem size {H.n} did not decrease below {parent_n}"
+                f"subproblem size {n} did not decrease below {parent_n}"
             )
         stats.construct_calls += 1
         stats.max_depth = max(stats.max_depth, depth)
-        if CONSTANTS.base_case(H.n, a):
+        if CONSTANTS.base_case(n, a):
             stats.base_cases += 1
             parents.append(up[p])
-            bags.append(frozenset(host))
+            bags.append(region)
             continue
 
-        w_ell, w_top, Z, ell_is_zero = _sequence_tail(H, W)
-        S = frozenset(range(H.n)) - w_ell
-        sep_xy = stz_separation(H, S, Z, W)
-        X, Y = sep_xy.a_side, sep_xy.b_side
+        H, to_g = induced_subgraph(G, region)
+        w_h = frozenset(v for v, g in to_g.items() if g in W)
+        w_ell, w_top, Z, ell_is_zero = _sequence_tail(H, w_h)
+        sep_xy = stz_separation(H, frozenset(range(n)) - w_ell, Z, w_h)
+        X, Y, Z, w_top = (
+            frozenset(map(to_g.__getitem__, s)) for s in (sep_xy.a_side, sep_xy.b_side, Z, w_top)
+        )
         stats.check("construct", "z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
         stats.check("construct", "xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
         stats.check("construct", "y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
 
         if ell_is_zero:
-            t_y = RootedTreeDecomposition(H.n, (-1,), (W | Z,))
+            t_y = RootedTreeDecomposition(G.n, (-1,), (W | Z,))
             leaves = frozenset()
         else:
-            t_y = _t_y(H, host, a, W, Z, X, Y, w_top, oracle, stats)
+            t_y = _t_y(G, a, W, Z, X, Y, w_top, oracle, stats)
             leaves = frozenset(t_y.leaves())
         order = t_y.preorder()
         root = order[0]
@@ -214,17 +219,17 @@ def _construct(
         ids = [0] * t_y.size
         ids[root] = len(parents)
         parents.append(up[p])
-        bags.append(frozenset(host[v] for v in t_y.bags[root]))
+        bags.append(t_y.bags[root])
         if X - Y:
             w_next = Z if Z else frozenset({min(X)})
-            stack.append(_frame(H, host, X, w_next, ids, root, depth))
+            stack.append((X, w_next, ids, root, n, depth + 1))
         boundaries = t_y.boundaries()
         interiors = t_y.interiors()
         items = []
         for y in order[1:]:
             q = t_y.parents[y]
             if y not in leaves:
-                items.append((frozenset(host[v] for v in t_y.bags[y]), ids, y, q))
+                items.append((t_y.bags[y], ids, y, q))
                 continue
             bnd = boundaries[y]
             stats.check(
@@ -233,36 +238,18 @@ def _construct(
                 CONSTANTS.w_small_enough(len(bnd), a),
                 f"leaf boundary {len(bnd)} vs t*a, a={a}",
             )
-            region = interiors[y] | bnd
-            if region:
-                w_leaf = bnd or frozenset({min(region)})
-                items.append(_frame(H, host, region, w_leaf, ids, q, depth))
+            leaf_region = interiors[y] | bnd
+            if leaf_region:
+                w_leaf = bnd or frozenset({min(leaf_region)})
+                items.append((leaf_region, w_leaf, ids, q, n, depth + 1))
             else:
                 items.append((frozenset(), ids, y, q))
         stack.extend(reversed(items))
     return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
 
 
-def _frame(
-    H: Graph,
-    host: tuple[int, ...],
-    region: VertexSet,
-    W: VertexSet,
-    ids: list[int],
-    p: int,
-    depth: int,
-) -> tuple:
-    """The frame for the subproblem H[region] with W (in H's ids) marked,
-    below the node ids[p]."""
-    sub, sub_to_h = induced_subgraph(H, region)
-    h_to_sub = {o: nw for nw, o in sub_to_h.items()}
-    sub_host = tuple(host[sub_to_h[v]] for v in range(sub.n))
-    return sub, sub_host, frozenset(h_to_sub[v] for v in W), ids, p, H.n, depth + 1
-
-
 def _t_y(
     G: Graph,
-    host: tuple[int, ...],
     a: int,
     W: VertexSet,
     Z: VertexSet,
@@ -274,21 +261,20 @@ def _t_y(
 ) -> RootedTreeDecomposition:
     """The restricted separation tree of G[Y], in G's ids, whose root bag
     holds W ∪ Z (the ell >= 1 case); its leaves are still to be decomposed.
-    An oracle failure is raised with its witness in host ids (G's vertex v
-    is host[v])."""
+    An oracle failure is raised with its witness in G's ids."""
     H, new_to_old = induced_subgraph(G, w_top)
     old_to_new = {o: nw for nw, o in new_to_old.items()}
 
     try:
         t_prime = separation_tree(H, a, CONSTANTS.h, oracle)
     except OracleFailureError as exc:
-        witness = {host[new_to_old[v]] for v in exc.witness}
+        witness = {new_to_old[v] for v in exc.witness}
         raise OracleFailureError(witness, exc.certified) from exc
     stats.separation_tree_nodes += t_prime.size
     # one oracle call per inner node
     stats.oracle_calls += t_prime.size - len(t_prime.leaves())
 
-    wz_local = frozenset(old_to_new[v] for v in (W | Z) if v in old_to_new)
+    wz_local = frozenset(old_to_new[v] for v in W | Z)
     depths = t_prime.depths()
     for y, intr in enumerate(t_prime.interiors()):
         d = depths[y]
@@ -395,7 +381,6 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         if not rem:
             continue
         if len(X) <= 4 * a:
-            stats.check("construct_theorem2", "bag_4a", len(X) <= 4 * a, f"leaf bag {len(X)}")
             parents.append(node)
             bags.append(X)
             continue

@@ -10,7 +10,8 @@ from .errors import (
     OracleFailureError,
     VertexOutOfRangeError,
 )
-from .graph import Graph, Separation, VertexSet, induced_subgraph, is_balanced
+from .graph import Graph, Separation, VertexSet, induced_subgraph, is_balanced, is_separation
+from .separations import make_oracle
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,6 @@ def restrict_decomposition(
     New bag rule: (old bag ∩ Y) plus (old interior ∩ X ∩ Y).  The tree shape
     is preserved and the root bag picks up all of X ∩ Y.
     """
-    from .graph import is_separation
-
     ok, _ = validate_decomposition(G, td_prime)
     if not ok:
         raise InvalidInputError("td_prime does not decompose G")
@@ -187,8 +186,6 @@ def separation_tree(
     if h < 0:
         raise InvalidInputError("h must be >= 0")
     if oracle is None:
-        from .separations import make_oracle
-
         oracle = make_oracle(a)
     n = G.n
     pow3, pow2 = 3 ** h, 2 ** h

@@ -106,33 +106,54 @@ def partial_ktree(n: int, k: int, keep: float = 0.8, seed: int = 0) -> Graph:
     return build_graph(n, [e for e in sorted(edges) if rng.random() < keep])
 
 
-def generate(kind: str, params: dict, seed: Optional[int] = None) -> Graph:
-    """Dispatch by family name.  For the seeded kinds (tree, gnp, ktree)
-    `seed` is used only when params has no "seed": params["seed"] wins."""
+# kind -> (function, {param: type}), the function's keyword arguments; those
+# in OPTIONAL may be left out, and a grid's cols defaults to its rows
+KINDS = {
+    "path": (path_graph, {"n": int}),
+    "cycle": (cycle_graph, {"n": int}),
+    "tree": (random_tree, {"n": int, "seed": int}),
+    "grid": (grid_graph, {"rows": int, "cols": int}),
+    "complete": (complete_graph, {"n": int}),
+    "gnp": (gnp_graph, {"n": int, "p": float, "seed": int}),
+    "ktree": (partial_ktree, {"n": int, "k": int, "keep": float, "seed": int}),
+}
+OPTIONAL = frozenset({"seed", "keep"})
+
+
+def checked_params(kind: str, params: dict, seed: Optional[int] = None) -> dict:
+    """`params` as keyword arguments of `kind`'s function; each value is a
+    number or its decimal text.  For the seeded kinds `seed` is used only
+    when params has no "seed": params["seed"] wins.  InvalidInputError names
+    the kind and the key of an unknown kind, a missing or unknown param, or
+    a value of the wrong type."""
+    if kind not in KINDS:
+        raise InvalidInputError(f"unknown generator kind {kind!r} (known: {list(KINDS)})")
+    types = KINDS[kind][1]
     params = dict(params)
-    if seed is not None and kind in ("tree", "gnp", "ktree"):
+    if seed is not None and "seed" in types:
         params.setdefault("seed", seed)
-    if kind == "path":
-        return path_graph(int(params["n"]))
-    if kind == "cycle":
-        return cycle_graph(int(params["n"]))
-    if kind == "complete":
-        return complete_graph(int(params["n"]))
-    if kind == "grid":
-        rows = int(params.get("rows", params.get("k", 0)))
-        cols = int(params.get("cols", rows))
-        return grid_graph(rows, cols)
-    if kind == "tree":
-        return random_tree(int(params["n"]), int(params.get("seed", 0)))
-    if kind == "gnp":
-        return gnp_graph(
-            int(params["n"]), float(params["p"]), int(params.get("seed", 0))
-        )
-    if kind == "ktree":
-        return partial_ktree(
-            int(params["n"]),
-            int(params["k"]),
-            float(params.get("keep", 0.8)),
-            int(params.get("seed", 0)),
-        )
-    raise InvalidInputError(f"unknown generator kind {kind!r}")
+    if "rows" in params:
+        params.setdefault("cols", params["rows"])
+    for key in params:
+        if key not in types:
+            raise InvalidInputError(f"{kind}: unknown param {key!r} (allowed: {list(types)})")
+    for key in types:
+        if key not in params and key not in OPTIONAL:
+            raise InvalidInputError(f"{kind}: missing param {key!r}")
+    return {key: _number(kind, key, value, types[key]) for key, value in params.items()}
+
+
+def _number(kind: str, key: str, value, typ: type):
+    if isinstance(value, str) or type(value) is typ or (typ is float and type(value) is int):
+        try:
+            return typ(value)
+        except ValueError:
+            pass
+    what = "an integer" if typ is int else "a number"
+    raise InvalidInputError(f"{kind}: param {key!r} must be {what}, got {value!r}")
+
+
+def generate(kind: str, params: dict, seed: Optional[int] = None) -> Graph:
+    """Dispatch by family name, with the params of ``checked_params``."""
+    args = checked_params(kind, params, seed)
+    return KINDS[kind][0](**args)

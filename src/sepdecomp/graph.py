@@ -130,6 +130,22 @@ def components_in(adj_masks: Sequence[int], universe: int) -> list[int]:
     return out
 
 
+def _stz_sides(G: Graph, S: Iterable, Z: Iterable, T: Iterable) -> Optional[tuple[int, int]]:
+    """Z plus the components of G - Z that meet S, and Z plus the rest, as
+    bitmasks; None when a component of G - Z meets both S and T."""
+    s_mask = mask_of(_check_vertices(G, S))
+    x_mask = y_mask = z_mask = mask_of(_check_vertices(G, Z))
+    t_mask = mask_of(_check_vertices(G, T))
+    for comp in components_in(G.adj_masks, G.full_mask() & ~z_mask):
+        if comp & s_mask:
+            if comp & t_mask:
+                return None
+            x_mask |= comp
+        else:
+            y_mask |= comp
+    return x_mask, y_mask
+
+
 def mask_vertices(mask: int) -> list[int]:
     """The vertices of a bitmask, ascending."""
     out = []

@@ -15,21 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import PostconditionFailedError
-from .graph import Graph, VertexSet, _check_vertices, component_mask, mask_of
-
-
-@dataclass(frozen=True)
-class VertexPath:
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        # path length = number of edges
-        return len(self.vertices) - 1
+from .graph import Graph, VertexSet, _check_vertices, _stz_sides
 
 
 @dataclass(frozen=True)
 class PathResult:
-    paths: tuple[VertexPath, ...]
+    paths: tuple[tuple[int, ...], ...]  # each path's vertices, from S to T
     separator: Optional[VertexSet]
 
 
@@ -109,9 +100,7 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     T = _check_vertices(G, T)
     common = sorted(S & T)
     if cap <= len(common):
-        return PathResult(
-            tuple(VertexPath((v,)) for v in common[:cap]), None
-        )
+        return PathResult(tuple((v,) for v in common[:cap]), None)
     n = G.n
     src = 2 * n
     snk = src + 1
@@ -130,7 +119,7 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
         if reach is not None:
             break
 
-    paths = [VertexPath((v,)) for v in common]
+    paths = [(v,) for v in common]
     for v in sources:
         if pred[v] != src:
             continue
@@ -143,7 +132,7 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
                 )
             u = succ[u] >> 1
             walk.append(u)
-        paths.append(VertexPath(tuple(walk)))
+        paths.append(tuple(walk))
 
     if reach is None:
         return PathResult(tuple(paths), None)
@@ -156,9 +145,6 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     for v in sources:
         if reach[2 * v] == _NONE and pred[v] == src:
             sep.add(v)
-    for v in T2:
-        if reach[2 * v + 1] >= 0 and succ[v] == snk:
-            sep.add(v)
     if len(sep) != len(paths):
         raise PostconditionFailedError(
             f"disjoint_paths: min cut of size {len(sep)} does not certify "
@@ -170,16 +156,4 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
 def separates(G: Graph, Z: Iterable[int], S: Iterable[int], T: Iterable[int]) -> bool:
     """True iff every S-T path of G meets Z: no component of G - Z meets
     both S and T (a vertex of S & T outside Z is such a path)."""
-    Z = _check_vertices(G, Z)
-    S = _check_vertices(G, S)
-    T = _check_vertices(G, T)
-    z_mask = mask_of(Z)
-    universe = G.full_mask() & ~z_mask
-    s_mask = mask_of(S) & universe
-    t_mask = mask_of(T) & universe
-    while s_mask:
-        comp = component_mask(G.adj_masks, universe, (s_mask & -s_mask).bit_length() - 1)
-        if comp & t_mask:
-            return False
-        s_mask &= ~comp
-    return True
+    return _stz_sides(G, S, Z, T) is not None

@@ -31,6 +31,7 @@ from .graph import (
     Graph,
     Separation,
     _check_vertices,
+    _stz_sides,
     components_in,
     is_balanced,
     mask_of,
@@ -71,24 +72,12 @@ def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int
     """The canonical (S,Z,T)-separation: X collects the components of G-Z
     that meet S (plus Z), Y collects the rest (plus Z).  Raises
     NotSeparatedError unless Z separates S from T."""
-    S = _check_vertices(G, S)
-    Z = _check_vertices(G, Z)
-    T = _check_vertices(G, T)
-    z_mask = mask_of(Z)
-    s_mask = mask_of(S)
-    t_mask = mask_of(T)
-    x_mask = z_mask
-    y_mask = z_mask
-    for comp in components_in(G.adj_masks, G.full_mask() & ~z_mask):
-        if comp & s_mask:
-            if comp & t_mask:
-                raise NotSeparatedError(f"Z={sorted(Z)} does not separate S and T")
-            x_mask |= comp
-        else:
-            y_mask |= comp
-    return Separation(
-        frozenset(mask_vertices(x_mask)), frozenset(mask_vertices(y_mask))
-    )
+    Z = frozenset(Z)
+    sides = _stz_sides(G, S, Z, T)
+    if sides is None:
+        raise NotSeparatedError(f"Z={sorted(Z)} does not separate S and T")
+    x_mask, y_mask = sides
+    return Separation(frozenset(mask_vertices(x_mask)), frozenset(mask_vertices(y_mask)))
 
 
 def min_balanced_separation(G: Graph) -> Separation:

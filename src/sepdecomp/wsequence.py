@@ -22,7 +22,7 @@ from .graph import (
     induced_subgraph,
     mask_vertices,
 )
-from .menger import VertexPath, disjoint_paths, separates
+from .menger import disjoint_paths, separates
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class WSequence:
     levels: tuple[VertexSet, ...]  # W_0 .. W_{l+1}
     width_w: int
     z_set: VertexSet
-    witness_paths: tuple[tuple[VertexPath, ...], ...]  # per level
+    witness_paths: tuple[tuple[tuple[int, ...], ...], ...]  # per level: vertex tuples
 
     @property
     def ell(self) -> int:
@@ -65,7 +65,7 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
     if not (1 <= w <= len(W)):
         raise WidthOutOfRangeError(f"w must be in 1..|W|, got {w}")
     levels = [W]
-    witness = [tuple(VertexPath((v,)) for v in sorted(W))]
+    witness = [tuple((v,) for v in sorted(W))]
     current = set(W)
     while True:
         outside = frozenset(range(G.n)) - current
@@ -115,12 +115,11 @@ def _sequence_tail(G: Graph, W: VertexSet) -> tuple[VertexSet, VertexSet, Vertex
 def _extend(current: set, paths, W: frozenset):
     new_level = set(current)
     tails = []
-    for p in paths:
-        vs = p.vertices
+    for vs in paths:
         start = max(i for i, v in enumerate(vs) if v not in current)
         end = min(i for i, v in enumerate(vs) if i > start and v in W)
         new_level.add(vs[start])
-        tails.append(VertexPath(vs[start : end + 1]))
+        tails.append(vs[start : end + 1])
     return new_level, tuple(tails)
 
 
@@ -184,8 +183,7 @@ def _witness_paths_ok(G: Graph, ws: WSequence) -> bool:
         if len(fam) != len(delta):
             return False
         used: set[int] = set()
-        for p in fam:
-            vs = p.vertices
+        for vs in fam:
             if not vs or vs[0] not in delta or vs[-1] not in W:
                 return False
             if any(v not in lvl for v in vs):

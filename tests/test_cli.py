@@ -209,6 +209,11 @@ class TestSuite:
             ({"instances": [{"kind": "path", "params": [5]}]}, "suite instance 0: 'params'"),
             ({"instances": [{"kind": 3}]}, "suite instance 0: 'kind'"),
             ({"instances": [{"kind": "path", "id": 7}]}, "suite instance 0: 'id'"),
+            ({"instances": [{"kind": "path", "params": {"n": 5}}, {"kind": "star"}]}, "suite instance 1: unknown generator kind 'star'"),
+            ({"instances": [{"kind": "path", "params": {"m": 5}}]}, "suite instance 0: path: unknown param 'm'"),
+            ({"instances": [{"kind": "gnp", "params": {"n": 5}}]}, "suite instance 0: gnp: missing param 'p'"),
+            ({"instances": [{"kind": "path", "params": {"n": 1.5}}]}, "suite instance 0: path: param 'n'"),
+            ({"instances": [{"kind": "grid", "params": {"k": 3}}]}, "suite instance 0: grid: unknown param 'k'"),
         ],
         ids=[
             "top_level_list",
@@ -225,6 +230,11 @@ class TestSuite:
             "params_not_object",
             "kind_not_string",
             "id_not_string",
+            "unknown_kind",
+            "unknown_param",
+            "missing_param",
+            "param_not_integral",
+            "grid_k_alias",
         ],
     )
     def test_malformed_config(self, tmp_path, capsys, config, named):

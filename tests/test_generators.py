@@ -60,3 +60,20 @@ def test_params_seed_wins(kind, params, build):
     assert generate(kind, {**params, "seed": "3"}, seed=9) == build(3)
     assert generate(kind, params, seed=9) == build(9)
     assert build(3) != build(9)
+
+
+@pytest.mark.parametrize(
+    "kind,params,named",
+    [
+        ("path", {"n": 1.5}, "path: param 'n' must be an integer"),
+        ("path", {"n": "1.5"}, "path: param 'n' must be an integer"),
+        ("cycle", {"n": True}, "cycle: param 'n' must be an integer"),
+        ("gnp", {"n": 5, "p": "high"}, "gnp: param 'p' must be a number"),
+        ("path", {"m": 5}, "path: unknown param 'm'"),
+        ("grid", {"k": 3}, "grid: unknown param 'k'"),
+        ("ktree", {"n": 20}, "ktree: missing param 'k'"),
+    ],
+)
+def test_generate_rejects_bad_params(kind, params, named):
+    with pytest.raises(InvalidInputError, match=named):
+        generate(kind, params)

@@ -232,14 +232,14 @@ def run_menger(case: dict) -> dict:
     if "cap" in case:
         res = disjoint_paths(G, case["S"], case["T"], case["cap"])
         return {
-            "paths": [list(p.vertices) for p in res.paths],
+            "paths": [list(p) for p in res.paths],
             "separator": None if res.separator is None else sorted(res.separator),
         }
     ws = build_w_sequence(G, case["W"], case["w"])
     return {
         "levels": [sorted(lvl) for lvl in ws.levels],
         "z_set": sorted(ws.z_set),
-        "witness_paths": [[list(p.vertices) for p in fam] for fam in ws.witness_paths],
+        "witness_paths": [[list(p) for p in fam] for fam in ws.witness_paths],
     }
 
 

@@ -21,7 +21,7 @@ class TestDisjointPaths:
         G = path_graph(4)
         res = disjoint_paths(G, {0}, {3}, 5)
         assert len(res.paths) == 1
-        assert res.paths[0].vertices == (0, 1, 2, 3)
+        assert res.paths[0] == (0, 1, 2, 3)
         assert res.separator == {0}
 
     def test_k22_two_paths(self):
@@ -34,8 +34,7 @@ class TestDisjointPaths:
         G = path_graph(3)
         res = disjoint_paths(G, {0, 1}, {1, 2}, 5)
         # vertex 1 is in both sides: a length-0 path, listed first
-        assert res.paths[0].vertices == (1,)
-        assert len(res.paths[0]) == 0
+        assert res.paths[0] == (1,)
 
     def test_cap_reached_no_separator(self):
         G = complete_graph(5)
@@ -48,8 +47,8 @@ class TestDisjointPaths:
         res = disjoint_paths(G, {0, 1, 2}, {3, 4, 5}, 10)
         seen = set()
         for p in res.paths:
-            assert not (set(p.vertices) & seen)
-            seen |= set(p.vertices)
+            assert not (set(p) & seen)
+            seen |= set(p)
 
     def test_disconnected_no_paths(self):
         G = build_graph(4, [(0, 1), (2, 3)])

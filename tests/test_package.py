@@ -2,8 +2,10 @@
 running tests' imports stay untouched: re-importing the package frees the
 old copy, the golden constructions come out the same under python -O, the
 constructions leave the interpreter's state alone, and a violated claim
-raises a typed error with or without -O."""
+raises a typed error with or without -O.  One more reads the source: no
+assert statement (python -O strips them) and no import inside a function."""
 
+import ast
 import json
 import os
 import subprocess
@@ -119,3 +121,21 @@ def test_constructions_leave_interpreter_state_alone():
 def test_violated_claim_raises_typed_error(flags):
     out = run_child(CLAIM, *flags)
     assert (out["message"] or "").startswith("construct: claim treewidth_bound violated")
+
+
+def test_source_has_no_assert_or_function_level_import():
+    paths = sorted((SRC / "sepdecomp").rglob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    f"{path.name}:{inner.lineno}: import in {node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    assert found == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +86,38 @@ class TestPostconditions:
             build_w_sequence(G, {0, 1}, 2)
 
 
+# path 0-1-2-3-4-5 with W = {0, 2} and w = 2 gives the valid sequence
+# levels {0,2} < {0,1,2,3} < {0,1,2,3,4}, Z = {4}, and witness paths
+# ((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),)
+L0, L1, L2 = frozenset({0, 2}), frozenset({0, 1, 2, 3}), frozenset(range(5))
+P0, P2 = ((0,), (2,)), ((4, 3, 2),)
+TAMPERS = {
+    "short_sequence": ("nesting", {"levels": (L0,)}),
+    "empty_w": ("(a)", {"levels": (frozenset(), L1, L2)}),
+    "short_inner_layer": ("(b)", {"levels": (L0, frozenset({0, 1, 2}), L2)}),
+    "full_last_layer": ("(c)", {"levels": (L0, L1, frozenset(range(6)))}),
+    "unlinked_layer": ("(d)", {"levels": (L0, frozenset({0, 1, 2, 5}), frozenset(range(6)))}),
+    "family_count": ("paths", {"witness_paths": (P0, ((1, 0), (3, 2)))}),
+    "family_size": ("paths", {"witness_paths": (P0, ((1, 0),), P2)}),
+    "wrong_start": ("paths", {"witness_paths": (P0, ((0, 1), (3, 2)), P2)}),
+    "leaves_level": ("paths", {"witness_paths": (P0, ((1, 0), (3, 4, 3, 2)), P2)}),
+    "paths_meet": ("paths", {"witness_paths": (P0, ((1, 2), (3, 2)), P2)}),
+    "non_edge": ("paths", {"witness_paths": (P0, ((1, 2), (3, 0)), P2)}),
+}
+
+
 class TestValidateRejects:
+    @pytest.mark.parametrize("name", list(TAMPERS))
+    def test_one_field_tampered(self, name):
+        G = path_graph(6)
+        ws = build_w_sequence(G, {0, 2}, 2)
+        assert (ws.levels, ws.z_set) == ((L0, L1, L2), frozenset({4}))
+        assert ws.witness_paths == (P0, ((1, 0), (3, 2)), P2)
+        assert validate_w_sequence(G, ws) == (True, [])
+        tag, change = TAMPERS[name]
+        ok, tags = validate_w_sequence(G, dataclasses.replace(ws, **change))
+        assert not ok and tag in tags
+
     def test_broken_nesting(self):
         G = path_graph(3)
         ws = build_w_sequence(G, {0}, 1)
