@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import generators
 from .constructor import CONSTANTS, construct, construct_theorem2
-from .decomposition import validate_decomposition
+from .decomposition import validate_decomposition, width
 from .errors import InvalidInputError, SepDecompError
 from .graph import Graph
 from .pace import export_dot, parse_gr, parse_td, write_gr, write_td
@@ -89,7 +89,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return FAILURE
     ok, violations = validate_decomposition(G, td)
     if ok:
-        print(f"valid, width {max(len(b) for b in td.bags) - 1}")
+        print(f"valid, width {width(td)}")
         return OK
     for v in violations:
         print(v, file=sys.stderr)

@@ -301,9 +301,9 @@ def _t_y(
 # ---------------------------------------------------------------------------
 
 
-def _useful_w_balanced(G: Graph, w_mask: int, wpad_mask: int, a: int):
-    """Min-order separation of G balancing the padded set, moving the
-    iteration forward.
+def _useful_w_balanced(G: Graph, x_mask: int, w_mask: int, wpad_mask: int, a: int):
+    """Min-order separation of G[X] balancing the padded set, moving the
+    iteration forward; X, W, wpad and the result are masks of G.
 
     Balance is measured against wpad (W padded up to 3a); degeneracy against
     the true W: a candidate is rejected when one full side together with a
@@ -317,10 +317,10 @@ def _useful_w_balanced(G: Graph, w_mask: int, wpad_mask: int, a: int):
     takes the component whenever a useful completion still exists with it.
     Returns (z_mask, a_mask) or raises.
     """
-    full = G.full_mask()
     hi = (2 * wpad_mask.bit_count()) // 3
     saw_degenerate = False
-    for _, z_mask, comps in separators(G.adj_masks, range(G.n), full, range(min(a, G.n) + 1)):
+    verts = mask_vertices(x_mask)
+    for _, z_mask, comps in separators(G.adj_masks, verts, x_mask, range(min(a, len(verts)) + 1)):
         weights = [(c & wpad_mask).bit_count() for c in comps]
         lo = (wpad_mask & ~z_mask).bit_count() - hi
         guard = (z_mask & ~w_mask) == 0  # may the grouping be degenerate?
@@ -370,43 +370,33 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
     stats = RecursionStats()
     parents: list[int] = [-1]
     bags: list[VertexSet] = [frozenset()]
-    # (X, Y, node): extend the decomposition below `node` by one of G[X]
-    stack = [(frozenset(range(G.n)), frozenset(), 0)] if G.n else []
+    # (X, Y, node) as masks: extend the decomposition below `node` by one of G[X]
+    stack = [(G.full_mask(), 0, 0)] if G.n else []
     while stack:
         X, Y, node = stack.pop()
         stats.construct_calls += 1
         W = X & Y
-        stats.check("construct_theorem2", "order_3a", len(W) <= 3 * a, f"|X∩Y|={len(W)}")
-        rem = X - Y
+        order = W.bit_count()
+        stats.check("construct_theorem2", "order_3a", order <= 3 * a, f"|X∩Y|={order}")
+        rem = X & ~Y
         if not rem:
             continue
-        if len(X) <= 4 * a:
+        if X.bit_count() <= 4 * a:
             parents.append(node)
-            bags.append(X)
+            bags.append(frozenset(mask_vertices(X)))
             continue
         # pad W to exactly 3a with the smallest uncovered vertices; balancing
         # the padded set is what forces both child states to shrink
-        pad = sorted(rem)[: 3 * a - len(W)]
-        wpad = W | frozenset(pad)
-        H, new_to_old = induced_subgraph(G, X)
-        old_to_new = {o: nw for nw, o in new_to_old.items()}
+        wpad = W | mask_of(mask_vertices(rem)[: 3 * a - order])
         stats.oracle_calls += 1
-        z_mask, a_mask = _useful_w_balanced(
-            H,
-            mask_of(old_to_new[v] for v in W),
-            mask_of(old_to_new[v] for v in wpad),
-            a,
-        )
-        A = frozenset(new_to_old[v] for v in mask_vertices(a_mask))
-        sep_z = frozenset(new_to_old[v] for v in mask_vertices(z_mask))
-        B = (X - A) | sep_z
-        bag = W | sep_z
+        Z, A = _useful_w_balanced(G, X, W, wpad, a)
+        bag = frozenset(mask_vertices(W | Z))
         stats.check("construct_theorem2", "bag_4a", len(bag) <= 4 * a, f"bag {len(bag)}")
         parents.append(node)
         bags.append(bag)
         here = len(parents) - 1
-        stack.append((B, Y | A, here))
-        stack.append((A, Y | sep_z, here))
+        stack.append(((X & ~A) | Z, Y | A, here))
+        stack.append((A, Y | Z, here))
     td = RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
     w = width(td)
     if not w < 4 * a:

@@ -5,20 +5,22 @@ search, separation number, and exact treewidth.  They are plain Python and
 work for any n, since vertex sets are Python ints used as bitmasks.
 
 Graphs come in as ``(n, adj_masks)`` where ``adj_masks[v]`` is the neighbor
-bitmask of vertex v.  ``separators`` lists candidate separators by
-increasing size, with the components each leaves behind; the separation
-number and the W-balanced iteration of ``construct_theorem2`` apply their
-own rules to it.  The (W-)balanced separation search visits the same
-candidates in the same order, but gets their pieces from one low-link DFS
-per separator prefix instead of one component search per candidate.  The
-two split by input size.  On a whole graph the DFS wins: 0.15 ms against
-0.61 ms on a 60-vertex path, 0.34 ms against 0.80 ms on a 40-vertex partial
-2-tree of separation order 2 (Xeon, CPython 3.11).  On the subsets of at
-most 14 vertices that ``separation_number`` walks, its per-prefix set-up
-costs more than it saves: moved onto the DFS with ``_useful_w_balanced``,
-it kept every output but took the benchmark's 32 certify graphs (seeds 0-1)
-from 0.55 s to 2.2 s (1.6 s with neighbour lists built once), and
-``construct_theorem2`` from 0.033 s to 0.041 s (medians of 5).
+bitmask of vertex v.  ``separators`` lists candidate separators of the
+subgraph induced on a universe mask by increasing size, with the components
+each leaves behind; the separation number (over each subset) and the
+W-balanced iteration of ``construct_theorem2`` (over each X of the input
+graph, with no induced copy) apply their own rules to it.  The (W-)balanced
+separation search visits the same candidates in the same order, but gets
+their pieces from one low-link DFS per separator prefix instead of one
+component search per candidate.  The two split by input size.  On a whole
+graph the DFS wins: 0.15 ms against 0.61 ms on a 60-vertex path, 0.34 ms
+against 0.80 ms on a 40-vertex partial 2-tree of separation order 2 (Xeon,
+CPython 3.11).  On the subsets of at most 14 vertices that
+``separation_number`` walks, its per-prefix set-up costs more than it
+saves: moved onto the DFS with ``_useful_w_balanced``, it kept every output
+but took the benchmark's 32 certify graphs (seeds 0-1) from 0.55 s to 2.2 s
+(1.6 s with neighbour lists built once), and ``construct_theorem2`` from
+0.033 s to 0.041 s (medians of 5).
 """
 
 from __future__ import annotations

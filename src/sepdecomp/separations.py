@@ -33,7 +33,6 @@ from .graph import (
     _check_vertices,
     _stz_sides,
     components_in,
-    is_balanced,
     mask_of,
     mask_vertices,
 )
@@ -137,10 +136,8 @@ def _cutter_balanced_within(G: Graph, a: int) -> SeparatorOracleOutcome:
         if z_mask.bit_count() > a:
             continue
         a_mask = kernels._a_side(G.adj_masks, full, z_mask, hi)
-        if a_mask is None:
-            continue
-        sep = _separation_from_masks(G, z_mask, a_mask)
-        if sep.order <= a and is_balanced(G, sep):
+        if a_mask is not None:
+            sep = _separation_from_masks(G, z_mask, a_mask)
             return SeparatorOracleOutcome(sep, certified=True)
     return SeparatorOracleOutcome(None, certified=False)
 

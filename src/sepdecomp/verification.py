@@ -18,12 +18,11 @@ from . import generators, kernels
 from .constructor import CONSTANTS, construct
 from .decomposition import RootedTreeDecomposition, validate_decomposition, width
 from .errors import (
-    InvalidInputError,
     PostconditionFailedError,
     PreconditionFailedError,
     SizeLimitExceededError,
 )
-from .graph import Graph, Separation, VertexSet, induced_subgraph, is_separation
+from .graph import Graph, Separation, VertexSet, is_separation
 from .separations import EXACT_LIMIT_SEP_NUMBER, separation_number
 from .wsequence import WSequence, validate_w_sequence
 
@@ -109,15 +108,12 @@ def check_zw_inequality(G: Graph, ws: WSequence, ab: Separation) -> ZWCheck:
     top = ws.levels[ell + 1]
     if not (ab.a_side | ab.b_side) == top:
         raise PreconditionFailedError("separation does not cover the top level")
-    H, new_to_old = induced_subgraph(G, top)
-    old_to_new = {o: nw for nw, o in new_to_old.items()}
-    local = Separation(
-        frozenset(old_to_new[v] for v in ab.a_side),
-        frozenset(old_to_new[v] for v in ab.b_side),
-    )
-    if not is_separation(H, local):
-        raise PreconditionFailedError("not a separation of the top level")
     A, B = ab.a_side, ab.b_side
+    # (A, B) separates G[top] exactly when adding the rest of G to both
+    # sides gives a separation of G
+    rest = frozenset(range(G.n)) - top
+    if not is_separation(G, Separation(A | rest, B | rest)):
+        raise PreconditionFailedError("not a separation of the top level")
     W = ws.levels[0]
     Z = ws.z_set
     lhs = Fraction(len(W - B) + len(Z - B))
@@ -213,8 +209,6 @@ def _choose_a(spec: InstanceSpec, G: Graph, sep: Optional[int]) -> int:
     G is too large for it), else the family's known value."""
     if spec.a is not None:
         return spec.a
-    if G.n == 0:
-        raise InvalidInputError("empty graph in suite")
     if sep is not None:
         return sep
     a = structural_a(spec.kind, G)
@@ -247,7 +241,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 record.tw = treewidth_exact(G).value
             a = _choose_a(spec, G, record.sep)
             record.a_used = a
-            rep = construct(G, a, {min(range(G.n))})
+            rep = construct(G, a, {0})
             record.width = rep.width
             record.bound_num = rep.bound_num
             record.bound_den = rep.bound_den

@@ -127,13 +127,16 @@ def validate_w_sequence(G: Graph, ws: WSequence) -> tuple[bool, list[str]]:
     """Re-verify every defining condition independently.
 
     Returns (ok, violated tags).  Tags: nesting, (a)-(e), paths (structural
-    checks on the stored witness paths).
+    checks on the stored witness paths).  A level's witness family, when it
+    passes those checks, is |Δ_i| disjoint Δ_i-W paths inside G[W_i] and so
+    proves (d) there; only a level whose family fails gets a flow.
     """
     violated: list[str] = []
     levels = ws.levels
     if len(levels) < 2:
         violated.append("nesting")
         return False, violated
+    _check_vertices(G, frozenset().union(*levels))
     for lo, hi in zip(levels, levels[1:]):
         if not lo <= hi:
             violated.append("nesting")
@@ -147,22 +150,26 @@ def validate_w_sequence(G: Graph, ws: WSequence) -> tuple[bool, list[str]]:
         violated.append("(b)")
     if not (0 <= sizes[ell + 1] <= ws.width_w - 1):
         violated.append("(c)")
-    # (d): the flow value inside G[W_i] must reach s_i
-    deltas = ws.deltas
-    for i, (lvl, delta) in enumerate(zip(levels, deltas)):
-        if not (delta <= lvl and W <= lvl):
-            violated.append("(d)")
-            break
-        H, new_to_old = induced_subgraph(G, lvl)
-        old_to_new = {o: n for n, o in new_to_old.items()}
-        res = disjoint_paths(
-            H, [old_to_new[v] for v in delta], [old_to_new[v] for v in W],
-            cap=len(delta),
-        )
-        if len(res.paths) < sizes[i]:
-            violated.append("(d)")
-            break
-    if not _witness_paths_ok(G, ws):
+    families = ws.witness_paths
+    paths_ok = len(families) == len(levels)
+    d_ok = True
+    for i, (lvl, delta) in enumerate(zip(levels, ws.deltas)):
+        linked = i < len(families) and _linked(G, W, lvl, delta, families[i])
+        paths_ok &= linked
+        if d_ok and not W <= lvl:
+            d_ok = False
+        elif d_ok and not linked:
+            # (d): the flow value inside G[W_i] must reach |Δ_i|
+            H, new_to_old = induced_subgraph(G, lvl)
+            old_to_new = {o: n for n, o in new_to_old.items()}
+            res = disjoint_paths(
+                H, [old_to_new[v] for v in delta], [old_to_new[v] for v in W],
+                cap=len(delta),
+            )
+            d_ok = len(res.paths) == len(delta)
+    if not d_ok:
+        violated.append("(d)")
+    if not paths_ok:
         violated.append("paths")
     z = ws.z_set
     if (
@@ -174,24 +181,18 @@ def validate_w_sequence(G: Graph, ws: WSequence) -> tuple[bool, list[str]]:
     return not violated, violated
 
 
-def _witness_paths_ok(G: Graph, ws: WSequence) -> bool:
-    if len(ws.witness_paths) != len(ws.levels):
+def _linked(G: Graph, W: VertexSet, lvl: VertexSet, delta: VertexSet, fam) -> bool:
+    """Is `fam` |delta| disjoint paths of G inside lvl, each from delta to W?"""
+    if len(fam) != len(delta):
         return False
-    W = ws.levels[0]
-    deltas = ws.deltas
-    for lvl, delta, fam in zip(ws.levels, deltas, ws.witness_paths):
-        if len(fam) != len(delta):
+    used: set[int] = set()
+    adj = G.adj_masks
+    for vs in fam:
+        if not vs or vs[0] not in delta or vs[-1] not in W or not lvl.issuperset(vs):
             return False
-        used: set[int] = set()
-        for vs in fam:
-            if not vs or vs[0] not in delta or vs[-1] not in W:
-                return False
-            if any(v not in lvl for v in vs):
-                return False
-            if len(set(vs)) != len(vs) or used & set(vs):
-                return False
-            for u, v in zip(vs, vs[1:]):
-                if not G.has_edge(u, v):
-                    return False
-            used |= set(vs)
+        if len(set(vs)) != len(vs) or not used.isdisjoint(vs):
+            return False
+        if not all(adj[u] >> v & 1 for u, v in zip(vs, vs[1:])):
+            return False
+        used.update(vs)
     return True

@@ -93,6 +93,12 @@ class TestConstruct:
         g = gr(tmp_path, path_graph(10))
         assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
 
+    def test_invalid_decomposition_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "validate_decomposition", lambda G, td: (False, ["bad bag"]))
+        g = gr(tmp_path, path_graph(10))
+        assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
+        assert capsys.readouterr().err == "bad bag\n"
+
     def test_dot_output(self, tmp_path):
         g = gr(tmp_path, path_graph(40))
         dot = tmp_path / "t.dot"
@@ -108,6 +114,13 @@ class TestValidate:
         capsys.readouterr()
         assert dispatch(["validate", "--input", g, "--td", str(tdf)]) == 0
         assert capsys.readouterr().out.startswith("valid, width ")
+
+    def test_prints_width(self, tmp_path, capsys):
+        g = gr(tmp_path, path_graph(3))
+        tdf = tmp_path / "t.td"
+        tdf.write_text("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+        assert dispatch(["validate", "--input", g, "--td", str(tdf)]) == 0
+        assert capsys.readouterr().out == "valid, width 1\n"
 
     def test_invalid(self, tmp_path, capsys):
         g = gr(tmp_path, path_graph(3))
@@ -156,6 +169,23 @@ class TestTheorem2:
     def test_auto_a(self, tmp_path, capsys):
         g = gr(tmp_path, path_graph(12))
         assert dispatch(["theorem2", "--input", g]) == 0
+
+    def test_invalid_decomposition_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "validate_decomposition", lambda G, td: (False, ["bad bag"]))
+        g = gr(tmp_path, path_graph(12))
+        assert dispatch(["theorem2", "--input", g, "--a", "1"]) == 1
+        assert capsys.readouterr().err == "bad bag\n"
+
+    def test_width_bound_is_strict(self, tmp_path, monkeypatch, capsys):
+        real = cli.construct_theorem2
+
+        def fake(G, a):
+            return dataclasses.replace(real(G, a), width=4 * a)
+
+        monkeypatch.setattr(cli, "construct_theorem2", fake)
+        g = gr(tmp_path, path_graph(12))
+        assert dispatch(["theorem2", "--input", g, "--a", "1"]) == 1
+        assert capsys.readouterr().out == "width 4 (bound 4)\n"
 
 
 class TestSuite:

@@ -27,7 +27,7 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, induced_subgraph, mask_vertices
+from sepdecomp.graph import build_graph, induced_subgraph, mask_of, mask_vertices
 from sepdecomp.decomposition import validate_decomposition, width
 from sepdecomp.kernels import separators
 from sepdecomp.pace import write_td
@@ -243,7 +243,46 @@ class TestUsefulWBalanced:
             w_mask = rng.getrandbits(n)
             args = (G, w_mask, w_mask | rng.getrandbits(n), rng.randint(1, 3))
             want = self._outcome(exhaustive_useful_w_balanced, *args)
-            assert self._outcome(_useful_w_balanced, *args) == want, (i, args[1:])
+            got = self._outcome(_useful_w_balanced, G, G.full_mask(), *args[1:])
+            assert got == want, (i, args[1:])
+            seen[want if isinstance(want, str) else "found"] += 1
+        assert set(seen) == {"found", "RecursionGuardError", "WBalancedUnavailableError"}, seen
+
+    def test_proper_universe_matches_exhaustive_on_induced(self):
+        # on a universe X of G, the search answers as the exhaustive one on
+        # G[X] does, with masks and error sets mapped back to G's ids
+        rng = random.Random(12)
+        seen = Counter()
+        for i in range(400):
+            n = rng.randint(2, 14)
+            G = gnp_graph(n, rng.choice([0.1, 0.2, 0.35]), 100 + i)
+            xs = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            x_mask = mask_of(xs)
+            w_mask = rng.getrandbits(n) & x_mask
+            wpad_mask = w_mask | (rng.getrandbits(n) & x_mask)
+            a = rng.randint(1, 3)
+            H, to_g = induced_subgraph(G, xs)
+            to_h = {g: h for h, g in to_g.items()}
+
+            def local(mask):
+                return mask_of(to_h[v] for v in mask_vertices(mask))
+
+            def back(mask):
+                return mask_of(to_g[v] for v in mask_vertices(mask))
+
+            want = self._outcome(
+                exhaustive_useful_w_balanced, H, local(w_mask), local(wpad_mask), a
+            )
+            try:
+                got = _useful_w_balanced(G, x_mask, w_mask, wpad_mask, a)
+            except RecursionGuardError as exc:
+                got = type(exc).__name__
+            except WBalancedUnavailableError as exc:
+                assert exc.w_set == frozenset(mask_vertices(wpad_mask))
+                got = type(exc).__name__
+            if isinstance(want, tuple):
+                want = tuple(map(back, want))
+            assert got == want, (i, xs, w_mask, wpad_mask, a)
             seen[want if isinstance(want, str) else "found"] += 1
         assert set(seen) == {"found", "RecursionGuardError", "WBalancedUnavailableError"}, seen
 

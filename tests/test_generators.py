@@ -77,3 +77,25 @@ def test_params_seed_wins(kind, params, build):
 def test_generate_rejects_bad_params(kind, params, named):
     with pytest.raises(InvalidInputError, match=named):
         generate(kind, params)
+
+
+@pytest.mark.parametrize(
+    "kind,params,message",
+    [
+        ("path", {"n": 0}, "path needs n >= 1"),
+        ("cycle", {"n": 2}, "cycle needs n >= 3"),
+        ("complete", {"n": 0}, "complete graph needs n >= 1"),
+        ("grid", {"rows": 0}, "grid needs positive dimensions"),
+        ("grid", {"rows": 3, "cols": -1}, "grid needs positive dimensions"),
+        ("tree", {"n": 0}, "tree needs n >= 1"),
+        ("gnp", {"n": 0, "p": 0.5}, "gnp needs n >= 1"),
+        ("gnp", {"n": 5, "p": 1.5}, r"p must be in \[0, 1\]"),
+        ("ktree", {"n": 3, "k": 3}, "a partial k-tree needs 0 <= k < n"),
+        ("ktree", {"n": 5, "k": -1}, "a partial k-tree needs 0 <= k < n"),
+        ("ktree", {"n": 5, "k": 2, "keep": -0.1}, r"keep must be in \[0, 1\]"),
+    ],
+)
+def test_generate_passes_on_size_and_range_errors(kind, params, message):
+    # well-formed params whose values the generator itself refuses
+    with pytest.raises(InvalidInputError, match=message):
+        generate(kind, params, seed=0)

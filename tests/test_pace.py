@@ -106,6 +106,23 @@ class TestTdFormat:
             parse_td(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_gr, "c x\np tw two 1\n", 2, "non-integer header fields"),
+        (parse_gr, "p tw 3 1\n1 x\n", 2, "non-integer edge endpoints"),
+        (parse_td, "s td 1 1 one\n", 1, "non-integer header fields"),
+        (parse_td, "s td 1 1 2\nb 1 1 x\n", 2, "malformed bag line"),
+        (parse_td, "s td 1 1 2\nb\n", 2, "malformed bag line"),
+        (parse_td, "s td 2 1 2\nb 1 1\nb 2 2\n1 z\n", 4, "non-integer tree edge"),
+    ],
+)
+def test_non_integer_fields_name_their_line(parse, text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$") as ei:
+        parse(text)
+    assert ei.value.line == line
+
+
 class TestDot:
     def test_exact_output(self):
         G = path_graph(3)

@@ -175,6 +175,18 @@ class TestZWInequality:
             check_zw_inequality(G, ws, Separation(A, B))
 
 
+    def test_edges_leaving_the_top_level_are_ignored(self):
+        # path 0-5 with W = {0, 2} and w = 2: the top level is {0..4}; the
+        # edge 4-5 leaves A \ B = {4} for the rest of G, which is allowed
+        G = path_graph(6)
+        ws = self._ws(G, {0, 2}, 2)
+        assert ws.levels[-1] == frozenset(range(5))
+        chk = check_zw_inequality(G, ws, Separation(frozenset({3, 4}), frozenset(range(4))))
+        assert chk.lhs == 1 and chk.holds
+        with pytest.raises(PreconditionFailedError):
+            check_zw_inequality(G, ws, Separation(frozenset({4}), frozenset(range(4))))
+
+
 class TestSepLeTw:
     @pytest.mark.parametrize(
         "G",
@@ -249,6 +261,14 @@ class TestSuite:
         record = rep.records[0]
         assert rep.passed and calls == [12]
         assert record.a_used == record.sep
+
+    def test_ceil_n_over_3_fallback(self):
+        # past the exact limit, a gnp instance without "a" has no exact or
+        # structural value and runs at a = ceil(n/3)
+        rep = run_suite(SuiteConfig(instances=(InstanceSpec("gnp", {"n": 20, "p": 0.3}),)))
+        record = rep.records[0]
+        assert rep.passed, record.error
+        assert (record.n, record.sep, record.tw, record.a_used) == (20, None, None, 7)
 
     def test_deterministic(self):
         cfg = SuiteConfig(instances=(InstanceSpec("gnp", {"n": 13, "p": 0.25}),))

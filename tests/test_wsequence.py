@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from sepdecomp import wsequence
 from sepdecomp.errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
 from sepdecomp.generators import complete_graph, gnp_graph, path_graph
-from sepdecomp.graph import build_graph
-from sepdecomp.menger import PathResult
+from sepdecomp.graph import build_graph, induced_subgraph
+from sepdecomp.menger import PathResult, disjoint_paths, separates
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
 
 
@@ -171,3 +173,125 @@ def test_tail_matches_full_sequence(data):
     ws = build_w_sequence(G, W, len(W))
     expected = (ws.levels[ws.ell], ws.levels[ws.ell + 1], ws.z_set, ws.ell == 0)
     assert wsequence._sequence_tail(G, W) == expected
+
+
+def flow_per_level_validator(G, ws):
+    """Reference for `validate_w_sequence`: (d) by a Menger flow inside
+    G[W_i] at every level, and the witness families checked on their own."""
+    violated = []
+    levels = ws.levels
+    if len(levels) < 2:
+        return False, ["nesting"]
+    if any(not lo <= hi for lo, hi in zip(levels, levels[1:])):
+        violated.append("nesting")
+    W, ell, sizes, deltas = levels[0], ws.ell, ws.sizes, ws.deltas
+    if not W:
+        violated.append("(a)")
+    if any(sizes[i] != ws.width_w for i in range(1, ell + 1)):
+        violated.append("(b)")
+    if not 0 <= sizes[ell + 1] <= ws.width_w - 1:
+        violated.append("(c)")
+    for lvl, delta in zip(levels, deltas):
+        if not W <= lvl:
+            violated.append("(d)")
+            break
+        H, new_to_old = induced_subgraph(G, lvl)
+        old_to_new = {o: n for n, o in new_to_old.items()}
+        res = disjoint_paths(
+            H, [old_to_new[v] for v in delta], [old_to_new[v] for v in W], len(delta)
+        )
+        if len(res.paths) < len(delta):
+            violated.append("(d)")
+            break
+
+    def family_ok(lvl, delta, fam):
+        used = set()
+        for vs in fam:
+            if not vs or vs[0] not in delta or vs[-1] not in W or any(v not in lvl for v in vs):
+                return False
+            if len(set(vs)) != len(vs) or used & set(vs):
+                return False
+            if not all(G.has_edge(u, v) for u, v in zip(vs, vs[1:])):
+                return False
+            used |= set(vs)
+        return len(fam) == len(delta)
+
+    if len(ws.witness_paths) != len(levels) or not all(
+        family_ok(*t) for t in zip(levels, deltas, ws.witness_paths)
+    ):
+        violated.append("paths")
+    z = ws.z_set
+    if (
+        len(z) != sizes[ell + 1]
+        or not z <= levels[ell + 1]
+        or not separates(G, z, frozenset(range(G.n)) - levels[ell], W)
+    ):
+        violated.append("(e)")
+    return not violated, violated
+
+
+def tamper(ws, n, rng):
+    """`ws` with one field changed at random, every vertex kept in range."""
+    levels, fams = list(ws.levels), [list(f) for f in ws.witness_paths]
+    i = rng.randrange(len(levels))
+    v = rng.randrange(n)
+    kind = rng.randrange(10)
+    fam = fams[i] if i < len(fams) else []
+    if kind == 0:
+        levels[i] = levels[i] ^ {v}
+    elif kind == 1:
+        levels[i:] = [lvl | {v} for lvl in levels[i:]]
+    elif kind == 2:
+        levels[i] = frozenset()
+    elif kind == 3:
+        del levels[i]
+    elif kind == 4:
+        j = rng.randrange(len(levels))
+        levels[i], levels[j] = levels[j], levels[i]
+    elif kind == 5 and fam:
+        k = rng.randrange(len(fam))
+        path = list(fam[k])
+        path[rng.randrange(len(path))] = v
+        fam[k] = tuple(path)
+    elif kind == 6 and fam:
+        k = rng.randrange(len(fam))
+        fam[k] = rng.choice([fam[k][::-1], fam[k][:-1], fam[k] + (v,)])
+    elif kind == 7 and fams:
+        rng.choice([lambda: fams.pop(), lambda: fam.append((v,)), fam.clear])()
+    elif kind == 8:
+        return dataclasses.replace(ws, width_w=ws.width_w + rng.choice([-1, 1]))
+    else:
+        return dataclasses.replace(ws, z_set=ws.z_set ^ {v})
+    return dataclasses.replace(
+        ws, levels=tuple(levels), witness_paths=tuple(tuple(f) for f in fams)
+    )
+
+
+def test_tamper_sweep_matches_flow_reference():
+    rng = random.Random(5)
+    seen = Counter()
+    for i in range(600):
+        n = rng.randint(3, 12)
+        G = gnp_graph(n, rng.choice([0.2, 0.35, 0.5]), i)
+        W = frozenset(rng.sample(range(n), rng.randint(1, min(3, n))))
+        ws = build_w_sequence(G, W, rng.randint(1, len(W)))
+        for _ in range(rng.randint(1, 2)):
+            ws = tamper(ws, n, rng)
+        want = flow_per_level_validator(G, ws)
+        assert validate_w_sequence(G, ws) == want, (i, ws)
+        seen.update(want[1] or ["ok"])
+    assert set(seen) == {"ok", "nesting", "(a)", "(b)", "(c)", "(d)", "paths", "(e)"}, seen
+
+
+def test_valid_sequence_needs_no_flow(monkeypatch):
+    # a valid sequence's witness families prove (d) at every level
+    G = path_graph(60)
+    sequences = [build_w_sequence(G, {0}, 1), build_w_sequence(G, {5, 30}, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation induced a subgraph or ran a flow")
+
+    monkeypatch.setattr(wsequence, "induced_subgraph", refuse)
+    monkeypatch.setattr(wsequence, "disjoint_paths", refuse)
+    for ws in sequences:
+        assert validate_w_sequence(G, ws) == (True, [])
