@@ -17,7 +17,7 @@ from pathlib import Path
 from . import generators
 from .constructor import CONSTANTS, construct, construct_theorem2
 from .decomposition import validate_decomposition, width
-from .errors import InvalidInputError, SepDecompError
+from .errors import InvalidInputError, PostconditionFailedError, SepDecompError
 from .graph import Graph
 from .pace import export_dot, parse_gr, parse_td, write_gr, write_td
 from .separations import separation_number
@@ -245,7 +245,7 @@ def dispatch(argv: list[str]) -> int:
         return args.func(args)
     except (SepDecompError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return FAILURE if isinstance(exc, PostconditionFailedError) else USAGE_ERROR
 
 
 def main() -> None:

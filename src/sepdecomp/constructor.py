@@ -17,13 +17,13 @@ from typing import Iterable, Optional
 
 from .decomposition import (
     RootedTreeDecomposition,
-    restrict_decomposition,
-    separation_tree,
+    _restricted,
+    _separation_tree,
+    validate_decomposition,
     width,
 )
 from .errors import (
     InvalidInputError,
-    OracleFailureError,
     PostconditionFailedError,
     RecursionGuardError,
     SizeLimitExceededError,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    Separation,
     VertexSet,
     _check_vertices,
     induced_subgraph,
@@ -124,6 +123,11 @@ def construct(
         oracle = make_oracle(a)
     stats = RecursionStats()
     td = _construct(G, a, W, oracle, stats)
+    ok, violations = validate_decomposition(G, td)
+    if not ok:
+        raise PostconditionFailedError(
+            f"construct: invalid decomposition: {'; '.join(violations[:3])}"
+        )
     w = width(td)
     if not CONSTANTS.width_bound_ok(w, a):
         raise PostconditionFailedError(
@@ -152,13 +156,14 @@ def _construct(
     """The recursion of ``construct``, run on an explicit stack of work items.
 
     A frame ``(region, W, ids, p, parent_n, depth)`` decomposes G[region],
-    with W marked, below the node ``ids[p]``; both sets are in G's ids, and
-    G[region] is induced only when the frame recurses.  A bag item
-    ``(bag, ids, y, p)`` is the inner node y of a frame's T_Y.  Items are
-    popped in the order the recursion visits them: a frame's T_Y in
-    preorder, each leaf's subproblem in place of the leaf, then the X side.
-    So every node is appended once, after its parent, and ``ids`` records
-    the node id of each T_Y node as it comes.
+    with W marked, below the node ``ids[p]``; both sets are in G's ids, as
+    is its T_Y, and G[region] is induced only when the frame recurses.  A
+    bag item ``(bag, ids, y, p)`` is the inner node y of a frame's T_Y.
+    Items are popped in the order the recursion visits them: a frame's T_Y
+    in preorder, each leaf's subproblem in place of the leaf, then the X
+    side.  So every node is appended once, after its parent, and ``ids``
+    records the node id of each T_Y node as it comes.  Nothing here checks
+    the bags; ``construct`` validates the whole output once.
     """
     parents: list[int] = []
     bags: list[VertexSet] = []
@@ -259,41 +264,27 @@ def _t_y(
     oracle: Oracle,
     stats: RecursionStats,
 ) -> RootedTreeDecomposition:
-    """The restricted separation tree of G[Y], in G's ids, whose root bag
-    holds W ∪ Z (the ell >= 1 case); its leaves are still to be decomposed.
-    An oracle failure is raised with its witness in G's ids."""
-    H, new_to_old = induced_subgraph(G, w_top)
-    old_to_new = {o: nw for nw, o in new_to_old.items()}
-
-    try:
-        t_prime = separation_tree(H, a, CONSTANTS.h, oracle)
-    except OracleFailureError as exc:
-        witness = {new_to_old[v] for v in exc.witness}
-        raise OracleFailureError(witness, exc.certified) from exc
+    """The separation tree of G[W_top], restricted to G[Y] along (X, Y) so
+    that its root bag holds W ∪ Z (the ell >= 1 case); its leaves are still
+    to be decomposed.  Everything, an oracle failure's witness included, is
+    in G's ids."""
+    t_prime = _separation_tree(G, w_top, a, CONSTANTS.h, oracle)
     stats.separation_tree_nodes += t_prime.size
     # one oracle call per inner node
     stats.oracle_calls += t_prime.size - len(t_prime.leaves())
 
-    wz_local = frozenset(old_to_new[v] for v in W | Z)
-    depths = t_prime.depths()
-    for y, intr in enumerate(t_prime.interiors()):
-        d = depths[y]
-        lhs = len(intr & wz_local)
+    wz = W | Z
+    interiors = t_prime.interiors()
+    for d, intr in zip(t_prime.depths(), interiors):
+        lhs = len(intr & wz)
         stats.check(
             "construct",
             "cell_bound",
             CONSTANTS.cell_bound_ok(lhs, d, a),
             f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
         )
-
-    a_local = frozenset(
-        old_to_new[v] for v in ((X & w_top) | W)
-    )
-    b_local = frozenset(old_to_new[v] for v in Y)
-    t_dbl = restrict_decomposition(H, t_prime, Separation(a_local, b_local))
-    return RootedTreeDecomposition(
-        G.n, t_dbl.parents, tuple(frozenset(new_to_old[v] for v in b) for b in t_dbl.bags)
-    )
+    bags = _restricted(t_prime, (X & w_top) | W, Y, interiors)
+    return RootedTreeDecomposition(G.n, t_prime.parents, bags)
 
 
 # ---------------------------------------------------------------------------

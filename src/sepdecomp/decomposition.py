@@ -159,13 +159,13 @@ def restrict_decomposition(
         raise InvalidInputError("td_prime does not decompose G")
     if not is_separation(G, sep):
         raise InvalidInputError("(X, Y) is not a separation of G")
-    X, Y = sep.a_side, sep.b_side
-    interiors = td_prime.interiors()
-    bags = tuple(
-        (td_prime.bags[x] & Y) | (interiors[x] & X & Y)
-        for x in range(td_prime.size)
-    )
+    bags = _restricted(td_prime, sep.a_side, sep.b_side, td_prime.interiors())
     return RootedTreeDecomposition(G.n, td_prime.parents, bags)
+
+
+def _restricted(td: RootedTreeDecomposition, X: VertexSet, Y: VertexSet, interiors: list):
+    """The bags of ``restrict_decomposition``, unchecked; `interiors` are td's."""
+    return tuple((b & Y) | (intr & X & Y) for b, intr in zip(td.bags, interiors))
 
 
 def separation_tree(
@@ -173,8 +173,8 @@ def separation_tree(
 ) -> RootedTreeDecomposition:
     """Height-<= h decomposition from repeated balanced separations.
 
-    Recursion state is a (subgraph, boundary) pair; a node becomes a leaf
-    with bag V(G') once the non-boundary part fits under n*(2/3)^h, compared
+    Recursion state is a (vertex set, boundary) pair; a node becomes a leaf
+    with its vertex set as bag once the rest fits under n*(2/3)^h, compared
     in exact integers.  Interior/boundary sizes then satisfy
     |interior| <= n*(2/3)^depth and |boundary| <= depth*a at every node.
 
@@ -187,13 +187,21 @@ def separation_tree(
         raise InvalidInputError("h must be >= 0")
     if oracle is None:
         oracle = make_oracle(a)
-    n = G.n
+    return _separation_tree(G, frozenset(range(G.n)), a, h, oracle)
+
+
+def _separation_tree(
+    G: Graph, region: VertexSet, a: int, h: int, oracle
+) -> RootedTreeDecomposition:
+    """``separation_tree`` of G[region], built in G's ids: n = |region|, and
+    each oracle call is handed G[inner], induced from G directly."""
+    n = len(region)
     pow3, pow2 = 3 ** h, 2 ** h
     parents: list[int] = []
     bags: list[VertexSet] = []
 
     # (vertex set, boundary, parent node); the A child is popped first
-    stack = [(frozenset(range(n)), frozenset(), -1)]
+    stack = [(region, frozenset(), -1)]
     while stack:
         vset, bnd, parent = stack.pop()
         idx = len(parents)
@@ -221,4 +229,4 @@ def separation_tree(
         # the interior stay covered; each child's boundary is this node's bag
         stack.append((B | bnd, bag, idx))
         stack.append((A | bnd, bag, idx))
-    return RootedTreeDecomposition(n, tuple(parents), tuple(bags))
+    return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))

@@ -5,6 +5,7 @@ import pytest
 
 from sepdecomp import cli
 from sepdecomp.cli import dispatch
+from sepdecomp.errors import PostconditionFailedError
 from sepdecomp.generators import cycle_graph, grid_graph, partial_ktree, path_graph
 from sepdecomp.pace import parse_gr, parse_td, write_gr
 
@@ -31,6 +32,10 @@ class TestGen:
 
     def test_bad_params(self, capsys):
         assert dispatch(["gen", "--kind", "path", "--params", "nonsense"]) == 2
+
+    def test_empty_param_item_skipped(self, capsys):
+        assert dispatch(["gen", "--kind", "path", "--params", "n=5,"]) == 0
+        assert parse_gr(capsys.readouterr().out) == path_graph(5)
 
 
 class TestConstruct:
@@ -98,6 +103,15 @@ class TestConstruct:
         g = gr(tmp_path, path_graph(10))
         assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
         assert capsys.readouterr().err == "bad bag\n"
+
+    def test_postcondition_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        def fake(G, a, W, **kwargs):
+            raise PostconditionFailedError("construct: invalid decomposition: vertex 3 in no bag")
+
+        monkeypatch.setattr(cli, "construct", fake)
+        g = gr(tmp_path, path_graph(10))
+        assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
+        assert "construct: invalid decomposition" in capsys.readouterr().err
 
     def test_dot_output(self, tmp_path):
         g = gr(tmp_path, path_graph(40))
@@ -207,6 +221,15 @@ class TestSuite:
         assert capsys.readouterr().out == "3/3 passed\n"
         blob = json.loads(rep.read_text())
         assert blob["passed"] and blob["total"] == 3
+
+    def test_instance_id_names_its_record(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(
+            json.dumps({"instances": [{"kind": "path", "params": {"n": 12}, "id": "short-path"}]})
+        )
+        rep = tmp_path / "report.json"
+        assert dispatch(["suite", "--config", str(cfg), "--report", str(rep)]) == 0
+        assert [r["graph_id"] for r in json.loads(rep.read_text())["records"]] == ["short-path"]
 
     def test_failing_instance_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "suite.json"

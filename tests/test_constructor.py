@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sepdecomp import constructor, decomposition, wsequence
 from sepdecomp.constructor import (
     CONSTANTS,
     _useful_w_balanced,
@@ -14,6 +15,7 @@ from sepdecomp.constructor import (
 from sepdecomp.errors import (
     InvalidInputError,
     OracleFailureError,
+    PostconditionFailedError,
     RecursionGuardError,
     SizeLimitExceededError,
     WBalancedUnavailableError,
@@ -152,6 +154,39 @@ class TestConstruct:
             claims = construct(G, a, {0}).recursion_stats.claims
             assert {"cell_bound", "leaf_interface", "treewidth_bound"} <= set(claims), claims
             assert all(count > 0 for count in claims.values())
+
+    @pytest.mark.parametrize("G,a", [(path_graph(400), 1), (cycle_graph(300), 2)])
+    def test_every_induced_copy_feeds_a_flow_or_an_oracle(self, G, a, monkeypatch):
+        # one copy per recursing frame (its W-sequence flows) and one per
+        # oracle call; T_Y is built in G's ids, with no copy of G[W_top]
+        calls = []
+
+        def counted(H, vs):
+            calls.append(vs)
+            return induced_subgraph(H, vs)
+
+        for mod in (constructor, decomposition, wsequence):
+            monkeypatch.setattr(mod, "induced_subgraph", counted)
+        stats = construct(G, a, {0}).recursion_stats
+        assert stats.oracle_calls > 0
+        assert len(calls) == stats.oracle_calls + stats.construct_calls - stats.base_cases
+
+    def test_invalid_output_raises(self, monkeypatch):
+        # a T_Y root bag missing a vertex no longer decomposes G; construct's
+        # own validation of its output catches it
+        real = constructor._restricted
+        calls = []
+
+        def corrupt(td, X, Y, interiors):
+            bags = list(real(td, X, Y, interiors))
+            if not calls:
+                bags[0] -= {max(bags[0])}
+            calls.append(1)
+            return tuple(bags)
+
+        monkeypatch.setattr(constructor, "_restricted", corrupt)
+        with pytest.raises(PostconditionFailedError, match="^construct: invalid decomposition"):
+            construct(path_graph(400), 1, {0})
 
 
 class TestTheorem2:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from sepdecomp.errors import InvalidInputError, OracleFailureError
 from sepdecomp.constructor import construct
 from sepdecomp.generators import complete_graph, cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
-from sepdecomp.graph import Separation, build_graph
-from sepdecomp.separations import SeparatorOracleOutcome
+from sepdecomp.graph import Separation, build_graph, induced_subgraph
+from sepdecomp.separations import SeparatorOracleOutcome, make_oracle
 from sepdecomp.decomposition import (
     RootedTreeDecomposition,
+    _separation_tree,
     restrict_decomposition,
     separation_tree,
     validate_decomposition,
@@ -287,6 +288,35 @@ class TestSeparationTree:
             for c in children[x]:
                 assert t.bags[x] & t.bags[c] == t.bags[x] & t.subtree_unions()[c]
                 assert t.boundaries()[c] <= t.bags[x]
+
+    def test_region_matches_induced_reference(self):
+        # over a region of G, the tree is separation_tree of G[region] with
+        # its bags mapped back to G's ids; so is a failure's witness
+        rng = random.Random(14)
+        outcomes = set()
+        for trial in range(40):
+            if trial % 2:
+                G, a = random_tree(40, seed=trial), 1
+            else:
+                G, a = gnp_graph(18, 0.25, seed=trial), 2
+            region = frozenset(v for v in range(G.n) if rng.random() < 0.7)
+            h = rng.randrange(5)
+            H, to_g = induced_subgraph(G, region)
+            oracle = make_oracle(a)
+            try:
+                ref = separation_tree(H, a, h, oracle)
+            except OracleFailureError as exc:
+                with pytest.raises(OracleFailureError) as ei:
+                    _separation_tree(G, region, a, h, oracle)
+                assert ei.value.witness == frozenset(to_g[v] for v in exc.witness)
+                assert ei.value.certified == exc.certified
+                outcomes.add("failure")
+                continue
+            got = _separation_tree(G, region, a, h, oracle)
+            assert got.host_n == G.n and got.parents == ref.parents
+            assert got.bags == tuple(frozenset(to_g[v] for v in b) for b in ref.bags)
+            outcomes.add("tree" if got.size > 1 else "leaf")
+        assert outcomes == {"failure", "tree", "leaf"}
 
     def test_negative_height_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -157,6 +157,12 @@ class TestZWInequality:
                 G, ws, Separation(frozenset(), ws.levels[-1])
             )
 
+    def test_rejects_invalid_w_sequence(self):
+        G = path_graph(8)
+        ws = dataclasses.replace(self._ws(G, {0}, 1), width_w=2)  # breaks (b)
+        with pytest.raises(PreconditionFailedError, match="invalid W-sequence"):
+            check_zw_inequality(G, ws, Separation(frozenset(), ws.levels[-1]))
+
     def test_rejects_non_cover(self):
         G = path_graph(8)
         ws = self._ws(G, {0}, 1)
