@@ -17,8 +17,7 @@ from typing import Iterable, Optional
 
 from .decomposition import (
     RootedTreeDecomposition,
-    _restricted,
-    _separation_tree,
+    _split,
     validate_decomposition,
     width,
 )
@@ -155,28 +154,65 @@ def _construct(
 ) -> RootedTreeDecomposition:
     """The recursion of ``construct``, run on an explicit stack of work items.
 
-    A frame ``(region, W, ids, p, parent_n, depth)`` decomposes G[region],
-    with W marked, below the node ``ids[p]``; both sets are in G's ids, as
-    is its T_Y, and G[region] is induced only when the frame recurses.  A
-    bag item ``(bag, ids, y, p)`` is the inner node y of a frame's T_Y.
-    Items are popped in the order the recursion visits them: a frame's T_Y
-    in preorder, each leaf's subproblem in place of the leaf, then the X
-    side.  So every node is appended once, after its parent, and ``ids``
-    records the node id of each T_Y node as it comes.  Nothing here checks
-    the bags; ``construct`` validates the whole output once.
+    A frame ``(region, W, p, parent_n, depth)`` decomposes G[region], with W
+    marked, below node p; G[region] is induced only when the frame recurses.
+    A cell ``(vset, bnd, p, d, pbag, frame)`` is one node of T_Y below node
+    p, whose bag is pbag: the depth-d node of G[W_top]'s separation tree
+    with vertex set vset and boundary bnd, expanded by ``_split`` and
+    restricted along (X, Y); ``frame`` is the shared (X ∩ W_top ∪ W, Y,
+    W ∪ Z, |W_top|, n, depth).  A leaf cell becomes the frame of G[vset ∩ Y].
+    Items pop in the recursion's order: T_Y in preorder, A child first, as
+    ``separation_tree`` builds it, each leaf's subproblem in place of the
+    leaf, then the X side; so each node is appended once, after its parent.
+    All sets are in G's ids.  Nothing here checks the bags; ``construct``
+    validates the whole output once.
     """
     parents: list[int] = []
     bags: list[VertexSet] = []
-    stack: list[tuple] = [(frozenset(range(G.n)), W, [-1], 0, G.n + 1, 0)]
+    stack: list[tuple] = [(frozenset(range(G.n)), W, -1, G.n + 1, 0)]
     while stack:
         item = stack.pop()
-        if len(item) == 4:
-            bag, ids, y, p = item
-            ids[y] = len(parents)
-            parents.append(ids[p])
-            bags.append(bag)
+        if len(item) == 6:
+            vset, bnd, p, d, pbag, frame = item
+            x_side, Y, wz, top_n, n, depth = frame
+            stats.separation_tree_nodes += 1
+            lhs = len((vset - bnd) & wz)
+            stats.check(
+                "construct",
+                "cell_bound",
+                CONSTANTS.cell_bound_ok(lhs, d, a),
+                f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
+            )
+            split = _split(G, vset, bnd, top_n, a, CONSTANTS.h, oracle)
+            if split is None:
+                if not d:
+                    raise PostconditionFailedError("construct: the T_Y root is a leaf")
+                region = vset & Y
+                leaf_bnd = region & pbag
+                stats.check(
+                    "construct",
+                    "leaf_interface",
+                    CONSTANTS.w_small_enough(len(leaf_bnd), a),
+                    f"leaf boundary {len(leaf_bnd)} vs t*a, a={a}",
+                )
+                if region:
+                    stack.append((region, leaf_bnd or frozenset({min(region)}), p, n, depth + 1))
+                else:
+                    parents.append(p)
+                    bags.append(region)
+                continue
+            stats.oracle_calls += 1
+            bag, A, B = split
+            rbag = (bag & Y) | ((vset - bnd) & x_side & Y)
+            if not (d or wz <= rbag):
+                raise PostconditionFailedError("construct: the T_Y root bag misses W ∪ Z")
+            _check_t_y_bag(stats, rbag, a)
+            parents.append(p)
+            bags.append(rbag)
+            stack.append((B, bag, len(bags) - 1, d + 1, rbag, frame))
+            stack.append((A, bag, len(bags) - 1, d + 1, rbag, frame))
             continue
-        region, W, up, p, parent_n, depth = item
+        region, W, p, parent_n, depth = item
         n = len(region)
         if n >= parent_n:
             raise RecursionGuardError(
@@ -186,7 +222,7 @@ def _construct(
         stats.max_depth = max(stats.max_depth, depth)
         if CONSTANTS.base_case(n, a):
             stats.base_cases += 1
-            parents.append(up[p])
+            parents.append(p)
             bags.append(region)
             continue
 
@@ -201,90 +237,26 @@ def _construct(
         stats.check("construct", "xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
         stats.check("construct", "y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
 
-        if ell_is_zero:
-            t_y = RootedTreeDecomposition(G.n, (-1,), (W | Z,))
-            leaves = frozenset()
-        else:
-            t_y = _t_y(G, a, W, Z, X, Y, w_top, oracle, stats)
-            leaves = frozenset(t_y.leaves())
-        order = t_y.preorder()
-        root = order[0]
-        if root in leaves or not (W | Z) <= t_y.bags[root]:
-            raise PostconditionFailedError(
-                "construct: the T_Y root is a leaf or misses W ∪ Z"
-            )
-        inner = [len(t_y.bags[y]) for y in order if y not in leaves]
-        stats.check(
-            "construct",
-            "treewidth_bound",
-            all(CONSTANTS.width_bound_ok(size - 1, a) for size in inner),
-            f"max T_Y bag {max(inner)} vs a={a}",
-        )
-
-        ids = [0] * t_y.size
-        ids[root] = len(parents)
-        parents.append(up[p])
-        bags.append(t_y.bags[root])
+        # the X side hangs below the T_Y root, which is appended next
         if X - Y:
-            w_next = Z if Z else frozenset({min(X)})
-            stack.append((X, w_next, ids, root, n, depth + 1))
-        boundaries = t_y.boundaries()
-        interiors = t_y.interiors()
-        items = []
-        for y in order[1:]:
-            q = t_y.parents[y]
-            if y not in leaves:
-                items.append((t_y.bags[y], ids, y, q))
-                continue
-            bnd = boundaries[y]
-            stats.check(
-                "construct",
-                "leaf_interface",
-                CONSTANTS.w_small_enough(len(bnd), a),
-                f"leaf boundary {len(bnd)} vs t*a, a={a}",
-            )
-            leaf_region = interiors[y] | bnd
-            if leaf_region:
-                w_leaf = bnd or frozenset({min(leaf_region)})
-                items.append((leaf_region, w_leaf, ids, q, n, depth + 1))
-            else:
-                items.append((frozenset(), ids, y, q))
-        stack.extend(reversed(items))
+            stack.append((X, Z or frozenset({min(X)}), len(parents), n, depth + 1))
+        if ell_is_zero:
+            _check_t_y_bag(stats, W | Z, a)
+            parents.append(p)
+            bags.append(W | Z)
+        else:
+            frame = ((X & w_top) | W, Y, W | Z, len(w_top), n, depth)
+            stack.append((w_top, frozenset(), p, 0, None, frame))
     return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
 
 
-def _t_y(
-    G: Graph,
-    a: int,
-    W: VertexSet,
-    Z: VertexSet,
-    X: VertexSet,
-    Y: VertexSet,
-    w_top: VertexSet,
-    oracle: Oracle,
-    stats: RecursionStats,
-) -> RootedTreeDecomposition:
-    """The separation tree of G[W_top], restricted to G[Y] along (X, Y) so
-    that its root bag holds W ∪ Z (the ell >= 1 case); its leaves are still
-    to be decomposed.  Everything, an oracle failure's witness included, is
-    in G's ids."""
-    t_prime = _separation_tree(G, w_top, a, CONSTANTS.h, oracle)
-    stats.separation_tree_nodes += t_prime.size
-    # one oracle call per inner node
-    stats.oracle_calls += t_prime.size - len(t_prime.leaves())
-
-    wz = W | Z
-    interiors = t_prime.interiors()
-    for d, intr in zip(t_prime.depths(), interiors):
-        lhs = len(intr & wz)
-        stats.check(
-            "construct",
-            "cell_bound",
-            CONSTANTS.cell_bound_ok(lhs, d, a),
-            f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
-        )
-    bags = _restricted(t_prime, (X & w_top) | W, Y, interiors)
-    return RootedTreeDecomposition(G.n, t_prime.parents, bags)
+def _check_t_y_bag(stats: RecursionStats, bag: VertexSet, a: int) -> None:
+    stats.check(
+        "construct",
+        "treewidth_bound",
+        CONSTANTS.width_bound_ok(len(bag) - 1, a),
+        f"T_Y bag of {len(bag)} vertices vs a={a}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +361,11 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         stack.append(((X & ~A) | Z, Y | A, here))
         stack.append((A, Y | Z, here))
     td = RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
+    ok, violations = validate_decomposition(G, td)
+    if not ok:
+        raise PostconditionFailedError(
+            f"construct_theorem2: invalid decomposition: {'; '.join(violations[:3])}"
+        )
     w = width(td)
     if not w < 4 * a:
         raise PostconditionFailedError(

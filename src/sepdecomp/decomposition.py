@@ -159,13 +159,9 @@ def restrict_decomposition(
         raise InvalidInputError("td_prime does not decompose G")
     if not is_separation(G, sep):
         raise InvalidInputError("(X, Y) is not a separation of G")
-    bags = _restricted(td_prime, sep.a_side, sep.b_side, td_prime.interiors())
+    X, Y = sep.a_side, sep.b_side
+    bags = tuple((b & Y) | (i & X & Y) for b, i in zip(td_prime.bags, td_prime.interiors()))
     return RootedTreeDecomposition(G.n, td_prime.parents, bags)
-
-
-def _restricted(td: RootedTreeDecomposition, X: VertexSet, Y: VertexSet, interiors: list):
-    """The bags of ``restrict_decomposition``, unchecked; `interiors` are td's."""
-    return tuple((b & Y) | (intr & X & Y) for b, intr in zip(td.bags, interiors))
 
 
 def separation_tree(
@@ -173,60 +169,57 @@ def separation_tree(
 ) -> RootedTreeDecomposition:
     """Height-<= h decomposition from repeated balanced separations.
 
-    Recursion state is a (vertex set, boundary) pair; a node becomes a leaf
-    with its vertex set as bag once the rest fits under n*(2/3)^h, compared
-    in exact integers.  Interior/boundary sizes then satisfy
+    Built in preorder, A child first, on an explicit stack of (vertex set,
+    boundary) pairs, each expanded by ``_split``: a node becomes a leaf with
+    its vertex set as bag once the rest fits under n*(2/3)^h, compared in
+    exact integers.  Interior/boundary sizes then satisfy
     |interior| <= n*(2/3)^depth and |boundary| <= depth*a at every node.
-
-    Each inner node is one oracle call.  A miss raises OracleFailureError
-    with the oracle's ``certified`` flag; an answer that is not a balanced
-    separation of order <= a of the graph handed over raises an uncertified
-    one.  Either way the witness is that graph's vertex set, in G's ids.
     """
-    if h < 0:
-        raise InvalidInputError("h must be >= 0")
+    if a < 0 or h < 0:
+        raise InvalidInputError(f"a and h must be >= 0, got a={a}, h={h}")
     if oracle is None:
         oracle = make_oracle(a)
-    return _separation_tree(G, frozenset(range(G.n)), a, h, oracle)
-
-
-def _separation_tree(
-    G: Graph, region: VertexSet, a: int, h: int, oracle
-) -> RootedTreeDecomposition:
-    """``separation_tree`` of G[region], built in G's ids: n = |region|, and
-    each oracle call is handed G[inner], induced from G directly."""
-    n = len(region)
-    pow3, pow2 = 3 ** h, 2 ** h
     parents: list[int] = []
     bags: list[VertexSet] = []
-
-    # (vertex set, boundary, parent node); the A child is popped first
-    stack = [(region, frozenset(), -1)]
+    stack = [(frozenset(range(G.n)), frozenset(), -1)]  # (vertex set, boundary, parent)
     while stack:
         vset, bnd, parent = stack.pop()
-        idx = len(parents)
         parents.append(parent)
-        inner = vset - bnd
-        if pow3 * len(inner) <= n * pow2:
+        split = _split(G, vset, bnd, G.n, a, h, oracle)
+        if split is None:
             bags.append(vset)
             continue
-        H, new_to_old = induced_subgraph(G, inner)
-        outcome = oracle(H)
-        sep = outcome.separation
-        if sep is None:
-            raise OracleFailureError(inner, outcome.certified)
-        try:
-            ok = sep.order <= a and is_balanced(H, sep)
-        except (InvalidSeparationError, VertexOutOfRangeError):
-            ok = False  # not a separation of H
-        if not ok:
-            raise OracleFailureError(inner, certified=False)
-        A = frozenset(new_to_old[v] for v in sep.a_side)
-        B = frozenset(new_to_old[v] for v in sep.b_side)
-        bag = bnd | (A & B)
+        bag, A, B = split
         bags.append(bag)
-        # the boundary rides along into both children so that its edges into
-        # the interior stay covered; each child's boundary is this node's bag
-        stack.append((B | bnd, bag, idx))
-        stack.append((A | bnd, bag, idx))
+        stack.append((B, bag, len(bags) - 1))
+        stack.append((A, bag, len(bags) - 1))
     return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
+
+
+def _split(G: Graph, vset: VertexSet, bnd: VertexSet, n: int, a: int, h: int, oracle):
+    """One node of the separation tree of an n-vertex region of G, in G's
+    ids: None for a leaf, else (bag, A ∪ bnd, B ∪ bnd), its bag and its
+    children's vertex sets, whose boundary is the bag.  The oracle is handed
+    G[vset - bnd].  A miss raises OracleFailureError with the oracle's
+    ``certified`` flag, an answer that is not a balanced separation of order
+    <= a of that graph an uncertified one; the witness is vset - bnd.
+    """
+    inner = vset - bnd
+    if 3**h * len(inner) <= n * 2**h:
+        return None
+    H, new_to_old = induced_subgraph(G, inner)
+    outcome = oracle(H)
+    sep = outcome.separation
+    if sep is None:
+        raise OracleFailureError(inner, outcome.certified)
+    try:
+        ok = sep.order <= a and is_balanced(H, sep)
+    except (InvalidSeparationError, VertexOutOfRangeError):
+        ok = False  # not a separation of H
+    if not ok:
+        raise OracleFailureError(inner, certified=False)
+    A = frozenset(new_to_old[v] for v in sep.a_side)
+    B = frozenset(new_to_old[v] for v in sep.b_side)
+    # the boundary rides along into both children so that its edges into
+    # the interior stay covered
+    return bnd | (A & B), A | bnd, B | bnd

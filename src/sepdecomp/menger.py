@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import PostconditionFailedError
+from .errors import InvalidInputError, PostconditionFailedError
 from .graph import Graph, VertexSet, _check_vertices, _stz_sides
 
 
@@ -96,6 +96,8 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     When fewer than `cap` paths exist, a minimum separator of matching size
     is returned; it contains S∩T and removing it destroys all S-T paths.
     """
+    if cap < 0:
+        raise InvalidInputError(f"cap must be >= 0, got {cap}")
     S = _check_vertices(G, S)
     T = _check_vertices(G, T)
     common = sorted(S & T)

@@ -26,7 +26,12 @@ from math import comb
 from typing import Iterable, Optional
 
 from . import kernels
-from .errors import NotSeparatedError, PostconditionFailedError, SizeLimitExceededError
+from .errors import (
+    InvalidInputError,
+    NotSeparatedError,
+    PostconditionFailedError,
+    SizeLimitExceededError,
+)
 from .graph import (
     Graph,
     Separation,
@@ -112,6 +117,8 @@ def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     only once it is checked balanced with order <= a, and a miss is an
     uncertified failure.
     """
+    if a < 0:
+        raise InvalidInputError(f"a must be >= 0, got {a}")
     if _bounded_candidates(G.n, a) <= CANDIDATE_BUDGET:
         found = kernels.min_balanced_separation(G.n, G.adj_masks, min(a, G.n))
         if found is None:

@@ -1,9 +1,8 @@
-import dataclasses
 import json
 
 import pytest
 
-from sepdecomp import cli
+from sepdecomp import cli, constructor
 from sepdecomp.cli import dispatch
 from sepdecomp.errors import PostconditionFailedError
 from sepdecomp.generators import cycle_graph, grid_graph, partial_ktree, path_graph
@@ -86,24 +85,6 @@ class TestConstruct:
         assert dispatch(["construct", "--input", g, "--a", "1", "--stats", str(stats)]) == 0
         assert json.loads(stats.read_text())["assertions_checked"] > 0
 
-    def test_width_bound_is_strict(self, tmp_path, monkeypatch, capsys):
-        # 139*(7914+1) == 7915*139: a bag of exactly c*a vertices breaks the bound
-        real = cli.construct
-
-        def fake(G, a, W, **kwargs):
-            rep = real(G, 1, W, **kwargs)
-            return dataclasses.replace(rep, a_used=139, width=7914, bound_num=7915 * 139)
-
-        monkeypatch.setattr(cli, "construct", fake)
-        g = gr(tmp_path, path_graph(10))
-        assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
-
-    def test_invalid_decomposition_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "validate_decomposition", lambda G, td: (False, ["bad bag"]))
-        g = gr(tmp_path, path_graph(10))
-        assert dispatch(["construct", "--input", g, "--a", "1"]) == 1
-        assert capsys.readouterr().err == "bad bag\n"
-
     def test_postcondition_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         def fake(G, a, W, **kwargs):
             raise PostconditionFailedError("construct: invalid decomposition: vertex 3 in no bag")
@@ -184,22 +165,18 @@ class TestTheorem2:
         g = gr(tmp_path, path_graph(12))
         assert dispatch(["theorem2", "--input", g]) == 0
 
-    def test_invalid_decomposition_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "validate_decomposition", lambda G, td: (False, ["bad bag"]))
-        g = gr(tmp_path, path_graph(12))
-        assert dispatch(["theorem2", "--input", g, "--a", "1"]) == 1
-        assert capsys.readouterr().err == "bad bag\n"
+    def test_postcondition_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        # construct_theorem2 validates its own output: a bag missing a vertex
+        # is a PostconditionFailedError, which the CLI reports with exit 1
+        real = constructor.RootedTreeDecomposition
 
-    def test_width_bound_is_strict(self, tmp_path, monkeypatch, capsys):
-        real = cli.construct_theorem2
+        def corrupt(host_n, parents, bags):
+            return real(host_n, parents, bags[:-1] + (bags[-1] - {max(bags[-1])},))
 
-        def fake(G, a):
-            return dataclasses.replace(real(G, a), width=4 * a)
-
-        monkeypatch.setattr(cli, "construct_theorem2", fake)
-        g = gr(tmp_path, path_graph(12))
-        assert dispatch(["theorem2", "--input", g, "--a", "1"]) == 1
-        assert capsys.readouterr().out == "width 4 (bound 4)\n"
+        monkeypatch.setattr(constructor, "RootedTreeDecomposition", corrupt)
+        g = gr(tmp_path, cycle_graph(12))
+        assert dispatch(["theorem2", "--input", g, "--a", "2"]) == 1
+        assert "error: construct_theorem2: invalid decomposition" in capsys.readouterr().err
 
 
 class TestSuite:

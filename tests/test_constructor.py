@@ -174,19 +174,55 @@ class TestConstruct:
     def test_invalid_output_raises(self, monkeypatch):
         # a T_Y root bag missing a vertex no longer decomposes G; construct's
         # own validation of its output catches it
-        real = constructor._restricted
+        real = constructor._split
         calls = []
 
-        def corrupt(td, X, Y, interiors):
-            bags = list(real(td, X, Y, interiors))
-            if not calls:
-                bags[0] -= {max(bags[0])}
-            calls.append(1)
-            return tuple(bags)
+        def corrupt(*args):
+            split = real(*args)
+            if split is not None and not calls:
+                bag, A, B = split
+                split = (bag - {max(bag)}, A, B)
+            calls.append(split)
+            return split
 
-        monkeypatch.setattr(constructor, "_restricted", corrupt)
+        monkeypatch.setattr(constructor, "_split", corrupt)
         with pytest.raises(PostconditionFailedError, match="^construct: invalid decomposition"):
             construct(path_graph(400), 1, {0})
+        assert calls[0] is not None
+
+    @pytest.mark.parametrize(
+        "G,a,W",
+        [
+            (path_graph(400), 1, {0}),
+            (cycle_graph(300), 2, {0}),
+            (partial_ktree(120, 2, seed=1), 3, {0, 1}),
+        ],
+        ids=["path400", "cycle300", "ktree2"],
+    )
+    def test_one_cell_bound_check_per_separation_tree_node(self, G, a, W):
+        # each T_Y node is one cell on the work stack, and each cell checks
+        # the cell bound once
+        stats = construct(G, a, W).recursion_stats
+        assert stats.separation_tree_nodes > 0
+        assert stats.claims["cell_bound"] == stats.separation_tree_nodes
+
+    def test_treewidth_violation_names_the_bag(self, monkeypatch):
+        # every T_Y bag is checked on its own; the first one checked is the
+        # root bag, node 0
+        G = path_graph(400)
+        root_bag = construct(G, 1, {0}).decomposition.bags[0]
+
+        class NoBagFits(constructor.Constants):
+            def width_bound_ok(self, w, a):
+                return False
+
+        monkeypatch.setattr(constructor, "CONSTANTS", NoBagFits())
+        with pytest.raises(PostconditionFailedError) as ei:
+            construct(G, 1, {0})
+        assert str(ei.value) == (
+            "construct: claim treewidth_bound violated: "
+            f"T_Y bag of {len(root_bag)} vertices vs a=1"
+        )
 
 
 class TestTheorem2:
@@ -224,6 +260,20 @@ class TestTheorem2:
     def test_a_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             construct_theorem2(path_graph(5), 0)
+
+    def test_invalid_output_raises(self, monkeypatch):
+        # a leaf bag missing a vertex no longer decomposes G; construct_theorem2
+        # validates its own output
+        real = constructor.RootedTreeDecomposition
+
+        def corrupt(host_n, parents, bags):
+            return real(host_n, parents, bags[:-1] + (bags[-1] - {max(bags[-1])},))
+
+        monkeypatch.setattr(constructor, "RootedTreeDecomposition", corrupt)
+        with pytest.raises(
+            PostconditionFailedError, match="^construct_theorem2: invalid decomposition"
+        ):
+            construct_theorem2(cycle_graph(12), 2)
 
 
 def exhaustive_useful_w_balanced(G, w_mask: int, wpad_mask: int, a: int):

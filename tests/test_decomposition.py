@@ -11,7 +11,7 @@ from sepdecomp.graph import Separation, build_graph, induced_subgraph
 from sepdecomp.separations import SeparatorOracleOutcome, make_oracle
 from sepdecomp.decomposition import (
     RootedTreeDecomposition,
-    _separation_tree,
+    _split,
     restrict_decomposition,
     separation_tree,
     validate_decomposition,
@@ -290,8 +290,22 @@ class TestSeparationTree:
                 assert t.boundaries()[c] <= t.bags[x]
 
     def test_region_matches_induced_reference(self):
-        # over a region of G, the tree is separation_tree of G[region] with
-        # its bags mapped back to G's ids; so is a failure's witness
+        # _split driven over a region R of G, from the root (R, {}) with
+        # n = |R|, builds separation_tree of G[R] with its bags in G's ids;
+        # a failure's witness is the same graph's vertex set, in G's ids
+        def split_walk(G, region, a, h, oracle):
+            parents, bags = [], []
+            stack = [(region, frozenset(), -1)]
+            while stack:
+                vset, bnd, parent = stack.pop()
+                parents.append(parent)
+                split = _split(G, vset, bnd, len(region), a, h, oracle)
+                bags.append(vset if split is None else split[0])
+                if split is not None:
+                    stack.append((split[2], split[0], len(bags) - 1))
+                    stack.append((split[1], split[0], len(bags) - 1))
+            return tuple(parents), tuple(bags)
+
         rng = random.Random(14)
         outcomes = set()
         for trial in range(40):
@@ -307,20 +321,26 @@ class TestSeparationTree:
                 ref = separation_tree(H, a, h, oracle)
             except OracleFailureError as exc:
                 with pytest.raises(OracleFailureError) as ei:
-                    _separation_tree(G, region, a, h, oracle)
+                    split_walk(G, region, a, h, oracle)
                 assert ei.value.witness == frozenset(to_g[v] for v in exc.witness)
                 assert ei.value.certified == exc.certified
                 outcomes.add("failure")
                 continue
-            got = _separation_tree(G, region, a, h, oracle)
-            assert got.host_n == G.n and got.parents == ref.parents
-            assert got.bags == tuple(frozenset(to_g[v] for v in b) for b in ref.bags)
-            outcomes.add("tree" if got.size > 1 else "leaf")
+            parents, bags = split_walk(G, region, a, h, oracle)
+            assert parents == ref.parents
+            assert bags == tuple(frozenset(to_g[v] for v in b) for b in ref.bags)
+            outcomes.add("tree" if len(bags) > 1 else "leaf")
         assert outcomes == {"failure", "tree", "leaf"}
 
     def test_negative_height_rejected(self):
         with pytest.raises(InvalidInputError):
             separation_tree(path_graph(3), 1, -1)
+
+    @pytest.mark.parametrize("G", [path_graph(3), path_graph(40)], ids=["leaf", "tree"])
+    def test_negative_order_rejected(self, G):
+        # not a certified failure: no order below 0 means anything
+        with pytest.raises(InvalidInputError):
+            separation_tree(G, -1, 4)
 
     @pytest.mark.parametrize(
         "answer",

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from sepdecomp.errors import InvalidInputError
 from sepdecomp.generators import complete_graph, gnp_graph, path_graph
 from sepdecomp.graph import build_graph
 from sepdecomp.menger import disjoint_paths, separates
@@ -49,6 +50,11 @@ class TestDisjointPaths:
         for p in res.paths:
             assert not (set(p) & seen)
             seen |= set(p)
+
+    def test_negative_cap_rejected(self):
+        # common[:-1] would hand back all but the last shared vertex
+        with pytest.raises(InvalidInputError):
+            disjoint_paths(path_graph(5), [0, 1, 2], [0, 1, 2], -1)
 
     def test_disconnected_no_paths(self):
         G = build_graph(4, [(0, 1), (2, 3)])

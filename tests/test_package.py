@@ -3,7 +3,8 @@ running tests' imports stay untouched: re-importing the package frees the
 old copy, the golden constructions come out the same under python -O, the
 constructions leave the interpreter's state alone, and a violated claim
 raises a typed error with or without -O.  One more reads the source: no
-assert statement (python -O strips them) and no import inside a function."""
+assert statement (python -O strips them), no import inside a function and
+no module-level import that its module never uses."""
 
 import ast
 import json
@@ -123,12 +124,31 @@ def test_violated_claim_raises_typed_error(flags):
     assert (out["message"] or "").startswith("construct: claim treewidth_bound violated")
 
 
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each module-level import whose name the module never
+    reads, counting a name listed in ``__all__`` as read."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in bound if name not in read]
+
+
 def test_source_has_no_assert_or_function_level_import():
     paths = sorted((SRC / "sepdecomp").rglob("*.py"))
     assert paths
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(), str(path))
+        found.extend(f"{path.name}:{line}: unused import {n}" for line, n in unused_imports(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}: assert")
@@ -139,3 +159,16 @@ def test_source_has_no_assert_or_function_level_import():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 )
     assert found == []
+
+
+def test_unused_import_guard_reads_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Optional as Opt, Iterable\n"
+        "from .graph import Graph, mask_of\n"
+        "__all__ = ['mask_of']\n"
+        "def f(x: Opt[int]) -> Graph:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(tree) == [(3, "Iterable")]

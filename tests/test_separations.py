@@ -3,7 +3,12 @@ import random
 import pytest
 
 from sepdecomp import kernels
-from sepdecomp.errors import NotSeparatedError, PostconditionFailedError, SizeLimitExceededError
+from sepdecomp.errors import (
+    InvalidInputError,
+    NotSeparatedError,
+    PostconditionFailedError,
+    SizeLimitExceededError,
+)
 from sepdecomp.generators import (
     complete_graph,
     cycle_graph,
@@ -142,6 +147,11 @@ class TestBalancedSeparationWithin:
         out = balanced_separation_within(path_graph(200), 1)
         assert out.found and out.certified
         assert is_balanced(path_graph(200), out.separation)
+
+    def test_negative_order_rejected(self):
+        # not a certified failure: no order below 0 means anything
+        with pytest.raises(InvalidInputError):
+            balanced_separation_within(path_graph(10), -1)
 
     def test_heuristic_mode_finds_trivial(self):
         G = gnp_graph(40, 0.5, 11)
