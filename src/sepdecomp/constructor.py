@@ -176,7 +176,8 @@ def _construct(
             vset, bnd, p, d, pbag, frame = item
             x_side, Y, wz, top_n, n, depth = frame
             stats.separation_tree_nodes += 1
-            lhs = len((vset - bnd) & wz)
+            inner = vset - bnd
+            lhs = len(inner & wz)
             stats.check(
                 "construct",
                 "cell_bound",
@@ -203,7 +204,7 @@ def _construct(
                 continue
             stats.oracle_calls += 1
             bag, A, B = split
-            rbag = (bag & Y) | ((vset - bnd) & x_side & Y)
+            rbag = (bag & Y) | (inner & x_side & Y)
             if not (d or wz <= rbag):
                 raise PostconditionFailedError("construct: the T_Y root bag misses W ∪ Z")
             _check_t_y_bag(stats, rbag, a)

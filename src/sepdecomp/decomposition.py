@@ -167,13 +167,13 @@ def restrict_decomposition(
 def separation_tree(
     G: Graph, a: int, h: int, oracle=None
 ) -> RootedTreeDecomposition:
-    """Height-<= h decomposition from repeated balanced separations.
-
-    Built in preorder, A child first, on an explicit stack of (vertex set,
-    boundary) pairs, each expanded by ``_split``: a node becomes a leaf with
-    its vertex set as bag once the rest fits under n*(2/3)^h, compared in
-    exact integers.  Interior/boundary sizes then satisfy
-    |interior| <= n*(2/3)^depth and |boundary| <= depth*a at every node.
+    """Height-<= h decomposition from repeated balanced separations, built
+    in preorder, A child first, by ``_split``: a node is a leaf, with its
+    vertex set as bag, once its interior fits under n*(2/3)^h (in exact
+    integers), so |interior| <= n*(2/3)^depth and |boundary| <= depth*a at
+    every node.  Each inner node is one oracle call; a miss, or an answer
+    that is not a balanced separation of order <= a, raises
+    OracleFailureError.
     """
     if a < 0 or h < 0:
         raise InvalidInputError(f"a and h must be >= 0, got a={a}, h={h}")
