@@ -72,7 +72,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "assertions_checked": sum(report.recursion_stats.claims.values()),
         }
         Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n")
-    print(f"width {report.width} (bound {report.bound_num}/{report.bound_den})")
+    print(f"width {report.width} (bags < {report.bound_num}/{report.bound_den} vertices)")
     return OK
 
 

@@ -93,7 +93,10 @@ class ConstructReport:
     decomposition: RootedTreeDecomposition
     a_used: int
     width: int
-    bound_num: int  # width must stay strictly below bound_num / bound_den
+    # the checked bound b = bound_num / bound_den: construct's bags each have
+    # fewer than b = 7915a/139 vertices (139*(width+1) < 7915*a), and
+    # construct_theorem2's width is below b = 4a
+    bound_num: int
     bound_den: int
     certificate_node: int
     recursion_stats: RecursionStats
@@ -105,7 +108,8 @@ def construct(
     W: Iterable[int],
     oracle: Optional[Oracle] = None,
 ) -> ConstructReport:
-    """Decomposition of width < (7915/139)*a with W inside the root bag.
+    """Decomposition whose bags each have fewer than (7915/139)*a
+    vertices, that is 139*(width+1) < 7915*a, with W inside the root bag.
 
     The oracle must produce balanced separations of order <= a for every
     subgraph it is handed; with an exact oracle a failure certifies

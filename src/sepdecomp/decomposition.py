@@ -10,7 +10,16 @@ from .errors import (
     OracleFailureError,
     VertexOutOfRangeError,
 )
-from .graph import Graph, Separation, VertexSet, induced_subgraph, is_balanced, is_separation
+from .graph import (
+    Graph,
+    Separation,
+    VertexSet,
+    induced_subgraph,
+    is_balanced,
+    is_separation,
+    mask_of,
+    mask_vertices,
+)
 from .separations import make_oracle
 
 
@@ -44,15 +53,6 @@ class RootedTreeDecomposition:
                 out[p].append(x)
         return out
 
-    def depths(self) -> list[int]:
-        depth = [-1] * self.size
-        depth[self.root] = 0
-        order = self.preorder()
-        for x in order:
-            if x != self.root:
-                depth[x] = depth[self.parents[x]] + 1
-        return depth
-
     def preorder(self) -> list[int]:
         children = self.children()
         order = []
@@ -84,29 +84,25 @@ class RootedTreeDecomposition:
         bnd = self.boundaries()
         return [unions[x] - bnd[x] for x in range(self.size)]
 
-    def leaves(self) -> list[int]:
-        children = self.children()
-        return [x for x in range(self.size) if not children[x]]
-
 
 def width(td: RootedTreeDecomposition) -> int:
     return max(len(b) for b in td.bags) - 1
 
 
 def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool, list[str]]:
-    """Check tree well-formedness and both tree-decomposition properties."""
+    """Check tree well-formedness and both tree-decomposition properties,
+    on one vertex bitmask per bag."""
     violations: list[str] = []
     n_nodes = td.size
     # well-formed tree: valid parents, no cycles, all nodes reach the root
-    depth = [-2] * n_nodes
+    reached = [False] * n_nodes  # reached[x]: x's parent chain ends at the root
     for x in range(n_nodes):
         chain = []
         y = x
-        while depth[y] == -2:
+        while not reached[y]:
             chain.append(y)
             p = td.parents[y]
             if p == -1:
-                depth[y] = 0
                 break
             if not (0 <= p < n_nodes):
                 violations.append(f"node {y}: parent {p} out of range")
@@ -115,33 +111,35 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
                 violations.append(f"cycle through node {p}")
                 return False, violations
             y = p
-        for y in reversed(chain):
-            if depth[y] == -2:
-                depth[y] = depth[td.parents[y]] + 1
-    # one pass over the bags: holders[v] lists the nodes holding v, ascending
-    holders: list[list[int]] = [[] for _ in range(G.n)]
-    for x, b in enumerate(td.bags):
+        for y in chain:
+            reached[y] = True
+    # one bitmask per bag; an out-of-range vertex is reported and left out
+    n, kept = G.n, td.bags
+    used = frozenset().union(*kept)
+    if used and not (min(used) >= 0 and max(used) < n):
+        violations.extend(f"bag vertex {v} out of range" for b in kept for v in b if not 0 <= v < n)
+        kept = [[v for v in b if 0 <= v < n] for b in kept]
+    masks = [mask_of(b) for b in kept]
+    # cover[v]: the union of the bags holding v; held[v]: how many bags hold
+    # v; linked[v]: how many tree edges have v in the bags at both ends
+    cover, held, linked = [0] * n, [0] * n, [0] * n
+    for b, m, p in zip(kept, masks, td.parents):
+        pm = masks[p] if p != -1 else 0
         for v in b:
-            if 0 <= v < G.n:
-                holders[v].append(x)
-            else:
-                violations.append(f"bag vertex {v} out of range")
-    # (i) every edge inside some bag: scan the shorter holder list
-    for u, v in G.edges():
-        nodes, other = (holders[u], v) if len(holders[u]) <= len(holders[v]) else (holders[v], u)
-        if not any(other in td.bags[x] for x in nodes):
-            violations.append(f"edge ({u},{v}) uncovered")
-    # (ii) the nodes holding each vertex induce a non-empty subtree
-    for v, hs in enumerate(holders):
-        if not hs:
+            cover[v] |= m
+            held[v] += 1
+            linked[v] += pm >> v & 1
+    # (i) every edge inside some bag
+    for u, (nbrs, cov) in enumerate(zip(G.adj_masks, cover)):
+        missing = nbrs & ~cov & -2 << u  # the neighbours v > u outside cover[u]
+        if missing:
+            violations.extend(f"edge ({u},{v}) uncovered" for v in mask_vertices(missing))
+    # (ii) the bags holding each vertex induce a non-empty subtree: a forest
+    # on held[v] nodes with linked[v] edges is a tree iff it has one edge less
+    for v in range(n):
+        if not held[v]:
             violations.append(f"vertex {v} in no bag")
-            continue
-        holder_set = set(hs)
-        internal_edges = sum(
-            1 for x in hs
-            if td.parents[x] != -1 and td.parents[x] in holder_set
-        )
-        if internal_edges != len(hs) - 1:
+        elif linked[v] != held[v] - 1:
             violations.append(f"vertex {v} bags not connected")
     return not violations, violations
 

@@ -93,13 +93,10 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     S = _check_vertices(G, S)
     old_ids = sorted(S)
     new_of_old = {old: new for new, old in enumerate(old_ids)}
-    edges = [
-        (new_of_old[u], new_of_old[v])
-        for u in old_ids
-        for v in G.adjacency[u]
-        if u < v and v in S
-    ]
-    H = build_graph(len(old_ids), edges)
+    # G is simple and its lists sorted, and the id map increases, so the
+    # relabelled lists need no checks and no sort
+    adjacency = tuple(tuple([new_of_old[v] for v in G.adjacency[u] if v in S]) for u in old_ids)
+    H = Graph(n=len(old_ids), adjacency=adjacency, adj_masks=tuple(map(mask_of, adjacency)))
     return H, dict(enumerate(old_ids))
 
 

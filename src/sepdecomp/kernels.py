@@ -5,22 +5,24 @@ search, separation number, and exact treewidth.  They are plain Python and
 work for any n, since vertex sets are Python ints used as bitmasks.
 
 Graphs come in as ``(n, adj_masks)`` where ``adj_masks[v]`` is the neighbor
-bitmask of vertex v.  ``separators`` lists candidate separators of the
-subgraph induced on a universe mask by increasing size, with the components
-each leaves behind; the separation number (over each subset) and the
-W-balanced iteration of ``construct_theorem2`` (over each X of the input
-graph, with no induced copy) apply their own rules to it.  The (W-)balanced
-separation search visits the same candidates in the same order, but gets
-their pieces from one low-link DFS per separator prefix instead of one
-component search per candidate.  The two split by input size.  On a whole
-graph the DFS wins: 0.15 ms against 0.61 ms on a 60-vertex path, 0.34 ms
-against 0.80 ms on a 40-vertex partial 2-tree of separation order 2 (Xeon,
-CPython 3.11).  On the subsets of at most 14 vertices that
-``separation_number`` walks, its per-prefix set-up costs more than it
-saves: moved onto the DFS with ``_useful_w_balanced``, it kept every output
-but took the benchmark's 32 certify graphs (seeds 0-1) from 0.55 s to 2.2 s
-(1.6 s with neighbour lists built once), and ``construct_theorem2`` from
-0.033 s to 0.041 s (medians of 5).
+bitmask of vertex v; the (W-)balanced separation searches also take the
+sorted neighbour lists the caller holds (``Graph.adjacency``) for their DFS.
+``separators`` lists candidate separators of the subgraph induced on a
+universe mask by increasing size, with the components each leaves behind;
+the separation number (over each subset) and the W-balanced iteration of
+``construct_theorem2`` (over each X of the input graph, with no induced
+copy) apply their own rules to it.  The (W-)balanced separation search
+visits the same candidates in the same order, but gets their pieces from
+one low-link DFS per separator prefix instead of one component search per
+candidate.  The two split by input size.  On a whole graph the DFS wins:
+0.15 ms against 0.61 ms on a 60-vertex path, 0.34 ms against 0.80 ms on a
+40-vertex partial 2-tree of separation order 2 (Xeon, CPython 3.11).  On
+the subsets of at most 14 vertices that ``separation_number`` walks, its
+per-prefix set-up costs more than it saves: moved onto the DFS with
+``_useful_w_balanced``, it kept every output but took the benchmark's 32
+certify graphs (seeds 0-1) from 0.55 s to 2.2 s (1.6 s with neighbour
+lists built once), and ``construct_theorem2`` from 0.033 s to 0.041 s
+(medians of 5).
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _greedy_a_side(z_mask: int, comps, weights, lo: int, hi: int):
     return a_mask
 
 
-def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
+def min_w_balanced_separation(n, adj_masks, adjacency, w_mask, max_order):
     """Minimum-order separation balancing the vertices of W.
 
     Both strict sides may hold at most 2|W|/3 vertices of W.  Returns
@@ -114,7 +116,6 @@ def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
     components themselves are only listed for the winning separator.
     """
     hi = (2 * w_mask.bit_count()) // 3
-    nbrs = [mask_vertices(m) for m in adj_masks]
     for k in range(min(max_order, n) + 1):
         if k == 0:
             a_mask = _a_side(adj_masks, w_mask, 0, hi)
@@ -122,7 +123,7 @@ def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
                 return 0, 0, a_mask
             continue
         for prefix in combinations(range(n), k - 1):
-            z = _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi)
+            z = _first_feasible_last_vertex(n, adj_masks, adjacency, w_mask, prefix, hi)
             if z is not None:
                 z_mask = mask_of(prefix) | 1 << z
                 a_mask = _a_side(adj_masks, w_mask, z_mask, hi)
@@ -142,7 +143,7 @@ def _a_side(adj_masks, w_mask: int, z_mask: int, hi: int):
     return _greedy_a_side(z_mask, comps, weights, (w_mask & ~z_mask).bit_count() - hi, hi)
 
 
-def _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi):
+def _first_feasible_last_vertex(n, adj_masks, adjacency, w_mask, prefix, hi):
     """Smallest z > max(prefix) such that Z = prefix + z leaves pieces
     with a W-balanced grouping, or None."""
     start = prefix[-1] + 1 if prefix else 0
@@ -168,7 +169,7 @@ def _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi):
         t += 1
         sub_w[root] = w_mask >> root & 1
         root_of[root] = root
-        stack = [(root, -1, iter(nbrs[root]))]
+        stack = [(root, -1, iter(adjacency[root]))]
         while stack:
             v, p, it = stack[-1]
             for u in it:
@@ -178,7 +179,7 @@ def _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi):
                     t += 1
                     sub_w[u] = w_mask >> u & 1
                     root_of[u] = root
-                    stack.append((u, v, iter(nbrs[u])))
+                    stack.append((u, v, iter(adjacency[u])))
                     break
                 if d >= 0 and u != p and d < low[v]:
                     low[v] = d
@@ -208,10 +209,10 @@ def _first_feasible_last_vertex(n, adj_masks, nbrs, w_mask, prefix, hi):
     return None
 
 
-def min_balanced_separation(n, adj_masks, max_order):
+def min_balanced_separation(n, adj_masks, adjacency, max_order):
     """Minimum-order balanced separation: the W = V case of
     ``min_w_balanced_separation``, with the same result and tie-break."""
-    return min_w_balanced_separation(n, adj_masks, (1 << n) - 1, max_order)
+    return min_w_balanced_separation(n, adj_masks, adjacency, (1 << n) - 1, max_order)
 
 
 def separation_number(n, adj_masks) -> int:

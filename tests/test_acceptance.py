@@ -273,7 +273,10 @@ def test_criterion_4_separation_tree_invariants(report):
             t = separation_tree(G, a, h)
             ok, violations = validate_decomposition(G, t)
             assert ok, violations
-            depths = t.depths()
+            depths = [0] * t.size
+            for x in t.preorder():
+                if t.parents[x] != -1:
+                    depths[x] = depths[t.parents[x]] + 1
             bnds = t.boundaries()
             ints = t.interiors()
             assert max(depths) <= h
@@ -281,8 +284,9 @@ def test_criterion_4_separation_tree_invariants(report):
                 d = depths[x]
                 assert 3**d * len(ints[x]) <= 2**d * G.n
                 assert len(bnds[x]) <= d * a
-            for leaf in t.leaves():
-                assert 3**h * len(ints[leaf]) <= 2**h * G.n
+            for leaf, kids in enumerate(t.children()):
+                if not kids:
+                    assert 3**h * len(ints[leaf]) <= 2**h * G.n
             nodes += t.size
     report(4, f"height/interior/boundary invariants at {nodes} recursion nodes")
 

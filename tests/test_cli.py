@@ -50,7 +50,7 @@ class TestConstruct:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert out.startswith("width ") and "(bound 7915/139)" in out
+        assert out.startswith("width ") and "(bags < 7915/139 vertices)" in out
         td = parse_td(tdf.read_text())
         assert td.host_n == 60
         blob = json.loads(stats.read_text())

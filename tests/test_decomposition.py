@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +26,27 @@ def td(host_n, parents, bags):
     )
 
 
+def depths(t):
+    """Each node's distance from the root."""
+    depth = [0] * t.size
+    for x in t.preorder():
+        if t.parents[x] != -1:
+            depth[x] = depth[t.parents[x]] + 1
+    return depth
+
+
+def leaves(t):
+    return [x for x, kids in enumerate(t.children()) if not kids]
+
+
 class TestStructure:
     def test_root_and_children(self):
         t = td(3, [-1, 0, 0], [{0}, {0, 1}, {0, 2}])
         assert t.root == 0
         assert t.children() == [[1, 2], [], []]
-        assert t.depths() == [0, 1, 1]
+        assert depths(t) == [0, 1, 1]
         assert t.preorder() == [0, 1, 2]
-        assert t.leaves() == [1, 2]
+        assert leaves(t) == [1, 2]
 
     def test_two_roots_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -84,14 +98,10 @@ class TestValidate:
         assert not ok and any("cycle" in s for s in v)
 
 
-def reference_validate(G, td):
-    """validate_decomposition as it was: one scan over all bags per vertex
-    and per edge.  The one-pass version must give the same verdict and the
-    same violations, in the same order."""
-    violations = []
+def tree_violations(td):
+    """The first fault of the parent array (a parent out of range or a
+    cycle), as validate_decomposition words it, or none."""
     n_nodes = td.size
-    if n_nodes == 0:
-        return False, ["empty tree"]
     depth = [-2] * n_nodes
     for x in range(n_nodes):
         chain = []
@@ -103,15 +113,23 @@ def reference_validate(G, td):
                 depth[y] = 0
                 break
             if not (0 <= p < n_nodes):
-                violations.append(f"node {y}: parent {p} out of range")
-                return False, violations
+                return [f"node {y}: parent {p} out of range"]
             if p in chain:
-                violations.append(f"cycle through node {p}")
-                return False, violations
+                return [f"cycle through node {p}"]
             y = p
         for y in reversed(chain):
             if depth[y] == -2:
                 depth[y] = depth[td.parents[y]] + 1
+    return []
+
+
+def reference_validate(G, td):
+    """validate_decomposition as it was: one scan over all bags per vertex
+    and per edge.  The one-pass version must give the same verdict and the
+    same violations, in the same order."""
+    violations = tree_violations(td)
+    if violations:
+        return False, violations
     for b in td.bags:
         for v in b:
             if not (0 <= v < G.n):
@@ -120,7 +138,7 @@ def reference_validate(G, td):
         if not any(u in b and v in b for b in td.bags):
             violations.append(f"edge ({u},{v}) uncovered")
     for v in range(G.n):
-        holders = [x for x in range(n_nodes) if v in td.bags[x]]
+        holders = [x for x in range(td.size) if v in td.bags[x]]
         if not holders:
             violations.append(f"vertex {v} in no bag")
             continue
@@ -132,6 +150,61 @@ def reference_validate(G, td):
         if internal_edges != len(holders) - 1:
             violations.append(f"vertex {v} bags not connected")
     return not violations, violations
+
+
+def holder_list_validate(G, td):
+    """validate_decomposition before bag masks: one pass over the bags lists
+    the nodes holding each vertex; an edge is covered when a node holding its
+    end with fewer holders holds the other end, and a vertex's holders form a
+    subtree when all of them but one have their parent among them."""
+    violations = tree_violations(td)
+    if violations:
+        return False, violations
+    holders = [[] for _ in range(G.n)]
+    for x, b in enumerate(td.bags):
+        for v in b:
+            if 0 <= v < G.n:
+                holders[v].append(x)
+            else:
+                violations.append(f"bag vertex {v} out of range")
+    for u, v in G.edges():
+        nodes, other = (holders[u], v) if len(holders[u]) <= len(holders[v]) else (holders[v], u)
+        if not any(other in td.bags[x] for x in nodes):
+            violations.append(f"edge ({u},{v}) uncovered")
+    for v, hs in enumerate(holders):
+        if not hs:
+            violations.append(f"vertex {v} in no bag")
+        elif sum(td.parents[x] in hs for x in hs) != len(hs) - 1:
+            violations.append(f"vertex {v} bags not connected")
+    return not violations, violations
+
+
+def tampered(G, t, rng):
+    """Invalid copies of the decomposition t of G, one per kind of fault."""
+    bags = [set(b) for b in t.bags]
+    v = rng.randrange(G.n)
+    yield raw_td(t.host_n, t.parents, [b - {v} for b in bags])  # v in no bag
+    u, w = rng.choice(G.edges())
+    yield raw_td(t.host_n, t.parents, [b - {w} if u in b else b for b in bags])  # uncovered
+    holders = [x for x, b in enumerate(bags) if v in b]
+    # a node with no holder of v at or next to it: adding v there splits v's bags
+    far = [
+        x for x in range(t.size)
+        if x not in holders and t.parents[x] not in holders
+        and all(t.parents[h] != x for h in holders)
+    ]
+    if far:
+        x = rng.choice(far)
+        yield raw_td(t.host_n, t.parents, [b | {v} if y == x else b for y, b in enumerate(bags)])
+    for bad_vertex in (G.n, G.n + 7, -1, -4):
+        x = rng.randrange(t.size)
+        yield raw_td(t.host_n, t.parents, [b | {bad_vertex} if y == x else b for y, b in enumerate(bags)])
+    if t.size > 1:
+        x = rng.randrange(1, t.size) if t.parents[0] == -1 else 0
+        for p in (t.size, -5, x):  # out of range twice, then a self-loop cycle
+            parents = list(t.parents)
+            parents[x] = p
+            yield raw_td(t.host_n, parents, bags)
 
 
 def raw_td(host_n, parents, bags):
@@ -189,6 +262,25 @@ class TestValidateMatchesReference:
                 assert got == reference_validate(G, bad)
                 verdicts.add(got[0])
         assert verdicts == {False, True}
+
+    def test_targeted_tampers_match_holder_lists(self):
+        rng = random.Random(16)
+        seen = set()
+        for G, t in self.decompositions():
+            assert holder_list_validate(G, t) == (True, [])
+            for bad in tampered(G, t, rng):
+                got = validate_decomposition(G, bad)
+                assert not got[0]
+                assert got == holder_list_validate(G, bad) == reference_validate(G, bad)
+                seen.update(re.sub(r"[-\d]+", "#", s) for s in got[1])
+        assert seen == {
+            "vertex # in no bag",
+            "edge (#,#) uncovered",
+            "vertex # bags not connected",
+            "bag vertex # out of range",
+            "node #: parent # out of range",
+            "cycle through node #",
+        }
 
 
 class TestRestrict:
@@ -262,7 +354,7 @@ class TestSeparationTree:
         ok, v = validate_decomposition(G, t)
         assert ok, v
         # one split suffices: each side has <= 6 = 9*(2/3) non-boundary vertices
-        assert t.depths() == [0, 1, 1]
+        assert depths(t) == [0, 1, 1]
 
     @pytest.mark.parametrize("h", [0, 1, 2, 3, 4])
     def test_depth_size_bounds(self, h):
@@ -272,11 +364,9 @@ class TestSeparationTree:
         t = separation_tree(G, a, h)
         ok, v = validate_decomposition(G, t)
         assert ok, v
-        depths = t.depths()
         bnds = t.boundaries()
         ints = t.interiors()
-        for x in range(t.size):
-            d = depths[x]
+        for x, d in enumerate(depths(t)):
             assert 3 ** d * len(ints[x]) <= G.n * 2 ** d
             assert len(bnds[x]) <= d * a
 

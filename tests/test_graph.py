@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from sepdecomp.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from sepdecomp.generators import gnp_graph
+from sepdecomp.generators import gnp_graph, grid_graph, random_tree
 from sepdecomp.graph import (
     Separation,
     build_graph,
@@ -74,6 +76,34 @@ class TestInducedSubgraph:
         H, new_to_old = induced_subgraph(G, range(G.n))
         assert H.adjacency == G.adjacency
         assert all(new_to_old[v] == v for v in range(G.n))
+
+    def test_matches_build_graph_over_relabelled_edges(self):
+        rng = random.Random(16)
+        hosts = [
+            gnp_graph(n, p, seed)
+            for n, p, seed in ((1, 0.5, 0), (12, 0.3, 1), (40, 0.1, 2), (70, 0.05, 3))
+        ]
+        hosts += [random_tree(n, seed=n) for n in (2, 30, 90)]
+        hosts += [grid_graph(1, 5), grid_graph(4, 4), grid_graph(7, 9)]
+        for G in hosts:
+            subsets = [set(), set(range(G.n))]
+            subsets += [set(rng.sample(range(G.n), rng.randint(1, G.n))) for _ in range(10)]
+            for S in subsets:
+                H, new_to_old = induced_subgraph(G, S)
+                old_ids = sorted(S)
+                new_of_old = {old: new for new, old in enumerate(old_ids)}
+                ref = build_graph(
+                    len(old_ids),
+                    [(new_of_old[u], new_of_old[v]) for u, v in G.edges() if u in S and v in S],
+                )
+                assert (H.n, H.adjacency, H.adj_masks) == (ref.n, ref.adjacency, ref.adj_masks)
+                assert new_to_old == dict(enumerate(old_ids))
+
+    def test_out_of_range_rejected(self):
+        G = grid_graph(3, 3)
+        for S in ({0, 9}, {-1}, {4, -3}, {100}):
+            with pytest.raises(VertexOutOfRangeError):
+                induced_subgraph(G, S)
 
 
 class TestComponents:

@@ -39,19 +39,19 @@ class TestPureKernels:
     def test_big_graph_bigint_path(self):
         # n = 70 exceeds any single machine word; order-1 search still exact
         G = path_graph(70)
-        found = kernels.min_balanced_separation(G.n, G.adj_masks, 1)
+        found = kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, 1)
         assert found is not None and found[0] == 1
 
     def test_no_separation_within_order(self):
         G = cycle_graph(10)
-        assert kernels.min_balanced_separation(G.n, G.adj_masks, 1) is None
+        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, 1) is None
 
     def test_greedy_a_side_tie_break(self):
         # components {0,4}, {1}, {2,3}: the greedy walk takes {0,4} and stops
         # once the sides balance, although ({0,1,4}, {2,3}) is also balanced
         # with order 0 and has the lexicographically smaller A side
         G = build_graph(5, [(0, 4), (2, 3)])
-        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.n) == (0, 0, 0b10001)
+        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, G.n) == (0, 0, 0b10001)
         assert kernels._greedy_a_side(0, [0b10001, 0b00010, 0b01100], [2, 1, 2], 2, 3) == 0b10001
         alt = Separation(frozenset({0, 1, 4}), frozenset({2, 3}))
         assert is_balanced(G, alt) and alt.order == 0

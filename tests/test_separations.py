@@ -34,12 +34,12 @@ class TestPostconditions:
     typed error naming the function (a plain assert would vanish under -O)."""
 
     def test_min_balanced(self, monkeypatch):
-        monkeypatch.setattr(kernels, "min_balanced_separation", lambda n, adj, k: None)
+        monkeypatch.setattr(kernels, "min_balanced_separation", lambda n, adj, nbrs, k: None)
         with pytest.raises(PostconditionFailedError, match="^min_balanced_separation:"):
             min_balanced_separation(path_graph(4))
 
     def test_min_w_balanced(self, monkeypatch):
-        monkeypatch.setattr(kernels, "min_w_balanced_separation", lambda n, adj, w, k: None)
+        monkeypatch.setattr(kernels, "min_w_balanced_separation", lambda n, adj, nbrs, w, k: None)
         with pytest.raises(PostconditionFailedError, match="^min_w_balanced_separation:"):
             min_w_balanced_separation(path_graph(4), {0, 3})
 
