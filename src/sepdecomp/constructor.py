@@ -126,26 +126,32 @@ def construct(
         oracle = make_oracle(a)
     stats = RecursionStats()
     td = _construct(G, a, W, oracle, stats)
+    c = CONSTANTS.c
+    report = _checked_report("construct", G, td, a, stats, CONSTANTS.width_bound_ok,
+                             "(7915/139)*a", c.numerator * a, c.denominator)
+    if not W <= td.bags[0]:
+        raise PostconditionFailedError("construct: W is not inside the root bag")
+    return report
+
+
+def _checked_report(where: str, G: Graph, td: RootedTreeDecomposition, a: int,
+                    stats: RecursionStats, bound_ok, bound_name: str, bound_num: int,
+                    bound_den: int) -> ConstructReport:
+    """The report on `td`, once it validates and its width w passes
+    bound_ok(w, a); otherwise raises, prefixed with `where`."""
     ok, violations = validate_decomposition(G, td)
     if not ok:
         raise PostconditionFailedError(
-            f"construct: invalid decomposition: {'; '.join(violations[:3])}"
+            f"{where}: invalid decomposition: {'; '.join(violations[:3])}"
         )
     w = width(td)
-    if not CONSTANTS.width_bound_ok(w, a):
+    if not bound_ok(w, a):
         raise PostconditionFailedError(
-            f"construct: width {w} violates the (7915/139)*a bound for a={a}"
+            f"{where}: width {w} violates the {bound_name} bound for a={a}"
         )
-    if not W <= td.bags[0]:
-        raise PostconditionFailedError("construct: W is not inside the root bag")
     return ConstructReport(
-        decomposition=td,
-        a_used=a,
-        width=w,
-        bound_num=CONSTANTS.c.numerator * a,
-        bound_den=CONSTANTS.c.denominator,
-        certificate_node=0,
-        recursion_stats=stats,
+        decomposition=td, a_used=a, width=w, bound_num=bound_num, bound_den=bound_den,
+        certificate_node=0, recursion_stats=stats,
     )
 
 
@@ -366,23 +372,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         stack.append(((X & ~A) | Z, Y | A, here))
         stack.append((A, Y | Z, here))
     td = RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
-    ok, violations = validate_decomposition(G, td)
-    if not ok:
-        raise PostconditionFailedError(
-            f"construct_theorem2: invalid decomposition: {'; '.join(violations[:3])}"
-        )
-    w = width(td)
-    if not w < 4 * a:
-        raise PostconditionFailedError(
-            f"construct_theorem2: width {w} violates the 4a bound for a={a}"
-        )
-    return ConstructReport(
-        decomposition=td,
-        a_used=a,
-        width=w,
-        bound_num=4 * a,
-        bound_den=1,
-        certificate_node=0,
-        recursion_stats=stats,
+    return _checked_report(
+        "construct_theorem2", G, td, a, stats, lambda w, a: w < 4 * a, "4a", 4 * a, 1
     )
 

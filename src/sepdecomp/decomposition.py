@@ -95,24 +95,23 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
     violations: list[str] = []
     n_nodes = td.size
     # well-formed tree: valid parents, no cycles, all nodes reach the root
-    reached = [False] * n_nodes  # reached[x]: x's parent chain ends at the root
+    # walk[y]: the first node x whose parent chain passed y; every walk that
+    # returns here reached the root, so only the current one can meet itself
+    walk = [-1] * n_nodes
     for x in range(n_nodes):
-        chain = []
         y = x
-        while not reached[y]:
-            chain.append(y)
+        while walk[y] == -1:
+            walk[y] = x
             p = td.parents[y]
             if p == -1:
                 break
             if not (0 <= p < n_nodes):
                 violations.append(f"node {y}: parent {p} out of range")
                 return False, violations
-            if p in chain:
+            if walk[p] == x:
                 violations.append(f"cycle through node {p}")
                 return False, violations
             y = p
-        for y in chain:
-            reached[y] = True
     # one bitmask per bag; an out-of-range vertex is reported and left out
     n, kept = G.n, td.bags
     used = frozenset().union(*kept)

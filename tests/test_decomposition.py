@@ -97,6 +97,23 @@ class TestValidate:
         ok, v = validate_decomposition(build_graph(1, []), t)
         assert not ok and any("cycle" in s for s in v)
 
+    def test_long_chain_listed_leaves_first(self):
+        # node x hangs below node x + 1, so the first walk climbs the whole
+        # chain to the root, which comes last
+        n = 4000
+        t = td(n + 1, [*range(1, n), -1], [{x, x + 1} for x in range(n)])
+        assert validate_decomposition(path_graph(n + 1), t) == (True, [])
+
+    def test_cycle_deep_in_long_chain(self):
+        # a leaves-first chain of 3000 nodes runs into the cycle 3000 -> 3001
+        # -> 3002 -> 3000; the root, 3003, stands apart
+        n = 3000
+        t = RootedTreeDecomposition.__new__(RootedTreeDecomposition)
+        object.__setattr__(t, "host_n", 1)
+        object.__setattr__(t, "parents", (*range(1, n + 2), n, -1))
+        object.__setattr__(t, "bags", (frozenset({0}),) * (n + 4))
+        assert validate_decomposition(build_graph(1, []), t) == (False, [f"cycle through node {n}"])
+
 
 def tree_violations(td):
     """The first fault of the parent array (a parent out of range or a

@@ -13,7 +13,7 @@ from sepdecomp.generators import (
     random_tree,
 )
 from sepdecomp.graph import Separation, build_graph
-from sepdecomp.decomposition import validate_decomposition, width
+from sepdecomp.decomposition import RootedTreeDecomposition, validate_decomposition, width
 from sepdecomp import constructor, kernels, verification
 from sepdecomp.constructor import construct_theorem2
 from sepdecomp.separations import (
@@ -241,17 +241,19 @@ class TestSuite:
         assert rep.records[0].error
 
     def test_width_bound_is_strict(self, monkeypatch):
-        # 139*(7914+1) == 7915*139: a bag of exactly c*a vertices breaks the bound
-        real = verification.construct
+        # 139*(7914+1) == 7915*139: a bag of exactly c*a vertices breaks the
+        # bound; construct enforces it, and the suite records its failure
+        def one_bag(G, a, W, oracle, stats):
+            return RootedTreeDecomposition(G.n, (-1,), (frozenset(range(G.n)),))
 
-        def fake(G, a, W, **kwargs):
-            rep = real(G, a, W, **kwargs)
-            return dataclasses.replace(rep, a_used=139, width=7914, bound_num=7915 * 139)
-
-        monkeypatch.setattr(verification, "construct", fake)
-        rep = run_suite(SuiteConfig(instances=(InstanceSpec("path", {"n": 10}),)))
-        record = rep.records[0]
-        assert record.validated and not record.bound_ok and not record.passed
+        monkeypatch.setattr(constructor, "_construct", one_bag)
+        rep = run_suite(SuiteConfig(instances=(
+            InstanceSpec("path", {"n": 7914}, a=139), InstanceSpec("path", {"n": 7915}, a=139),
+        )))
+        fits, breaks = rep.records
+        assert fits.validated and fits.bound_ok and fits.passed and fits.width == 7913
+        assert not (breaks.validated or breaks.bound_ok or breaks.passed)
+        assert "width 7914 violates the (7915/139)*a bound for a=139" in breaks.error
 
     def test_separation_number_computed_once(self, monkeypatch):
         # a small instance without "a" uses its exact sep both as a and in the record

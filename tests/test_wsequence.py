@@ -1,17 +1,29 @@
 import dataclasses
 import random
+import sys
+import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdecomp import wsequence
+from sepdecomp.constructor import construct
 from sepdecomp.errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
-from sepdecomp.generators import complete_graph, gnp_graph, path_graph
+from sepdecomp.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    grid_graph,
+    path_graph,
+    random_tree,
+)
 from sepdecomp.graph import build_graph, induced_subgraph
 from sepdecomp.menger import PathResult, disjoint_paths, separates
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
+from test_golden import NODE_ID_CASES
 
 
 class TestBuildExamples:
@@ -89,22 +101,27 @@ class TestPostconditions:
 
 
 # path 0-1-2-3-4-5 with W = {0, 2} and w = 2 gives the valid sequence
-# levels {0,2} < {0,1,2,3} < {0,1,2,3,4}, Z = {4}, and witness paths
-# ((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),)
-L0, L1, L2 = frozenset({0, 2}), frozenset({0, 1, 2, 3}), frozenset(range(5))
-P0, P2 = ((0,), (2,)), ((4, 3, 2),)
+# Δ = {0,2}, {1,3}, {4} and Z = {4}: round 1 extends W's own vertices (0 by 1,
+# 2 by 3), round 2 finds no free neighbour of 1 and runs the flow, whose one
+# path 4-3-2 ends the sequence; as paths, ((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),)
+D0, D1, D2 = frozenset({0, 2}), frozenset({1, 3}), frozenset({4})
+K0, K1, K2 = ((0, ()), (2, ())), ((1, 0), (3, 1)), ((4, (3, 2)),)
 TAMPERS = {
-    "short_sequence": ("nesting", {"levels": (L0,)}),
-    "empty_w": ("(a)", {"levels": (frozenset(), L1, L2)}),
-    "short_inner_layer": ("(b)", {"levels": (L0, frozenset({0, 1, 2}), L2)}),
-    "full_last_layer": ("(c)", {"levels": (L0, L1, frozenset(range(6)))}),
-    "unlinked_layer": ("(d)", {"levels": (L0, frozenset({0, 1, 2, 5}), frozenset(range(6)))}),
-    "family_count": ("paths", {"witness_paths": (P0, ((1, 0), (3, 2)))}),
-    "family_size": ("paths", {"witness_paths": (P0, ((1, 0),), P2)}),
-    "wrong_start": ("paths", {"witness_paths": (P0, ((0, 1), (3, 2)), P2)}),
-    "leaves_level": ("paths", {"witness_paths": (P0, ((1, 0), (3, 4, 3, 2)), P2)}),
-    "paths_meet": ("paths", {"witness_paths": (P0, ((1, 2), (3, 2)), P2)}),
-    "non_edge": ("paths", {"witness_paths": (P0, ((1, 2), (3, 0)), P2)}),
+    "short_sequence": ("nesting", {"deltas": (D0,)}),
+    "reused_vertex": ("nesting", {"deltas": (D0, frozenset({1, 2}), D2)}),
+    "empty_w": ("(a)", {"deltas": (frozenset(), D1, D2)}),
+    "short_inner_layer": ("(b)", {"deltas": (D0, frozenset({1}), D2)}),
+    "full_last_layer": ("(c)", {"deltas": (D0, D1, frozenset({4, 5}))}),
+    "unlinked_layer": ("(d)", {"deltas": (D0, frozenset({1, 5}), frozenset({3, 4}))}),
+    "family_count": ("paths", {"links": (K0, K1)}),
+    "family_size": ("paths", {"links": (K0, ((1, 0),), K2)}),
+    "wrong_start": ("paths", {"links": (K0, ((1, 0), (4, 1)), K2)}),
+    "leaves_level": ("paths", {"links": (K0, ((1, (0,)), (3, (4, 3, 2))), K2)}),
+    "paths_meet": ("paths", {"links": (K0, ((1, 0), (3, 0)), K2)}),
+    "non_edge": ("paths", {"links": (K0, ((3, 0), (1, 1)), K2)}),
+    "dangling_link": ("paths", {"links": (K0, ((1, 0), (3, 2)), K2)}),
+    "revisits_path": ("paths", {"deltas": (D0, D1, frozenset({2})), "links": (K0, K1, ((2, 1),))}),
+    "tail_non_edge": ("paths", {"links": (K0, K1, ((4, (2,)),))}),
 }
 
 
@@ -113,8 +130,8 @@ class TestValidateRejects:
     def test_one_field_tampered(self, name):
         G = path_graph(6)
         ws = build_w_sequence(G, {0, 2}, 2)
-        assert (ws.levels, ws.z_set) == ((L0, L1, L2), frozenset({4}))
-        assert ws.witness_paths == (P0, ((1, 0), (3, 2)), P2)
+        assert (ws.deltas, ws.links, ws.z_set) == ((D0, D1, D2), (K0, K1, K2), frozenset({4}))
+        assert ws.witness_paths == (((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),))
         assert validate_w_sequence(G, ws) == (True, [])
         tag, change = TAMPERS[name]
         ok, tags = validate_w_sequence(G, dataclasses.replace(ws, **change))
@@ -124,10 +141,10 @@ class TestValidateRejects:
         G = path_graph(3)
         ws = build_w_sequence(G, {0}, 1)
         bad = type(ws)(
-            levels=(ws.levels[0], frozenset({2})),
+            deltas=(ws.deltas[0], frozenset({0})),
             width_w=1,
             z_set=frozenset(),
-            witness_paths=ws.witness_paths[:2],
+            links=ws.links[:2],
         )
         ok, tags = validate_w_sequence(G, bad)
         assert not ok and "nesting" in tags
@@ -136,27 +153,52 @@ class TestValidateRejects:
         G = path_graph(6)
         ws = build_w_sequence(G, {0, 2}, 2)
         bad = type(ws)(
-            levels=ws.levels, width_w=ws.width_w,
-            z_set=frozenset({0}), witness_paths=ws.witness_paths,
+            deltas=ws.deltas, width_w=ws.width_w,
+            z_set=frozenset({0}), links=ws.links,
         )
         ok, tags = validate_w_sequence(G, bad)
         assert not ok and "(e)" in tags
 
+    def test_link_written_out_as_tail(self):
+        # a level may mix links and written-out paths; the paths are the same
+        G = path_graph(6)
+        ws = build_w_sequence(G, {0, 2}, 2)
+        mixed = dataclasses.replace(ws, links=(K0, ((1, 0), (3, (2,))), K2))
+        assert mixed.witness_paths == ws.witness_paths
+        assert validate_w_sequence(G, mixed) == (True, [])
 
-@settings(max_examples=60, deadline=None)
+
+GRAPHS = {
+    "gnp": lambda n, seed: gnp_graph(n, 0.4, seed),
+    "tree": random_tree,
+    "cycle": lambda n, seed: cycle_graph(n),
+    "grid": lambda n, seed: grid_graph(2 + seed % 3, -(-n // (2 + seed % 3))),
+}
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_random_sequences_validate(data):
-    n = data.draw(st.integers(2, 9))
-    seed = data.draw(st.integers(0, 10_000))
-    G = gnp_graph(n, 0.4, seed)
-    k = data.draw(st.integers(1, min(3, n)))
-    W = frozenset(data.draw(st.permutations(range(n)))[:k])
-    w = data.draw(st.integers(1, len(W)))
+    """Sequences on seeded gnp graphs, trees, cycles and grids validate and
+    agree with the flow reference, with w = |W| (the first round extends W's
+    own vertices) and w < |W| (the first round runs the flow)."""
+    kind = data.draw(st.sampled_from(sorted(GRAPHS)))
+    G = GRAPHS[kind](data.draw(st.integers(3, 24)), data.draw(st.integers(0, 10_000)))
+    k = data.draw(st.integers(1, min(5, G.n)))
+    W = frozenset(data.draw(st.permutations(range(G.n)))[:k])
+    w = data.draw(st.one_of(st.just(len(W)), st.integers(1, len(W))))
     ws = build_w_sequence(G, W, w)
-    ok, tags = validate_w_sequence(G, ws)
-    assert ok, tags
+    assert validate_w_sequence(G, ws) == (True, []) == flow_per_level_validator(G, ws)
     assert ws.levels[0] == W and ws.width_w == w
 
+
+def test_path_witnesses_take_linear_memory():
+    # one vertex a level: each round extends the last path by one link
+    n = 800
+    ws = build_w_sequence(path_graph(n), {0}, 1)
+    stored = sum(1 + (0 if isinstance(rest, int) else len(rest)) for fam in ws.links for _, rest in fam)
+    assert ws.ell == n - 1 and stored <= 2 * n
+    assert validate_w_sequence(path_graph(n), ws) == (True, [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,14 +219,15 @@ def test_tail_matches_full_sequence(data):
 
 def flow_per_level_validator(G, ws):
     """Reference for `validate_w_sequence`: (d) by a Menger flow inside
-    G[W_i] at every level, and the witness families checked on their own."""
+    G[W_i] at every level, and the witness families written out as paths
+    and checked on their own."""
     violated = []
-    levels = ws.levels
-    if len(levels) < 2:
+    deltas = ws.deltas
+    if len(deltas) < 2:
         return False, ["nesting"]
-    if any(not lo <= hi for lo, hi in zip(levels, levels[1:])):
+    levels, W, ell, sizes = ws.levels, deltas[0], ws.ell, ws.sizes
+    if any(lo & d for lo, d in zip(levels, deltas[1:])):
         violated.append("nesting")
-    W, ell, sizes, deltas = levels[0], ws.ell, ws.sizes, ws.deltas
     if not W:
         violated.append("(a)")
     if any(sizes[i] != ws.width_w for i in range(1, ell + 1)):
@@ -192,9 +235,6 @@ def flow_per_level_validator(G, ws):
     if not 0 <= sizes[ell + 1] <= ws.width_w - 1:
         violated.append("(c)")
     for lvl, delta in zip(levels, deltas):
-        if not W <= lvl:
-            violated.append("(d)")
-            break
         H, new_to_old = induced_subgraph(G, lvl)
         old_to_new = {o: n for n, o in new_to_old.items()}
         res = disjoint_paths(
@@ -216,7 +256,7 @@ def flow_per_level_validator(G, ws):
             used |= set(vs)
         return len(fam) == len(delta)
 
-    if len(ws.witness_paths) != len(levels) or not all(
+    if len(ws.links) != len(deltas) or not all(
         family_ok(*t) for t in zip(levels, deltas, ws.witness_paths)
     ):
         violated.append("paths")
@@ -232,39 +272,43 @@ def flow_per_level_validator(G, ws):
 
 def tamper(ws, n, rng):
     """`ws` with one field changed at random, every vertex kept in range."""
-    levels, fams = list(ws.levels), [list(f) for f in ws.witness_paths]
-    i = rng.randrange(len(levels))
+    deltas, fams = list(ws.deltas), [list(f) for f in ws.links]
+    i = rng.randrange(len(deltas))
     v = rng.randrange(n)
-    kind = rng.randrange(10)
+    kind = rng.randrange(11)
     fam = fams[i] if i < len(fams) else []
+    k = rng.randrange(len(fam)) if fam else None
     if kind == 0:
-        levels[i] = levels[i] ^ {v}
+        deltas[i] = deltas[i] ^ {v}
     elif kind == 1:
-        levels[i:] = [lvl | {v} for lvl in levels[i:]]
+        deltas[i] = deltas[i] | {v}
     elif kind == 2:
-        levels[i] = frozenset()
+        deltas[i] = frozenset()
     elif kind == 3:
-        del levels[i]
+        del deltas[i]
     elif kind == 4:
-        j = rng.randrange(len(levels))
-        levels[i], levels[j] = levels[j], levels[i]
+        j = rng.randrange(len(deltas))
+        deltas[i], deltas[j] = deltas[j], deltas[i]
     elif kind == 5 and fam:
-        k = rng.randrange(len(fam))
-        path = list(fam[k])
-        path[rng.randrange(len(path))] = v
-        fam[k] = tuple(path)
+        fam[k] = (v, fam[k][1])
     elif kind == 6 and fam:
-        k = rng.randrange(len(fam))
-        fam[k] = rng.choice([fam[k][::-1], fam[k][:-1], fam[k] + (v,)])
+        head, rest = fam[k]
+        if isinstance(rest, int):
+            rest = rest + rng.choice([-1, 1])
+        else:
+            rest = rng.choice([rest[::-1], rest[:-1], rest + (v,), (v,) + rest])
+        fam[k] = (head, rest)
     elif kind == 7 and fams:
-        rng.choice([lambda: fams.pop(), lambda: fam.append((v,)), fam.clear])()
+        rng.choice([lambda: fams.pop(), lambda: fam.append((v, ())), fam.clear])()
     elif kind == 8:
         return dataclasses.replace(ws, width_w=ws.width_w + rng.choice([-1, 1]))
+    elif kind == 9 and fam and ws.witness_paths[i][k]:
+        # the same path written out in full, which keeps a valid family valid
+        path = ws.witness_paths[i][k]
+        fam[k] = (path[0], path[1:])
     else:
         return dataclasses.replace(ws, z_set=ws.z_set ^ {v})
-    return dataclasses.replace(
-        ws, levels=tuple(levels), witness_paths=tuple(tuple(f) for f in fams)
-    )
+    return dataclasses.replace(ws, deltas=tuple(deltas), links=tuple(tuple(f) for f in fams))
 
 
 def test_tamper_sweep_matches_flow_reference():
@@ -272,7 +316,7 @@ def test_tamper_sweep_matches_flow_reference():
     seen = Counter()
     for i in range(600):
         n = rng.randint(3, 12)
-        G = gnp_graph(n, rng.choice([0.2, 0.35, 0.5]), i)
+        G = gnp_graph(n, rng.choice([0.2, 0.35, 0.5]), i) if i % 3 else random_tree(n, i)
         W = frozenset(rng.sample(range(n), rng.randint(1, min(3, n))))
         ws = build_w_sequence(G, W, rng.randint(1, len(W)))
         for _ in range(rng.randint(1, 2)):
@@ -295,3 +339,36 @@ def test_valid_sequence_needs_no_flow(monkeypatch):
     monkeypatch.setattr(wsequence, "disjoint_paths", refuse)
     for ws in sequences:
         assert validate_w_sequence(G, ws) == (True, [])
+
+
+def load_corpus(monkeypatch):
+    """perfbench/corpus.py as a fresh module, compiled in memory so that no
+    bytecode cache is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    module = types.ModuleType("perfbench_corpus")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclass
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_construct_sequences_validate(monkeypatch):
+    """Every W-sequence that construct builds validates, over the golden
+    construct cases and the benchmark's sparse corpus at seeds 0-2."""
+    real, built = wsequence.build_w_sequence, Counter()
+
+    def checked(G, W, w):
+        ws = real(G, W, w)
+        assert validate_w_sequence(G, ws) == (True, [])
+        built[len(W)] += 1
+        return ws
+
+    corpus = load_corpus(monkeypatch)
+    monkeypatch.setattr(wsequence, "build_w_sequence", checked)
+    runs = [(make(), a, marked) for make, a, marked in NODE_ID_CASES.values()]
+    runs += [
+        (inst.graph, inst.a, lambda G: {0})
+        for seed in range(3) for inst in corpus.build("sparse", seed)
+    ]
+    for G, a, marked in runs:
+        construct(G, a, marked(G))
+    assert sum(built.values()) > 100 and max(built) >= 4
