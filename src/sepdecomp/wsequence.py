@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
 from .graph import (
@@ -30,7 +30,7 @@ from .graph import (
 from .menger import disjoint_paths, separates
 
 # (v, j): v, then path j of the level before; (v, rest): the path (v, *rest)
-Link = tuple[int, Union[int, tuple[int, ...]]]
+Link = tuple[int, int | tuple[int, ...]]
 
 
 @dataclass(frozen=True)
