@@ -11,6 +11,7 @@ constants are exact rationals.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -81,11 +82,12 @@ class RecursionStats:
     max_depth: int = 0
     claims: dict[str, int] = field(default_factory=dict)  # claim -> times checked
 
-    def check(self, where: str, claim: str, ok: bool, context: str) -> None:
-        """Count one check of `claim`, raising if it failed."""
+    def check(self, where: str, claim: str, ok: bool, context: Callable[[], str]) -> None:
+        """Count one check of `claim`, raising if it failed; `context` builds
+        the message, and is called only then."""
         self.claims[claim] = self.claims.get(claim, 0) + 1
         if not ok:
-            raise PostconditionFailedError(f"{where}: claim {claim} violated: {context}")
+            raise PostconditionFailedError(f"{where}: claim {claim} violated: {context()}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def _construct(
                 "construct",
                 "cell_bound",
                 CONSTANTS.cell_bound_ok(lhs, d, a),
-                f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
+                lambda: f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
             )
             split = _split(G, vset, bnd, top_n, a, CONSTANTS.h, oracle)
             if split is None:
@@ -204,7 +206,7 @@ def _construct(
                     "construct",
                     "leaf_interface",
                     CONSTANTS.w_small_enough(len(leaf_bnd), a),
-                    f"leaf boundary {len(leaf_bnd)} vs t*a, a={a}",
+                    lambda: f"leaf boundary {len(leaf_bnd)} vs t*a, a={a}",
                 )
                 if region:
                     stack.append((region, leaf_bnd or frozenset({min(region)}), p, n, depth + 1))
@@ -244,9 +246,9 @@ def _construct(
         X, Y, Z, w_top = (
             frozenset(map(to_g.__getitem__, s)) for s in (sep_xy.a_side, sep_xy.b_side, Z, w_top)
         )
-        stats.check("construct", "z_lt_w", len(Z) < len(W), f"|Z|={len(Z)} |W|={len(W)}")
-        stats.check("construct", "xy_order", len(X & Y) == len(Z), f"order={len(X & Y)}")
-        stats.check("construct", "y_in_wtop", Y <= w_top, f"|Y\\W_top|={len(Y - w_top)}")
+        stats.check("construct", "z_lt_w", len(Z) < len(W), lambda: f"|Z|={len(Z)} |W|={len(W)}")
+        stats.check("construct", "xy_order", len(X & Y) == len(Z), lambda: f"order={len(X & Y)}")
+        stats.check("construct", "y_in_wtop", Y <= w_top, lambda: f"|Y\\W_top|={len(Y - w_top)}")
 
         # the X side hangs below the T_Y root, which is appended next
         if X - Y:
@@ -266,7 +268,7 @@ def _check_t_y_bag(stats: RecursionStats, bag: VertexSet, a: int) -> None:
         "construct",
         "treewidth_bound",
         CONSTANTS.width_bound_ok(len(bag) - 1, a),
-        f"T_Y bag of {len(bag)} vertices vs a={a}",
+        lambda: f"T_Y bag of {len(bag)} vertices vs a={a}",
     )
 
 
@@ -351,7 +353,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         stats.construct_calls += 1
         W = X & Y
         order = W.bit_count()
-        stats.check("construct_theorem2", "order_3a", order <= 3 * a, f"|X∩Y|={order}")
+        stats.check("construct_theorem2", "order_3a", order <= 3 * a, lambda: f"|X∩Y|={order}")
         rem = X & ~Y
         if not rem:
             continue
@@ -365,7 +367,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         stats.oracle_calls += 1
         Z, A = _useful_w_balanced(G, X, W, wpad, a)
         bag = frozenset(mask_vertices(W | Z))
-        stats.check("construct_theorem2", "bag_4a", len(bag) <= 4 * a, f"bag {len(bag)}")
+        stats.check("construct_theorem2", "bag_4a", len(bag) <= 4 * a, lambda: f"bag {len(bag)}")
         parents.append(node)
         bags.append(bag)
         here = len(parents) - 1

@@ -215,8 +215,8 @@ def _split(G: Graph, vset: VertexSet, bnd: VertexSet, n: int, a: int, h: int, or
         ok = False  # not a separation of H
     if not ok:
         raise OracleFailureError(inner, certified=False)
-    A = frozenset(new_to_old[v] for v in sep.a_side)
-    B = frozenset(new_to_old[v] for v in sep.b_side)
+    A = frozenset(map(new_to_old.__getitem__, sep.a_side))
+    B = frozenset(map(new_to_old.__getitem__, sep.b_side))
     # the boundary rides along into both children so that its edges into
     # the interior stay covered
     return bnd | (A & B), A | bnd, B | bnd

@@ -1,11 +1,13 @@
 """Immutable simple undirected graphs over dense integer vertex ids.
 
-Vertices are always 0..n-1.
+Vertices are always 0..n-1.  A graph is its neighbour bitmasks; the sorted
+neighbour lists are derived from them on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -21,13 +23,17 @@ VertexSet = frozenset[int]
 @dataclass(frozen=True)
 class Graph:
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
-    # per-vertex neighbor bitmasks, precomputed for the search kernels
-    adj_masks: tuple[int, ...] = field(repr=False)
+    # bit u of adj_masks[v] is set iff uv is an edge
+    adj_masks: tuple[int, ...]
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour lists, built from the masks on first use."""
+        return tuple(tuple(mask_vertices(m)) for m in self.adj_masks)
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(m.bit_count() for m in self.adj_masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
@@ -54,7 +60,6 @@ class Separation:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple undirected graph, rejecting loops and repeats."""
-    adj: list[list[int]] = [[] for _ in range(n)]
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n):
@@ -65,22 +70,15 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise SelfLoopError((u, v))
         if masks[u] >> v & 1:
             raise DuplicateEdgeError((u, v))
-        adj[u].append(v)
-        adj[v].append(u)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(
-        n=n,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
-        adj_masks=tuple(masks),
-    )
+    return Graph(n, tuple(masks))
 
 
 def _check_vertices(G: Graph, S: Iterable[int]) -> VertexSet:
     S = frozenset(S)
-    for v in S:
-        if not (0 <= v < G.n):
-            raise VertexOutOfRangeError(v, G.n)
+    if S and not (0 <= min(S) and max(S) < G.n):
+        raise VertexOutOfRangeError(next(v for v in S if not 0 <= v < G.n), G.n)
     return S
 
 
@@ -90,14 +88,15 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     Returns the subgraph and the new-id -> old-id map (old -> new is its
     inverse; new ids follow the sorted order of S).
     """
-    S = _check_vertices(G, S)
-    old_ids = sorted(S)
-    new_of_old = {old: new for new, old in enumerate(old_ids)}
-    # G is simple and its lists sorted, and the id map increases, so the
-    # relabelled lists need no checks and no sort
-    adjacency = tuple(tuple([new_of_old[v] for v in G.adjacency[u] if v in S]) for u in old_ids)
-    H = Graph(n=len(old_ids), adjacency=adjacency, adj_masks=tuple(map(mask_of, adjacency)))
-    return H, dict(enumerate(old_ids))
+    old_ids = sorted(_check_vertices(G, S))
+    bit_of = [0] * G.n  # host id -> the bit of its new id, 0 outside S
+    for new, old in enumerate(old_ids):
+        bit_of[old] = 1 << new
+    # G is simple, so a list's bits are distinct and their sum is their OR,
+    # and the relabelled masks need none of build_graph's checks
+    adj, bit = G.adjacency, bit_of.__getitem__
+    masks = tuple(sum(map(bit, adj[u])) for u in old_ids)
+    return Graph(len(old_ids), masks), dict(enumerate(old_ids))
 
 
 def component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
@@ -163,11 +162,14 @@ def mask_of(S: Iterable[int]) -> int:
 def _strict_sides(G: Graph, sep: Separation) -> Optional[tuple[int, int]]:
     """The strict sides A \\ B and B \\ A of `sep` as bitmasks, or None unless
     they cover V(G) with no edge between the strict sides."""
-    A, B = _check_vertices(G, sep.a_side), _check_vertices(G, sep.b_side)
-    a_only, b_mask = A - B, mask_of(B - A)
-    if len(A | B) != G.n or any(G.adj_masks[u] & b_mask for u in a_only):
+    a_mask = mask_of(_check_vertices(G, sep.a_side))
+    b_mask = mask_of(_check_vertices(G, sep.b_side))
+    a_only, b_only = a_mask & ~b_mask, b_mask & ~a_mask
+    if a_mask | b_mask != G.full_mask() or any(
+        G.adj_masks[u] & b_only for u in mask_vertices(a_only)
+    ):
         return None
-    return mask_of(a_only), b_mask
+    return a_only, b_only
 
 
 def is_separation(G: Graph, sep: Separation) -> bool:

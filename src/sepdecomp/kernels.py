@@ -5,24 +5,16 @@ search, separation number, and exact treewidth.  They are plain Python and
 work for any n, since vertex sets are Python ints used as bitmasks.
 
 Graphs come in as ``(n, adj_masks)`` where ``adj_masks[v]`` is the neighbor
-bitmask of vertex v; the (W-)balanced separation searches also take the
-sorted neighbour lists the caller holds (``Graph.adjacency``) for their DFS.
-``separators`` lists candidate separators of the subgraph induced on a
-universe mask by increasing size, with the components each leaves behind;
-the separation number (over each subset) and the W-balanced iteration of
-``construct_theorem2`` (over each X of the input graph, with no induced
-copy) apply their own rules to it.  The (W-)balanced separation search
-visits the same candidates in the same order, but gets their pieces from
-one low-link DFS per separator prefix instead of one component search per
-candidate.  The two split by input size.  On a whole graph the DFS wins:
-0.15 ms against 0.61 ms on a 60-vertex path, 0.34 ms against 0.80 ms on a
-40-vertex partial 2-tree of separation order 2 (Xeon, CPython 3.11).  On
-the subsets of at most 14 vertices that ``separation_number`` walks, its
-per-prefix set-up costs more than it saves: moved onto the DFS with
-``_useful_w_balanced``, it kept every output but took the benchmark's 32
-certify graphs (seeds 0-1) from 0.55 s to 2.2 s (1.6 s with neighbour
-lists built once), and ``construct_theorem2`` from 0.033 s to 0.041 s
-(medians of 5).
+bitmask of vertex v.  ``separators`` lists candidate separators of the
+subgraph induced on a universe mask by increasing size, with the components
+each leaves behind; the separation number (over each subset) and the
+W-balanced iteration of ``construct_theorem2`` (over each X of the input
+graph, with no induced copy) apply their own rules to it.  The
+(W-)balanced separation search visits the same candidates in the same
+order, but gets their pieces from one DFS on masks per separator prefix
+instead of one component search per candidate; on the subsets of at most
+14 vertices that ``separation_number`` walks, that DFS costs more than it
+saves.
 """
 
 from __future__ import annotations
@@ -95,7 +87,7 @@ def _greedy_a_side(z_mask: int, comps, weights, lo: int, hi: int):
     return a_mask
 
 
-def min_w_balanced_separation(n, adj_masks, adjacency, w_mask, max_order):
+def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
     """Minimum-order separation balancing the vertices of W.
 
     Both strict sides may hold at most 2|W|/3 vertices of W.  Returns
@@ -107,32 +99,24 @@ def min_w_balanced_separation(n, adj_masks, adjacency, w_mask, max_order):
 
     A separator Z of size k >= 1 is a prefix Z' of k-1 vertices plus a
     last vertex z > max Z'.  For each prefix, one DFS per component of
-    G - Z' records discovery times, low-links and W-weights of subtrees
-    (Hopcroft & Tarjan's articulation-point search), so the W-weights of
-    the pieces of G - Z' - z come out in O(deg z) for every z: the child
-    subtrees c of z with low[c] >= disc[z], the rest of z's component
-    unless z is the DFS root, and the other components unchanged.  Whether
-    a balanced grouping exists depends only on those weights, so the
-    components themselves are only listed for the winning separator.
+    G - Z' (Hopcroft & Tarjan's articulation-point search, on subtree
+    masks) lists the subtrees each vertex cuts off, so the pieces of
+    G - Z' - z, the winner's components included, come out for every z
+    without a component search.  The order-0 test and the empty prefix
+    share one component search of G.
     """
     hi = (2 * w_mask.bit_count()) // 3
-    for k in range(min(max_order, n) + 1):
-        if k == 0:
-            a_mask = _a_side(adj_masks, w_mask, 0, hi)
-            if a_mask is not None:
-                return 0, 0, a_mask
-            continue
+    comps = components_in(adj_masks, (1 << n) - 1)
+    if max_order >= 0:
+        weights = [(c & w_mask).bit_count() for c in comps]
+        a_mask = _greedy_a_side(0, comps, weights, w_mask.bit_count() - hi, hi)
+        if a_mask is not None:
+            return 0, 0, a_mask
+    for k in range(1, min(max_order, n) + 1):
         for prefix in combinations(range(n), k - 1):
-            z = _first_feasible_last_vertex(n, adj_masks, adjacency, w_mask, prefix, hi)
-            if z is not None:
-                z_mask = mask_of(prefix) | 1 << z
-                a_mask = _a_side(adj_masks, w_mask, z_mask, hi)
-                if a_mask is None:
-                    raise PostconditionFailedError(
-                        "min_w_balanced_separation: the pieces of the separator "
-                        "balance, its components do not"
-                    )
-                return k, z_mask, a_mask
+            found = _first_feasible_last_vertex(adj_masks, w_mask, prefix, hi, comps)
+            if found is not None:
+                return k, *found
     return None
 
 
@@ -143,76 +127,93 @@ def _a_side(adj_masks, w_mask: int, z_mask: int, hi: int):
     return _greedy_a_side(z_mask, comps, weights, (w_mask & ~z_mask).bit_count() - hi, hi)
 
 
-def _first_feasible_last_vertex(n, adj_masks, adjacency, w_mask, prefix, hi):
-    """Smallest z > max(prefix) such that Z = prefix + z leaves pieces
-    with a W-balanced grouping, or None."""
+def _first_feasible_last_vertex(adj_masks, w_mask, prefix, hi, comps):
+    """(z_mask, a_mask) for the smallest z > max(prefix) such that
+    Z = prefix + z leaves pieces with a W-balanced grouping, or None.
+
+    `comps` are the components of G, used when the prefix is empty.  A
+    vertex p cuts its DFS child v's subtree off exactly when no vertex
+    outside that subtree and p neighbours it.  The pieces of G - Z are the
+    subtrees z cuts off, the rest of z's component, and the other
+    components; one heavier than `hi` fits on neither side.
+    """
+    n = len(adj_masks)
     start = prefix[-1] + 1 if prefix else 0
     if start >= n:
         return None
     z_prefix = mask_of(prefix)
-    lo_prefix = (w_mask & ~z_prefix).bit_count() - hi
-    disc = [-1] * n
-    for v in prefix:
-        disc[v] = -2  # removed: neither visited nor a back-edge target
-    low = [0] * n
-    sub_w = [0] * n
-    root_of = [-1] * n
-    cut_pieces: dict[int, list[int]] = {}  # z -> nonzero W-weights of split-off subtrees
-    comps = components_in(adj_masks, ((1 << n) - 1) & ~z_prefix)
+    alive = ((1 << n) - 1) & ~z_prefix
+    if prefix:
+        comps = components_in(adj_masks, alive)
     comp_w = [(c & w_mask).bit_count() for c in comps]
-    t = 0
-    for c in comps:
-        if not c >> start:
-            continue  # no candidate z in this component
-        root = (c & -c).bit_length() - 1
-        disc[root] = low[root] = t
-        t += 1
-        sub_w[root] = w_mask >> root & 1
-        root_of[root] = root
-        stack = [(root, -1, iter(adjacency[root]))]
-        while stack:
-            v, p, it = stack[-1]
-            for u in it:
-                d = disc[u]
-                if d == -1:
-                    disc[u] = low[u] = t
-                    t += 1
-                    sub_w[u] = w_mask >> u & 1
-                    root_of[u] = root
-                    stack.append((u, v, iter(adjacency[u])))
-                    break
-                if d >= 0 and u != p and d < low[v]:
-                    low[v] = d
-            else:
-                stack.pop()
-                if p >= 0:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    sub_w[p] += sub_w[v]
-                    if low[v] >= disc[p] and sub_w[v]:
-                        cut_pieces.setdefault(p, []).append(sub_w[v])
-    # the other components' nonzero weights, per component (keyed by root)
-    others: dict[int, list[int]] = {}
-    for z in range(start, n):
-        root = root_of[z]
-        rest = others.get(root)
-        if rest is None:
-            rest = others[root] = [
-                wt for c, wt in zip(comps, comp_w) if wt and not c >> root & 1
-            ]
+    heavy = [i for i, wt in enumerate(comp_w) if wt > hi]  # at most one
+    lo = (w_mask & alive).bit_count() - hi
+    comp_of = [0] * n
+    sub = [0] * n  # DFS subtree of each vertex
+    reach = [0] * n  # the alive neighbours of the subtree's vertices
+    cuts: dict[int, list[int]] = {}  # z -> masks of the subtrees z cuts off
+    # the z worth testing: those that cut a subtree off, and those of a
+    # component light enough that the rest of it may fit
+    cand = 0
+    for i, c in enumerate(comps):
+        if not c >> start or heavy and heavy != [i]:
+            continue  # no z here, or z would leave the heavy component whole
+        if comp_w[i] <= hi + 1:
+            cand |= c
+        v = (c & -c).bit_length() - 1
+        left = c ^ 1 << v
+        sub[v], reach[v], comp_of[v] = 1 << v, adj_masks[v] & alive, i
+        stack = [v]
+        while True:
+            nxt = adj_masks[v] & left
+            if nxt:
+                bit = nxt & -nxt
+                left ^= bit
+                v = bit.bit_length() - 1
+                sub[v], reach[v], comp_of[v] = bit, adj_masks[v] & alive, i
+                stack.append(v)
+                continue
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1]
+            s, r = sub[v], reach[v]
+            sub[p] |= s
+            reach[p] |= r
+            if not r & ~(s | 1 << p):
+                cuts.setdefault(p, []).append(s)
+            v = p
+    cand |= mask_of(cuts)
+    for z in mask_vertices(cand >> start << start):
+        i = comp_of[z]
         wz = w_mask >> z & 1
-        pieces = cut_pieces.get(z, [])
-        if z != root:
-            pieces = pieces + [sub_w[root] - wz - sum(pieces)]
-        if _sum_window_reachable(rest + pieces, lo_prefix - wz, hi):
-            return z
+        pieces = [(s & w_mask).bit_count() for s in cuts.get(z, ())]
+        pieces.append(comp_w[i] - wz - sum(pieces))  # 0 when z is the DFS root
+        if max(pieces) > hi:
+            continue
+        pieces += comp_w[:i] + comp_w[i + 1 :]
+        if _sum_window_reachable(pieces, lo - wz, hi):
+            z_mask = z_prefix | 1 << z
+            tail = comps[i] & ~z_mask
+            for s in cuts.get(z, ()):
+                tail &= ~s
+            parts = [c for c in (*cuts.get(z, ()), tail, *comps[:i], *comps[i + 1 :]) if c]
+            parts.sort(key=lambda c: c & -c)
+            weights = [(c & w_mask).bit_count() for c in parts]
+            a_mask = _greedy_a_side(z_mask, parts, weights, lo - wz, hi)
+            if a_mask is None:
+                raise PostconditionFailedError(
+                    "min_w_balanced_separation: the pieces of the separator "
+                    "balance, its components do not"
+                )
+            return z_mask, a_mask
     return None
 
 
-def min_balanced_separation(n, adj_masks, adjacency, max_order):
+def min_balanced_separation(n, adj_masks, max_order):
     """Minimum-order balanced separation: the W = V case of
     ``min_w_balanced_separation``, with the same result and tie-break."""
-    return min_w_balanced_separation(n, adj_masks, adjacency, (1 << n) - 1, max_order)
+    return min_w_balanced_separation(n, adj_masks, (1 << n) - 1, max_order)
 
 
 def separation_number(n, adj_masks) -> int:

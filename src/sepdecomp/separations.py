@@ -89,7 +89,7 @@ def min_balanced_separation(G: Graph) -> Separation:
     (n <= EXACT_LIMIT_SEPARATION)."""
     if G.n > EXACT_LIMIT_SEPARATION:
         raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "min_balanced_separation")
-    found = kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, G.n)
+    found = kernels.min_balanced_separation(G.n, G.adj_masks, G.n)
     if found is None:
         raise PostconditionFailedError(
             "min_balanced_separation: no balanced separation of order <= n, "
@@ -120,7 +120,7 @@ def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     if a < 0:
         raise InvalidInputError(f"a must be >= 0, got {a}")
     if _bounded_candidates(G.n, a) <= CANDIDATE_BUDGET:
-        found = kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, min(a, G.n))
+        found = kernels.min_balanced_separation(G.n, G.adj_masks, min(a, G.n))
         if found is None:
             return SeparatorOracleOutcome(None, certified=True)
         _, z_mask, a_mask = found
@@ -245,7 +245,7 @@ def min_w_balanced_separation(G: Graph, W: Iterable[int]) -> Separation:
     W = _check_vertices(G, W)
     if G.n > EXACT_LIMIT_SEPARATION:
         raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "min_w_balanced_separation")
-    found = kernels.min_w_balanced_separation(G.n, G.adj_masks, G.adjacency, mask_of(W), G.n)
+    found = kernels.min_w_balanced_separation(G.n, G.adj_masks, mask_of(W), G.n)
     if found is None:
         raise PostconditionFailedError(
             "min_w_balanced_separation: no W-balanced separation, "

@@ -224,6 +224,21 @@ class TestConstruct:
             f"T_Y bag of {len(root_bag)} vertices vs a=1"
         )
 
+    @pytest.mark.parametrize(
+        "G, a, W, lhs",
+        [(path_graph(400), 1, {0, 100, 200}, 4), (partial_ktree(120, 2, seed=3), 3, {0, 1, 2}, 3)],
+        ids=["path400", "ktree2"],
+    )
+    def test_cell_bound_violation_message(self, G, a, W, lhs, monkeypatch):
+        # the claim messages are built only on failure, with the same text
+        monkeypatch.setattr(constructor.Constants, "cell_bound_ok", lambda self, count, d, a: False)
+        with pytest.raises(PostconditionFailedError) as ei:
+            construct(G, a, W)
+        assert str(ei.value) == (
+            "construct: claim cell_bound violated: "
+            f"depth 0: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}"
+        )
+
 
 class TestTheorem2:
     def _check(self, G, a):

@@ -148,19 +148,16 @@ def run_cut_vertex(case: dict):
     G = make_graph(case["graph"])
     if "w_mask" in case:
         found = kernels.min_w_balanced_separation(
-            G.n, G.adj_masks, G.adjacency, case["w_mask"], case["max_order"]
+            G.n, G.adj_masks, case["w_mask"], case["max_order"]
         )
     else:
-        found = kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, case["max_order"])
+        found = kernels.min_balanced_separation(G.n, G.adj_masks, case["max_order"])
     return None if found is None else list(found)
 
 
 def run_kernel(seed: int, case: dict):
     G = gnp_graph(case["n"], 0.4, seed)
-    args = [G.n, G.adj_masks]
-    if "max_order" in case:  # the separation searches take the neighbour lists too
-        args.append(G.adjacency)
-    args += [case[k] for k in ("w_mask", "max_order") if k in case]
+    args = [G.n, G.adj_masks] + [case[k] for k in ("w_mask", "max_order") if k in case]
     # JSON has no tuples: compare in the stored form
     return json.loads(json.dumps(getattr(kernels, case["fn"])(*args)))
 

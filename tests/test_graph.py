@@ -57,6 +57,22 @@ class TestBuildGraph:
         G = build_graph(0, [])
         assert G.n == 0 and G.m == 0
 
+    @given(graphs(max_n=12), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_is_the_sorted_lists_given(self, G, rng):
+        # the masks are the graph; the lists are derived from them on first
+        # use and equal the sorted lists of the edges build_graph was given
+        edges = G.edges()
+        rng.shuffle(edges)
+        H = build_graph(G.n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        assert "adjacency" not in H.__dict__
+        lists = [[] for _ in range(G.n)]
+        for u, v in edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        assert H.adjacency == tuple(tuple(sorted(a)) for a in lists)
+        assert H.m == len(edges)
+
 
 class TestInducedSubgraph:
     def test_relabels_in_sorted_order(self):

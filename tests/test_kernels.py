@@ -1,11 +1,54 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdecomp import kernels
 from sepdecomp.errors import PostconditionFailedError
-from sepdecomp.generators import cycle_graph, path_graph
+from sepdecomp.generators import (
+    cycle_graph,
+    gnp_graph,
+    grid_graph,
+    partial_ktree,
+    path_graph,
+    random_tree,
+)
 from sepdecomp.graph import Separation, build_graph, component_mask, components_in, is_balanced
+
+
+def reference_w_balanced(G, w_mask, max_order):
+    """min_w_balanced_separation one candidate at a time: the first
+    separator of ``kernels.separators`` whose components the greedy groups."""
+    hi = 2 * w_mask.bit_count() // 3
+    sizes = range(min(max_order, G.n) + 1)
+    for k, z_mask, comps in kernels.separators(G.adj_masks, range(G.n), G.full_mask(), sizes):
+        weights = [(c & w_mask).bit_count() for c in comps]
+        lo = (w_mask & ~z_mask).bit_count() - hi
+        a_mask = kernels._greedy_a_side(z_mask, comps, weights, lo, hi)
+        if a_mask is not None:
+            return k, z_mask, a_mask
+    return None
+
+
+def seeded_kernel_cases(count=360, seed=18):
+    """Graphs of up to 16 vertices, many disconnected, with W all of V, a
+    random subset, one vertex or nothing (so many pieces weigh 0)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, kind = rng.randint(3, 16), i % 6
+        if kind < 2:
+            G = gnp_graph(n, (0.08, rng.choice([0.15, 0.3, 0.5]))[kind], i)
+        elif kind == 2:
+            G = random_tree(n, i)
+        elif kind == 3:
+            G = grid_graph(rng.randint(1, 4), rng.randint(1, 4))
+        elif kind == 4:
+            G = cycle_graph(n)
+        else:
+            G = partial_ktree(n, 2, seed=i)
+        w_mask = (G.full_mask(), rng.getrandbits(G.n), 1 << rng.randrange(G.n), 0)[i // 6 % 4]
+        yield G, w_mask, i % 5
 
 
 class TestPureHelpers:
@@ -39,19 +82,19 @@ class TestPureKernels:
     def test_big_graph_bigint_path(self):
         # n = 70 exceeds any single machine word; order-1 search still exact
         G = path_graph(70)
-        found = kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, 1)
+        found = kernels.min_balanced_separation(G.n, G.adj_masks, 1)
         assert found is not None and found[0] == 1
 
     def test_no_separation_within_order(self):
         G = cycle_graph(10)
-        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, 1) is None
+        assert kernels.min_balanced_separation(G.n, G.adj_masks, 1) is None
 
     def test_greedy_a_side_tie_break(self):
         # components {0,4}, {1}, {2,3}: the greedy walk takes {0,4} and stops
         # once the sides balance, although ({0,1,4}, {2,3}) is also balanced
         # with order 0 and has the lexicographically smaller A side
         G = build_graph(5, [(0, 4), (2, 3)])
-        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.adjacency, G.n) == (0, 0, 0b10001)
+        assert kernels.min_balanced_separation(G.n, G.adj_masks, G.n) == (0, 0, 0b10001)
         assert kernels._greedy_a_side(0, [0b10001, 0b00010, 0b01100], [2, 1, 2], 2, 3) == 0b10001
         alt = Separation(frozenset({0, 1, 4}), frozenset({2, 3}))
         assert is_balanced(G, alt) and alt.order == 0
@@ -79,6 +122,29 @@ class TestPureKernels:
         assert list(kernels.separators(G.adj_masks, [1], 0b1011, [1])) == [
             (1, 0b0010, [0b0001, 0b1000])
         ]
+
+
+class TestBalancedSeparationKernel:
+    """The mask DFS against a search that groups each candidate's components
+    one separator at a time, in the same order."""
+
+    def test_matches_reference_seeded(self):
+        for G, w_mask, max_order in seeded_kernel_cases():
+            found = kernels.min_w_balanced_separation(G.n, G.adj_masks, w_mask, max_order)
+            assert found == reference_w_balanced(G, w_mask, max_order), (G, w_mask, max_order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(0, 11))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        G = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+        w_mask = data.draw(st.integers(0, G.full_mask()))
+        max_order = data.draw(st.integers(0, 4))
+        found = kernels.min_w_balanced_separation(n, G.adj_masks, w_mask, max_order)
+        assert found == reference_w_balanced(G, w_mask, max_order)
+        if w_mask == G.full_mask():
+            assert kernels.min_balanced_separation(n, G.adj_masks, max_order) == found
 
 
 class TestSelection:

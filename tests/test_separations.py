@@ -13,12 +13,22 @@ from sepdecomp.generators import (
     complete_graph,
     cycle_graph,
     gnp_graph,
+    partial_ktree,
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, is_balanced, is_separation, is_w_balanced
+from sepdecomp.constructor import construct
+from sepdecomp.graph import (
+    build_graph,
+    induced_subgraph,
+    is_balanced,
+    is_separation,
+    is_w_balanced,
+)
 from sepdecomp.menger import separates
 from sepdecomp.separations import (
+    CANDIDATE_BUDGET,
+    _bounded_candidates,
     _cutter_balanced_within,
     balanced_separation_within,
     make_oracle,
@@ -34,12 +44,12 @@ class TestPostconditions:
     typed error naming the function (a plain assert would vanish under -O)."""
 
     def test_min_balanced(self, monkeypatch):
-        monkeypatch.setattr(kernels, "min_balanced_separation", lambda n, adj, nbrs, k: None)
+        monkeypatch.setattr(kernels, "min_balanced_separation", lambda n, adj, k: None)
         with pytest.raises(PostconditionFailedError, match="^min_balanced_separation:"):
             min_balanced_separation(path_graph(4))
 
     def test_min_w_balanced(self, monkeypatch):
-        monkeypatch.setattr(kernels, "min_w_balanced_separation", lambda n, adj, nbrs, w, k: None)
+        monkeypatch.setattr(kernels, "min_w_balanced_separation", lambda n, adj, w, k: None)
         with pytest.raises(PostconditionFailedError, match="^min_w_balanced_separation:"):
             min_w_balanced_separation(path_graph(4), {0, 3})
 
@@ -160,6 +170,25 @@ class TestBalancedSeparationWithin:
         assert out.found
         assert is_balanced(G, out.separation)
         assert out.separation.order <= a
+
+    @pytest.mark.parametrize(
+        "G, a", [(path_graph(60), 1), (partial_ktree(120, 2, seed=3), 3)], ids=["path60", "ktree2"]
+    )
+    def test_exact_oracle_builds_no_neighbour_lists(self, G, a):
+        # the exact search runs on the masks alone, so neither a copy handed
+        # to it directly nor any copy construct hands its oracle builds lists
+        H, _ = induced_subgraph(G, range(1, G.n))
+        assert _bounded_candidates(H.n, a) <= CANDIDATE_BUDGET
+        assert balanced_separation_within(H, a).found
+        copies = []
+
+        def oracle(copy):
+            copies.append(copy)
+            return balanced_separation_within(copy, a)
+
+        construct(G, a, {0}, oracle=oracle)
+        assert copies and all(_bounded_candidates(H.n, a) <= CANDIDATE_BUDGET for H in copies)
+        assert all("adjacency" not in H.__dict__ for H in [H, *copies])
 
 
 class TestMinWBalanced:
