@@ -5,8 +5,9 @@ that drives the recursion (a = 3 runs the exact certifying oracle), the
 ``construct_theorem2`` outputs on small graphs, the raw node ids and bags
 of some of those runs, the raw result tuples of
 the four search kernels, the separation kernels' tuples on larger graphs
-with many cut vertices, and the paths, separators and W-sequences of the
-Menger layer on seeded graphs.  A refactor must reproduce all of them
+with many cut vertices, the paths, separators and W-sequences of the
+Menger layer on seeded graphs, and exact treewidth values and elimination
+orders on graphs shaped like the benchmark's certify workload.  A refactor must reproduce all of them
 exactly; a change of tie-break has to be argued, not regenerated away.
 
 ``python tests/test_golden.py`` prints the current values in the same
@@ -23,11 +24,19 @@ import pytest
 from sepdecomp import kernels
 from sepdecomp.constructor import construct, construct_theorem2
 from sepdecomp.errors import RecursionGuardError, WBalancedUnavailableError
-from sepdecomp.generators import cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
+from sepdecomp.generators import (
+    cycle_graph,
+    gnp_graph,
+    grid_graph,
+    partial_ktree,
+    path_graph,
+    random_tree,
+)
 from sepdecomp.graph import build_graph, mask_of
 from sepdecomp.menger import disjoint_paths
 from sepdecomp.pace import write_td
 from sepdecomp.separations import separation_number
+from sepdecomp.verification import treewidth_exact
 from sepdecomp.wsequence import build_w_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
@@ -179,7 +188,7 @@ def partial_2tree(n: int, seed: int):
 
 GRAPH_KINDS = {
     "gnp": gnp_graph, "tree": random_tree, "grid": grid_graph, "cycle": cycle_graph,
-    "path": path_graph, "ptree2": partial_2tree,
+    "path": path_graph, "ptree2": partial_2tree, "ktree": partial_ktree,
 }
 
 
@@ -245,6 +254,22 @@ def run_menger(case: dict) -> dict:
     }
 
 
+def treewidth_cases() -> dict[str, dict]:
+    """Graphs shaped like the certify workload: for each n = 11..14, two
+    gnp(n, 0.3) graphs and a partial 2-tree and 3-tree keeping 80% of the
+    edges, 16 in all."""
+    specs = []
+    for n in range(11, 15):
+        specs += [["gnp", n, 0.3, n], ["gnp", n, 0.3, 100 + n]]
+        specs += [["ktree", n, k, 0.8, n] for k in (2, 3)]
+    return {" ".join(map(str, spec)): {"graph": spec} for spec in specs}
+
+
+def run_treewidth(case: dict) -> dict:
+    tw = treewidth_exact(make_graph(case["graph"]))
+    return {"value": tw.value, "order": list(tw.elimination_order)}
+
+
 def compute_golden() -> dict:
     return {
         "construct": {name: construct_digest(name) for name in CONSTRUCT_CASES},
@@ -252,6 +277,7 @@ def compute_golden() -> dict:
         "menger": {key: dict(case, result=run_menger(case)) for key, case in menger_cases().items()},
         "node_ids": {name: node_ids_digest(name) for name in [*NODE_ID_CASES, *NODE_ID_THEOREM2]},
         "theorem2": {name: theorem2_outcome(name) for name in THEOREM2_CASES},
+        "treewidth": {key: dict(case, result=run_treewidth(case)) for key, case in treewidth_cases().items()},
         "kernels": {
             key: [dict(case, result=run_kernel(int(key), case)) for case in cases]
             for key, cases in kernel_cases().items()
@@ -305,6 +331,15 @@ def test_cut_vertex_results(golden):
         key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
     } == cut_vertex_cases()
     wrong = [key for key, case in stored.items() if run_cut_vertex(case) != case["result"]]
+    assert not wrong
+
+
+def test_treewidth_results(golden):
+    stored = golden["treewidth"]
+    assert {
+        key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
+    } == treewidth_cases()
+    wrong = [key for key, case in stored.items() if run_treewidth(case) != case["result"]]
     assert not wrong
 
 
