@@ -12,7 +12,6 @@ constants are exact rationals.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    Record,
     VertexSet,
     _check_vertices,
     induced_subgraph,
@@ -73,14 +73,14 @@ class Constants:
 CONSTANTS = Constants()
 
 
-@dataclass(slots=True)
 class RecursionStats:
-    construct_calls: int = 0
-    base_cases: int = 0
-    oracle_calls: int = 0
-    separation_tree_nodes: int = 0
-    max_depth: int = 0
-    claims: dict[str, int] = field(default_factory=dict)  # claim -> times checked
+    __slots__ = ("construct_calls", "base_cases", "oracle_calls", "separation_tree_nodes",
+                 "max_depth", "claims")
+
+    def __init__(self):
+        self.construct_calls = self.base_cases = self.oracle_calls = 0
+        self.separation_tree_nodes = self.max_depth = 0
+        self.claims: dict[str, int] = {}  # claim -> times checked
 
     def check(self, where: str, claim: str, ok: bool, context: Callable[[], str]) -> None:
         """Count one check of `claim`, raising if it failed; `context` builds
@@ -90,18 +90,25 @@ class RecursionStats:
             raise PostconditionFailedError(f"{where}: claim {claim} violated: {context()}")
 
 
-@dataclass(frozen=True)
-class ConstructReport:
-    decomposition: RootedTreeDecomposition
-    a_used: int
-    width: int
+class ConstructReport(Record):
     # the checked bound b = bound_num / bound_den: construct's bags each have
     # fewer than b = 7915a/139 vertices (139*(width+1) < 7915*a), and
     # construct_theorem2's width is below b = 4a
-    bound_num: int
-    bound_den: int
-    certificate_node: int
-    recursion_stats: RecursionStats
+    __slots__ = _fields = (
+        "decomposition", "a_used", "width", "bound_num", "bound_den", "certificate_node",
+        "recursion_stats",
+    )
+
+    def __init__(self, decomposition: RootedTreeDecomposition, a_used: int, width: int,
+                 bound_num: int, bound_den: int, certificate_node: int,
+                 recursion_stats: RecursionStats):
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "a_used", a_used)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "bound_num", bound_num)
+        object.__setattr__(self, "bound_den", bound_den)
+        object.__setattr__(self, "certificate_node", certificate_node)
+        object.__setattr__(self, "recursion_stats", recursion_stats)
 
 
 def construct(

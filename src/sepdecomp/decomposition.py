@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InvalidInputError,
     InvalidSeparationError,
@@ -12,6 +10,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    Record,
     Separation,
     VertexSet,
     induced_subgraph,
@@ -23,20 +22,20 @@ from .graph import (
 from .separations import make_oracle
 
 
-@dataclass(frozen=True)
-class RootedTreeDecomposition:
+class RootedTreeDecomposition(Record):
     """Bags indexed by a rooted tree; parents[x] is -1 exactly at the root."""
 
-    host_n: int
-    parents: tuple[int, ...]
-    bags: tuple[VertexSet, ...]
+    __slots__ = _fields = ("host_n", "parents", "bags")
 
-    def __post_init__(self):
-        roots = [i for i, p in enumerate(self.parents) if p == -1]
-        if len(self.parents) != len(self.bags):
+    def __init__(self, host_n: int, parents: tuple[int, ...], bags: tuple[VertexSet, ...]):
+        if len(parents) != len(bags):
             raise InvalidInputError("parents and bags length mismatch")
-        if len(roots) != 1:
-            raise InvalidInputError(f"need exactly one root, found {len(roots)}")
+        roots = parents.count(-1)
+        if roots != 1:
+            raise InvalidInputError(f"need exactly one root, found {roots}")
+        object.__setattr__(self, "host_n", host_n)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "bags", bags)
 
     @property
     def size(self) -> int:

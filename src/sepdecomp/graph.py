@@ -6,7 +6,6 @@ neighbour lists are derived from them on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -20,11 +19,47 @@ from .errors import (
 VertexSet = frozenset[int]
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    # bit u of adj_masks[v] is set iff uv is an edge
-    adj_masks: tuple[int, ...]
+class Record:
+    """Immutable value: equality, hash and repr over `_fields`.  Each subclass
+    declares `__slots__` and `_fields` and sets its fields in its `__init__`
+    with `object.__setattr__`; assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Graph(Record):
+    # __dict__ holds the cached adjacency
+    __slots__ = ("n", "adj_masks", "__dict__")
+    _fields = ("n", "adj_masks")
+
+    def __init__(self, n: int, adj_masks: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        # bit u of adj_masks[v] is set iff uv is an edge
+        object.__setattr__(self, "adj_masks", adj_masks)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -48,10 +83,12 @@ class Graph:
         return (1 << self.n) - 1
 
 
-@dataclass(frozen=True)
-class Separation:
-    a_side: VertexSet
-    b_side: VertexSet
+class Separation(Record):
+    __slots__ = _fields = ("a_side", "b_side")
+
+    def __init__(self, a_side: VertexSet, b_side: VertexSet):
+        object.__setattr__(self, "a_side", a_side)
+        object.__setattr__(self, "b_side", b_side)
 
     @property
     def order(self) -> int:

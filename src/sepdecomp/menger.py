@@ -11,17 +11,18 @@ returned paths and separator are deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, PostconditionFailedError
-from .graph import Graph, VertexSet, _check_vertices, _stz_sides
+from .graph import Graph, Record, VertexSet, _check_vertices, _stz_sides
 
 
-@dataclass(frozen=True)
-class PathResult:
-    paths: tuple[tuple[int, ...], ...]  # each path's vertices, from S to T
-    separator: Optional[VertexSet]
+class PathResult(Record):
+    __slots__ = _fields = ("paths", "separator")
+
+    def __init__(self, paths: tuple[tuple[int, ...], ...], separator: Optional[VertexSet]):
+        object.__setattr__(self, "paths", paths)  # each path's vertices, from S to T
+        object.__setattr__(self, "separator", separator)
 
 
 # Split-network node ids: 2v = v_in, 2v+1 = v_out, then source and sink.

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    Record,
     Separation,
     _check_vertices,
     _stz_sides,
@@ -48,8 +48,7 @@ EXACT_LIMIT_SEP_NUMBER = 14
 CANDIDATE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class SeparatorOracleOutcome:
+class SeparatorOracleOutcome(Record):
     """An oracle's answer for the graph it was handed: a balanced separation
     of order <= a, or None.
 
@@ -57,8 +56,11 @@ class SeparatorOracleOutcome:
     graph has none (exhaustive search) or merely a heuristic giving up.
     """
 
-    separation: Optional[Separation]
-    certified: bool
+    __slots__ = _fields = ("separation", "certified")
+
+    def __init__(self, separation: Optional[Separation], certified: bool):
+        object.__setattr__(self, "separation", separation)
+        object.__setattr__(self, "certified", certified)
 
     @property
     def found(self) -> bool:

@@ -10,7 +10,6 @@ JSON-serializable reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -22,18 +21,21 @@ from .errors import (
     PreconditionFailedError,
     SizeLimitExceededError,
 )
-from .graph import Graph, Separation, VertexSet, is_separation
+from .graph import Graph, Record, Separation, VertexSet, is_separation
 from .separations import EXACT_LIMIT_SEP_NUMBER, separation_number
 from .wsequence import WSequence, validate_w_sequence
 
 EXACT_LIMIT_TREEWIDTH = 16
 
 
-@dataclass(frozen=True)
-class TreewidthResult:
-    value: int
-    elimination_order: tuple[int, ...]
-    decomposition: RootedTreeDecomposition
+class TreewidthResult(Record):
+    __slots__ = _fields = ("value", "elimination_order", "decomposition")
+
+    def __init__(self, value: int, elimination_order: tuple[int, ...],
+                 decomposition: RootedTreeDecomposition):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "elimination_order", elimination_order)
+        object.__setattr__(self, "decomposition", decomposition)
 
 
 def _witness_from_elimination(G: Graph, order: tuple[int, ...]) -> RootedTreeDecomposition:
@@ -83,13 +85,16 @@ def treewidth_exact(G: Graph) -> TreewidthResult:
     return TreewidthResult(value, order, td)
 
 
-@dataclass(frozen=True)
-class ZWCheck:
-    holds: bool
-    lhs: Fraction
-    rhs: Fraction
-    secondary_holds: bool
-    secondary_rhs: Fraction
+class ZWCheck(Record):
+    __slots__ = _fields = ("holds", "lhs", "rhs", "secondary_holds", "secondary_rhs")
+
+    def __init__(self, holds: bool, lhs: Fraction, rhs: Fraction, secondary_holds: bool,
+                 secondary_rhs: Fraction):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "secondary_holds", secondary_holds)
+        object.__setattr__(self, "secondary_rhs", secondary_rhs)
 
 
 def check_zw_inequality(G: Graph, ws: WSequence, ab: Separation) -> ZWCheck:
@@ -133,12 +138,15 @@ def check_sep_le_tw(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    kind: str  # path | cycle | tree | grid | complete | gnp
-    params: dict
-    a: Optional[int] = None  # None: exact when small, else structural
-    graph_id: Optional[str] = None
+class InstanceSpec(Record):
+    __slots__ = _fields = ("kind", "params", "a", "graph_id")
+
+    def __init__(self, kind: str, params: dict, a: Optional[int] = None,
+                 graph_id: Optional[str] = None):
+        object.__setattr__(self, "kind", kind)  # path | cycle | tree | grid | complete | gnp
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "a", a)  # None: exact when small, else structural
+        object.__setattr__(self, "graph_id", graph_id)
 
     def ident(self) -> str:
         if self.graph_id:
@@ -147,38 +155,37 @@ class InstanceSpec:
         return f"{self.kind}({inner})"
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    instances: tuple[InstanceSpec, ...]
-    seed: int = 0
+class SuiteConfig(Record):
+    __slots__ = _fields = ("instances", "seed")
+
+    def __init__(self, instances: tuple[InstanceSpec, ...], seed: int = 0):
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass
 class InstanceRecord:
-    graph_id: str
-    n: int
-    m: int
-    a_used: Optional[int] = None
-    sep: Optional[int] = None
-    tw: Optional[int] = None
-    width: Optional[int] = None
-    bound_num: Optional[int] = None
-    bound_den: Optional[int] = None
-    validated: bool = False
-    bound_ok: bool = False
-    passed: bool = False
-    assertions: int = 0
-    oracle_calls: int = 0
-    elapsed_ms: float = 0.0
-    error: Optional[str] = None
+    """One suite instance's outcome, filled in as it runs."""
+
+    def __init__(self, graph_id: str, n: int, m: int):
+        self.graph_id, self.n, self.m = graph_id, n, m
+        self.a_used: Optional[int] = None
+        self.sep: Optional[int] = None
+        self.tw: Optional[int] = None
+        self.width: Optional[int] = None
+        self.bound_num: Optional[int] = None
+        self.bound_den: Optional[int] = None
+        self.validated = self.bound_ok = self.passed = False
+        self.assertions = self.oracle_calls = 0
+        self.elapsed_ms = 0.0
+        self.error: Optional[str] = None
 
     def to_json(self) -> dict[str, Any]:
         return dict(self.__dict__)
 
 
-@dataclass
 class SuiteReport:
-    records: list[InstanceRecord] = field(default_factory=list)
+    def __init__(self):
+        self.records: list[InstanceRecord] = []
 
     @property
     def passed(self) -> bool:

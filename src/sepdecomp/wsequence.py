@@ -12,7 +12,6 @@ only the tail (``_sequence_tail``), which for |W| = 1 needs no flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Optional
@@ -20,6 +19,7 @@ from typing import Iterable, Optional
 from .errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
 from .graph import (
     Graph,
+    Record,
     VertexSet,
     _check_vertices,
     component_mask,
@@ -33,12 +33,15 @@ from .menger import disjoint_paths, separates
 Link = tuple[int, int | tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class WSequence:
-    deltas: tuple[VertexSet, ...]  # Δ_0 = W, Δ_1 .. Δ_{l+1}: each level's new vertices
-    width_w: int
-    z_set: VertexSet
-    links: tuple[tuple[Link, ...], ...]  # per level, one link per witness path
+class WSequence(Record):
+    __slots__ = _fields = ("deltas", "width_w", "z_set", "links")
+
+    def __init__(self, deltas: tuple[VertexSet, ...], width_w: int, z_set: VertexSet,
+                 links: tuple[tuple[Link, ...], ...]):
+        object.__setattr__(self, "deltas", deltas)  # Δ_0 = W, then each level's new vertices
+        object.__setattr__(self, "width_w", width_w)
+        object.__setattr__(self, "z_set", z_set)
+        object.__setattr__(self, "links", links)  # per level, one link per witness path
 
     @property
     def ell(self) -> int:

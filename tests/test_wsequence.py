@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import types
@@ -24,6 +23,11 @@ from sepdecomp.graph import build_graph, induced_subgraph
 from sepdecomp.menger import PathResult, disjoint_paths, separates
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
 from test_golden import NODE_ID_CASES
+
+
+def _replace(ws, **change):
+    """The record `ws` rebuilt from its fields, with those in `change` replaced."""
+    return type(ws)(**{f: getattr(ws, f) for f in ws._fields} | change)
 
 
 class TestBuildExamples:
@@ -134,7 +138,7 @@ class TestValidateRejects:
         assert ws.witness_paths == (((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),))
         assert validate_w_sequence(G, ws) == (True, [])
         tag, change = TAMPERS[name]
-        ok, tags = validate_w_sequence(G, dataclasses.replace(ws, **change))
+        ok, tags = validate_w_sequence(G, _replace(ws, **change))
         assert not ok and tag in tags
 
     def test_broken_nesting(self):
@@ -163,7 +167,7 @@ class TestValidateRejects:
         # a level may mix links and written-out paths; the paths are the same
         G = path_graph(6)
         ws = build_w_sequence(G, {0, 2}, 2)
-        mixed = dataclasses.replace(ws, links=(K0, ((1, 0), (3, (2,))), K2))
+        mixed = _replace(ws, links=(K0, ((1, 0), (3, (2,))), K2))
         assert mixed.witness_paths == ws.witness_paths
         assert validate_w_sequence(G, mixed) == (True, [])
 
@@ -301,14 +305,14 @@ def tamper(ws, n, rng):
     elif kind == 7 and fams:
         rng.choice([lambda: fams.pop(), lambda: fam.append((v, ())), fam.clear])()
     elif kind == 8:
-        return dataclasses.replace(ws, width_w=ws.width_w + rng.choice([-1, 1]))
+        return _replace(ws, width_w=ws.width_w + rng.choice([-1, 1]))
     elif kind == 9 and fam and ws.witness_paths[i][k]:
         # the same path written out in full, which keeps a valid family valid
         path = ws.witness_paths[i][k]
         fam[k] = (path[0], path[1:])
     else:
-        return dataclasses.replace(ws, z_set=ws.z_set ^ {v})
-    return dataclasses.replace(ws, deltas=tuple(deltas), links=tuple(tuple(f) for f in fams))
+        return _replace(ws, z_set=ws.z_set ^ {v})
+    return _replace(ws, deltas=tuple(deltas), links=tuple(tuple(f) for f in fams))
 
 
 def test_tamper_sweep_matches_flow_reference():
