@@ -1,17 +1,24 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepdecomp.constructor import RecursionStats
+from sepdecomp.decomposition import RootedTreeDecomposition
 from sepdecomp.errors import (
     DuplicateEdgeError,
+    InvalidInputError,
     InvalidSeparationError,
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from sepdecomp.generators import gnp_graph, grid_graph, random_tree
+from sepdecomp.generators import cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
 from sepdecomp.graph import (
+    Graph,
+    Record,
     Separation,
     build_graph,
     components_in,
@@ -21,6 +28,10 @@ from sepdecomp.graph import (
     is_w_balanced,
     mask_vertices,
 )
+from sepdecomp.menger import disjoint_paths
+from sepdecomp.separations import make_oracle
+from sepdecomp.verification import InstanceSpec, check_zw_inequality, treewidth_exact
+from sepdecomp.wsequence import build_w_sequence
 
 
 def graphs(max_n=9):
@@ -230,3 +241,87 @@ class TestSeparationChecksAgainstReference:
         for check in checks:
             with pytest.raises(VertexOutOfRangeError):
                 check()
+
+
+# one maker per hashable record type; each call builds a fresh, equal record
+RECORD_MAKERS = {
+    "Graph": lambda: build_graph(3, [(0, 1), (1, 2)]),
+    "Separation": lambda: Separation(frozenset({0, 1}), frozenset({1, 2})),
+    "RootedTreeDecomposition": lambda: RootedTreeDecomposition(
+        3, (-1, 0), (frozenset({0, 1}), frozenset({1, 2}))
+    ),
+    "PathResult": lambda: disjoint_paths(path_graph(4), {0}, {3}, 2),
+    "SeparatorOracleOutcome": lambda: make_oracle(1)(path_graph(6)),
+    "WSequence": lambda: build_w_sequence(path_graph(6), {0, 2}, 2),
+    "TreewidthResult": lambda: treewidth_exact(cycle_graph(5)),
+    "ZWCheck": lambda: check_zw_inequality(
+        path_graph(8), build_w_sequence(path_graph(8), {0}, 1),
+        Separation(frozenset(range(4)), frozenset(range(3, 8))),
+    ),
+}
+
+
+class TestRecord:
+    """The immutable result types are plain slotted classes on graph.Record."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_MAKERS))
+    def test_value_semantics(self, name):
+        a, b = RECORD_MAKERS[name](), RECORD_MAKERS[name]()
+        assert type(a).__name__ == name and a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+        text = repr(a)
+        assert text.startswith(f"{name}(")
+        assert all(f"{f}={getattr(a, f)!r}" in text for f in a._fields)
+        for f in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, None)
+            with pytest.raises(AttributeError):
+                delattr(a, f)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b
+
+    def test_fields_decide_equality(self):
+        G = Graph(2, (0b10, 0b01))
+        assert G == build_graph(2, [(0, 1)]) and G != Graph(2, (0, 0))
+        assert Separation(frozenset({0}), frozenset({1})) != Separation(frozenset({1}), frozenset({0}))
+        # same values, different record types
+        sep = Separation(2, (0b10, 0b01))
+        assert G != sep and sep != G and G._values() == sep._values()
+        assert len({G, sep}) == 2
+
+    def test_every_record_is_slotted(self):
+        records = Record.__subclasses__()
+        assert {cls.__name__ for cls in records} >= set(RECORD_MAKERS) | {
+            "ConstructReport", "InstanceSpec", "SuiteConfig"
+        }
+        for cls in records:
+            assert cls.__slots__ == cls._fields or cls is Graph, cls
+        assert Graph.__slots__ == (*Graph._fields, "__dict__")
+        with pytest.raises(AttributeError):
+            RecursionStats().extra = 1
+
+    def test_unhashable_field_makes_an_unhashable_record(self):
+        spec = InstanceSpec("path", {"n": 5}, a=1)
+        assert spec == InstanceSpec("path", {"n": 5}, a=1)
+        with pytest.raises(TypeError):
+            hash(spec)
+
+    def test_adjacency_cached_once(self):
+        G, H = gnp_graph(12, 0.4, 3), gnp_graph(12, 0.4, 3)
+        assert "adjacency" not in G.__dict__
+        first = G.adjacency
+        assert G.__dict__ == {"adjacency": first}
+        assert G.adjacency is first and G.neighbors(0) is first[0]
+        # the cache takes no part in equality, hashing or repr
+        assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
+
+    def test_tree_decomposition_checks_its_shape(self):
+        bags = (frozenset({0, 1}), frozenset({1, 2}))
+        with pytest.raises(InvalidInputError, match="length mismatch"):
+            RootedTreeDecomposition(3, (-1,), bags)
+        with pytest.raises(InvalidInputError, match="exactly one root, found 2"):
+            RootedTreeDecomposition(3, (-1, -1), bags)
+        with pytest.raises(InvalidInputError, match="exactly one root, found 0"):
+            RootedTreeDecomposition(3, (1, 0), bags)

@@ -3,8 +3,10 @@ running tests' imports stay untouched: re-importing the package frees the
 old copy, the golden constructions come out the same under python -O, the
 constructions leave the interpreter's state alone, and a violated claim
 raises a typed error with or without -O.  One more reads the source: no
-assert statement (python -O strips them), no import inside a function and
-no module-level import that its module never uses."""
+assert statement (python -O strips them), no import inside a function, no
+module-level import that its module never uses, and no import of
+dataclasses (its decorator generates and compiles code at every import;
+the records are plain classes on graph.Record)."""
 
 import ast
 import json
@@ -142,6 +144,15 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name not in read]
 
 
+def dataclass_imports(tree: ast.Module) -> list[int]:
+    """Lines that import the dataclasses module or a name from it."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and not node.level
+    ]
+
+
 def test_source_has_no_assert_or_function_level_import():
     paths = sorted((SRC / "sepdecomp").rglob("*.py"))
     assert paths
@@ -149,6 +160,7 @@ def test_source_has_no_assert_or_function_level_import():
     for path in paths:
         tree = ast.parse(path.read_text(), str(path))
         found.extend(f"{path.name}:{line}: unused import {n}" for line, n in unused_imports(tree))
+        found.extend(f"{path.name}:{line}: dataclasses import" for line in dataclass_imports(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}: assert")
@@ -172,3 +184,14 @@ def test_unused_import_guard_reads_names():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(tree) == [(3, "Iterable")]
+
+
+def test_dataclass_guard_reads_imports():
+    tree = ast.parse(
+        "import os, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from .dataclasses import x\n"
+        "def f():\n"
+        "    import dataclasses\n"
+    )
+    assert dataclass_imports(tree) == [1, 2, 5]
