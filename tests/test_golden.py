@@ -6,8 +6,11 @@ that drives the recursion (a = 3 runs the exact certifying oracle), the
 of some of those runs, the raw result tuples of
 the four search kernels, the separation kernels' tuples on larger graphs
 with many cut vertices, the paths, separators and W-sequences of the
-Menger layer on seeded graphs, and exact treewidth values and elimination
-orders on graphs shaped like the benchmark's certify workload.  A refactor must reproduce all of them
+Menger layer on seeded graphs, exact treewidth values and elimination
+orders on graphs shaped like the benchmark's certify workload, and the two
+readers of fill-in elimination: the parents and bags of those treewidth
+witnesses, and the cutter's min-degree centroid bag on graphs past the
+exact oracle's candidate budget.  A refactor must reproduce all of them
 exactly; a change of tie-break has to be argued, not regenerated away.
 
 ``python tests/test_golden.py`` prints the current values in the same
@@ -32,10 +35,10 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, mask_of
+from sepdecomp.graph import build_graph, mask_of, mask_vertices
 from sepdecomp.menger import disjoint_paths
 from sepdecomp.pace import write_td
-from sepdecomp.separations import separation_number
+from sepdecomp.separations import _min_degree_centroid_bag, separation_number
 from sepdecomp.verification import treewidth_exact
 from sepdecomp.wsequence import build_w_sequence
 
@@ -270,6 +273,30 @@ def run_treewidth(case: dict) -> dict:
     return {"value": tw.value, "order": list(tw.elimination_order)}
 
 
+def elimination_cases() -> dict[str, dict]:
+    """`treewidth_exact`'s witness on the treewidth graphs, and the cutter's
+    min-degree centroid bag on seeded graphs past the exact oracle's
+    candidate budget: partial 3- and 4-trees with n = 100..200, two seeds
+    each, and the 12x15 grid."""
+    cases = {
+        f"witness {key}": {"fn": "treewidth_exact", **case}
+        for key, case in treewidth_cases().items()
+    }
+    specs = [["ktree", n, k, 0.8, seed] for k in (3, 4) for n in range(100, 201, 25)
+             for seed in (n, 1000 + n)]
+    for spec in specs + [["grid", 12, 15]]:
+        cases["centroid " + " ".join(map(str, spec))] = {"fn": "_min_degree_centroid_bag", "graph": spec}
+    return cases
+
+
+def run_elimination(case: dict):
+    G = make_graph(case["graph"])
+    if case["fn"] == "treewidth_exact":
+        td = treewidth_exact(G).decomposition
+        return _sha(repr((td.parents, [sorted(b) for b in td.bags])))
+    return mask_vertices(_min_degree_centroid_bag(G))
+
+
 def compute_golden() -> dict:
     return {
         "construct": {name: construct_digest(name) for name in CONSTRUCT_CASES},
@@ -278,6 +305,7 @@ def compute_golden() -> dict:
         "node_ids": {name: node_ids_digest(name) for name in [*NODE_ID_CASES, *NODE_ID_THEOREM2]},
         "theorem2": {name: theorem2_outcome(name) for name in THEOREM2_CASES},
         "treewidth": {key: dict(case, result=run_treewidth(case)) for key, case in treewidth_cases().items()},
+        "elimination": {key: dict(case, result=run_elimination(case)) for key, case in elimination_cases().items()},
         "kernels": {
             key: [dict(case, result=run_kernel(int(key), case)) for case in cases]
             for key, cases in kernel_cases().items()
@@ -340,6 +368,15 @@ def test_treewidth_results(golden):
         key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
     } == treewidth_cases()
     wrong = [key for key, case in stored.items() if run_treewidth(case) != case["result"]]
+    assert not wrong
+
+
+def test_elimination_results(golden):
+    stored = golden["elimination"]
+    assert {
+        key: {k: v for k, v in case.items() if k != "result"} for key, case in stored.items()
+    } == elimination_cases()
+    wrong = [key for key, case in stored.items() if run_elimination(case) != case["result"]]
     assert not wrong
 
 
