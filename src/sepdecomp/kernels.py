@@ -1,8 +1,8 @@
 """Search kernels over bitmask adjacency.
 
-These are the hot inner loops: minimum balanced / W-balanced separation
-search, separation number, and exact treewidth.  They are plain Python and
-work for any n, since vertex sets are Python ints used as bitmasks.
+These are the hot inner loops: minimum (W-)balanced separation search,
+separation number, exact treewidth and fill-in elimination.  They are plain
+Python and work for any n, since vertex sets are Python ints used as bitmasks.
 
 Graphs come in as ``(n, adj_masks)`` where ``adj_masks[v]`` is the neighbor
 bitmask of vertex v.  ``separators`` lists candidate separators of the
@@ -14,13 +14,15 @@ graph, with no induced copy) apply their own rules to it.  The
 order, but gets their pieces from one DFS on masks per separator prefix
 instead of one component search per candidate; on the subsets of at most
 14 vertices that ``separation_number`` walks, that DFS costs more than it
-saves.
+saves.  ``eliminate`` is the one fill-in elimination, in a given order or by
+minimum degree: the treewidth witness and the cutter's centroid bag read it.
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations, count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import PostconditionFailedError
 from .graph import component_mask, components_in, mask_of, mask_vertices
@@ -266,3 +268,35 @@ def treewidth(n, adj_masks):
         order[pos] = v
         sub ^= 1 << v
     return opt[size - 1], tuple(order)
+
+
+def eliminate(adj_masks: Sequence[int], order: Optional[Sequence[int]] = None):
+    """Eliminate every vertex with fill-in, in `order`, or by minimum degree
+    in the filled graph (ties: lowest id) when `order` is None (Bodlaender &
+    Koster, "Treewidth computations I. Upper bounds", Inf. & Comput. 2010).
+
+    Returns (order, later, parent): ``later[v]`` is v's neighbour mask when
+    it is eliminated, and ``parent[v]`` the earliest-eliminated vertex of
+    ``later[v]``, or -1 when there is none.
+    """
+    n = len(adj_masks)
+    adj = list(adj_masks)
+    # (degree, v) entries, or (step, v) when the order is given
+    heap = [(m.bit_count(), v) for v, m in enumerate(adj)] if order is None else [*enumerate(order)]
+    heapq.heapify(heap)
+    pos = [-1] * n  # elimination step of each vertex
+    done: list[int] = []
+    later = [0] * n
+    while heap:
+        d, v = heapq.heappop(heap)
+        if pos[v] >= 0 or order is None and d != adj[v].bit_count():
+            continue  # stale entry
+        pos[v] = len(done)
+        done.append(v)
+        nb = later[v] = adj[v]
+        for u in mask_vertices(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+            if order is None:
+                heapq.heappush(heap, (adj[u].bit_count(), u))
+    parent = [min(mask_vertices(m), key=pos.__getitem__) if m else -1 for m in later]
+    return done, later, parent

@@ -19,7 +19,6 @@ certificates.  Nothing here draws randomness.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Iterator
 from math import comb
 from typing import Iterable, Optional
@@ -176,33 +175,10 @@ def _cutter_candidates(G: Graph, a: int) -> Iterator[int]:
 
 def _min_degree_centroid_bag(G: Graph) -> int:
     """The bag {v} + N+(v) at the vertex-count centroid of the largest tree
-    of G's min-degree elimination forest, as a mask.
-
-    Min-degree eliminates a vertex of least degree in the filled graph
-    (ties: lowest id); N+(v) are v's neighbours when it is eliminated, and
-    v's parent is the earliest-eliminated of them.  Removing the bag cuts
-    each child subtree of v off from the rest of the graph.
+    of G's min-degree elimination forest (``kernels.eliminate``), as a mask.
+    Removing it cuts each child subtree of v off from the rest of the graph.
     """
-    adj = list(G.adj_masks)
-    heap = [(m.bit_count(), v) for v, m in enumerate(adj)]
-    heapq.heapify(heap)
-    pos = [-1] * G.n  # elimination step of each vertex
-    order: list[int] = []
-    later = [0] * G.n
-    while heap:
-        d, v = heapq.heappop(heap)
-        if pos[v] >= 0 or d != adj[v].bit_count():
-            continue  # stale entry
-        pos[v] = len(order)
-        order.append(v)
-        nb = later[v] = adj[v]
-        for u in mask_vertices(nb):
-            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
-            heapq.heappush(heap, (adj[u].bit_count(), u))
-    parent = [
-        min(mask_vertices(later[v]), key=pos.__getitem__) if later[v] else -1
-        for v in range(G.n)
-    ]
+    order, later, parent = kernels.eliminate(G.adj_masks)
     size = [1] * G.n
     children: list[list[int]] = [[] for _ in range(G.n)]
     for v in order:

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionFailedError,
     SizeLimitExceededError,
 )
-from .graph import Graph, Record, Separation, VertexSet, is_separation
+from .graph import Graph, Record, Separation, is_separation, mask_vertices
 from .separations import EXACT_LIMIT_SEP_NUMBER, separation_number
 from .wsequence import WSequence, validate_w_sequence
 
@@ -41,31 +41,17 @@ class TreewidthResult(Record):
 def _witness_from_elimination(G: Graph, order: tuple[int, ...]) -> RootedTreeDecomposition:
     """Tree decomposition read off an elimination order.
 
-    Bag i is the eliminated vertex plus its current (fill-graph) neighbors;
-    its parent is the bag of the earliest-eliminated such neighbor, or the
-    next bag when the vertex ends up isolated.
+    Bag i is the i-th eliminated vertex plus its later neighbours in the
+    filled graph (``kernels.eliminate``); its parent is the bag of the
+    vertex's parent in the elimination forest, or bag i + 1 for a root.
     """
-    n = G.n
-    if n == 0:
+    if G.n == 0:
         return RootedTreeDecomposition(0, (-1,), (frozenset(),))
-    adj = [set(G.neighbors(v)) for v in range(n)]
+    _, later, parent = kernels.eliminate(G.adj_masks, order)
     position = {v: i for i, v in enumerate(order)}
-    bags: list[VertexSet] = []
-    neigh_sets: list[set[int]] = []
-    alive = set(range(n))
-    for v in order:
-        alive.discard(v)
-        nb = adj[v] & alive
-        bags.append(frozenset({v} | nb))
-        neigh_sets.append(nb)
-        for u in nb:
-            adj[u] |= nb - {u}
-            adj[u].discard(v)
-    parents = [-1] * n
-    for i in range(n - 1):
-        nb = neigh_sets[i]
-        parents[i] = min(position[u] for u in nb) if nb else i + 1
-    return RootedTreeDecomposition(n, tuple(parents), tuple(bags))
+    bags = tuple(frozenset(mask_vertices(later[v] | 1 << v)) for v in order)
+    parents = tuple(position.get(parent[v], i + 1) for i, v in enumerate(order[:-1]))
+    return RootedTreeDecomposition(G.n, parents + (-1,), bags)
 
 
 def treewidth_exact(G: Graph) -> TreewidthResult:

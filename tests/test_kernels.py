@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from conftest import elimination_width
 from hypothesis import strategies as st
 
 from sepdecomp import kernels
@@ -145,6 +146,53 @@ class TestBalancedSeparationKernel:
         assert found == reference_w_balanced(G, w_mask, max_order)
         if w_mask == G.full_mask():
             assert kernels.min_balanced_separation(n, G.adj_masks, max_order) == found
+
+
+class TestEliminate:
+    """``eliminate`` against the independent fill-in reference of conftest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_later_neighbourhoods_and_forest(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        G = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+        given_order = data.draw(st.permutations(range(n)))
+        for wanted in (given_order, None):
+            order, later, parent = kernels.eliminate(G.adj_masks, wanted)
+            assert sorted(order) == list(range(n))
+            if wanted is not None:
+                assert list(order) == list(wanted)
+                width = max((m.bit_count() for m in later), default=-1)
+                assert width == elimination_width(G, wanted)
+            step = {v: i for i, v in enumerate(order)}
+            for v in range(n):
+                after = [u for u in range(n) if later[v] >> u & 1]
+                assert all(step[u] > step[v] for u in after)
+                assert parent[v] == (min(after, key=step.get) if after else -1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_min_degree_takes_least_filled_degree(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        G = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+        order, _, _ = kernels.eliminate(G.adj_masks)
+        adj = [set(G.neighbors(v)) for v in range(n)]
+        alive = set(range(n))
+        for v in order:
+            assert v == min(alive, key=lambda u: (len(adj[u] & alive), u))
+            alive.discard(v)
+            nb = adj[v] & alive
+            for u in nb:
+                adj[u] |= nb - {u}
+
+    def test_min_degree_ties_go_to_the_lowest_id(self):
+        # a path 0-1-2-3: 0 and 3 have degree 1; 0 goes first, then 1
+        order, later, parent = kernels.eliminate(path_graph(4).adj_masks)
+        assert order == [0, 1, 2, 3]
+        assert later == [0b10, 0b100, 0b1000, 0]
+        assert parent == [1, 2, 3, -1]
 
 
 class TestSelection:
