@@ -49,11 +49,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     start = time.perf_counter()
     a = separation_number(G) if args.a == "auto" else int(args.a)
-    if args.w == "auto":
-        W = {0}
-    else:
-        W = {int(tok) - 1 for tok in args.w.replace(",", " ").split()}
-    report = construct(G, a, W)
+    W = {1} if args.w == "auto" else {int(tok) for tok in args.w.replace(",", " ").split()}
+    outside = sorted(w for w in W if not 1 <= w <= G.n)
+    if outside:
+        raise InvalidInputError(f"W vertex {outside[0]} out of range 1..{G.n}")
+    report = construct(G, a, {w - 1 for w in W})
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.td:
         Path(args.td).write_text(write_td(report.decomposition, G))

@@ -16,7 +16,7 @@ from .graph import Graph, build_graph
 def parse_gr(text: str) -> Graph:
     """Parse "p tw <n> <m>" plus m edge lines; "c" comments allowed."""
     n = m = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -44,7 +44,10 @@ def parse_gr(text: str) -> Graph:
             raise ParseError("non-integer edge endpoints", lineno) from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex out of range 1..{n}", lineno)
-        edges.append((u - 1, v - 1))
+        edge = (min(u, v) - 1, max(u, v) - 1)
+        if u == v or edge in edges:
+            raise ParseError(f"{'self-loop' if u == v else 'duplicate'} edge {u} {v}", lineno)
+        edges.add(edge)
     if n is None:
         raise ParseError("missing 'p tw' header", 0)
     if len(edges) != m:

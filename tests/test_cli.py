@@ -73,6 +73,16 @@ class TestConstruct:
         g = gr(tmp_path, path_graph(50))
         assert dispatch(["construct", "--input", g, "--a", "1", "--w", "25"]) == 0
 
+    @pytest.mark.parametrize("w,named", [("0", "0"), ("4", "4"), ("2,9", "9")])
+    def test_w_out_of_range_named_one_indexed(self, tmp_path, capsys, w, named):
+        g = gr(tmp_path, path_graph(3))
+        assert dispatch(["construct", "--input", g, "--a", "1", "--w", w]) == 2
+        assert capsys.readouterr().err == f"error: W vertex {named} out of range 1..3\n"
+
+    def test_w_last_vertex_accepted(self, tmp_path, capsys):
+        g = gr(tmp_path, path_graph(3))
+        assert dispatch(["construct", "--input", g, "--a", "1", "--w", "1,3"]) == 0
+
     def test_infeasible_a_is_usage_error(self, tmp_path, capsys):
         g = gr(tmp_path, grid_graph(6, 6))
         assert dispatch(["construct", "--input", g, "--a", "1"]) == 2
@@ -280,3 +290,16 @@ class TestUsage:
 
     def test_missing_file(self, capsys):
         assert dispatch(["sep", "--input", "/nonexistent.gr"]) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p tw 3 2\n1 2\n1 2\n", "line 3: duplicate edge 1 2"),
+            ("p tw 3 2\n1 2\n2 2\n", "line 3: self-loop edge 2 2"),
+        ],
+    )
+    def test_repeated_edge_or_self_loop_in_input(self, tmp_path, capsys, text, message):
+        g = tmp_path / "bad.gr"
+        g.write_text(text)
+        assert dispatch(["sep", "--input", str(g)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -42,11 +42,26 @@ class TestGrFormat:
             "p tw 2 1\n1 2\np tw 2 1\n",  # duplicate header
             "p tw 2 1\n1 2 3\n",  # malformed edge
             "p tw -1 0\n",  # negative n
+            "p tw 3 2\n1 2\n1 2\n",  # repeated edge
+            "p tw 3 2\n1 2\n2 1\n",  # repeated edge, reversed
+            "p tw 3 2\n2 2\n1 2\n",  # self-loop
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_gr(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p tw 3 2\n1 2\n1 2\n", "line 3: duplicate edge 1 2"),
+            ("c comment\np tw 3 2\n2 2\n1 2\n", "line 3: self-loop edge 2 2"),
+        ],
+    )
+    def test_repeated_edge_or_self_loop_named_by_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$") as ei:
+            parse_gr(text)
+        assert ei.value.line == 3
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError) as ei:
