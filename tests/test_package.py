@@ -4,15 +4,18 @@ old copy, the golden constructions come out the same under python -O, the
 constructions leave the interpreter's state alone, and a violated claim
 raises a typed error with or without -O.  One more reads the source: no
 assert statement (python -O strips them), no import inside a function, no
-module-level import that its module never uses, and no import of
+module-level import that its module never uses, no import of
 dataclasses (its decorator generates and compiles code at every import;
-the records are plain classes on graph.Record)."""
+the records are plain classes on graph.Record), and no underscore-prefixed
+module-level name that nothing in the package reads (a replaced routine
+left beside its replacement)."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -195,3 +198,62 @@ def test_dataclass_guard_reads_imports():
         "    import dataclasses\n"
     )
     assert dataclass_imports(tree) == [1, 2, 5]
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``module:name`` of each underscore-prefixed module-level function,
+    class or constant (dunders exempt) that no module reads outside the
+    name's own definition, as a name or as an attribute."""
+
+    def reads(node: ast.AST) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+        )
+
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = reads(node)
+            unread += [
+                f"{module}:{name}" for name in names
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                and total[name] == own[name]
+            ]
+    return unread
+
+
+def test_source_has_no_unread_private_name():
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted((SRC / "sepdecomp").rglob("*.py"))
+    }
+    assert trees
+    assert unread_private_names(trees) == []
+
+
+def test_unread_private_name_guard_reads_uses():
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n"
+            "_LEFT: int = 1\n"
+            "__all__ = []\n"
+            "def _used(x):\n"
+            "    return x + _LIMIT\n"
+            "def _recursive(x):\n"
+            "    return _recursive(x - 1)\n"
+            "class _Kept:\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse("from . import a\nprint(a._used(1), a._Kept())\n"),
+    }
+    assert unread_private_names(trees) == ["a.py:_LEFT", "a.py:_recursive"]
