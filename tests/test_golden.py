@@ -285,7 +285,8 @@ def elimination_cases() -> dict[str, dict]:
     specs = [["ktree", n, k, 0.8, seed] for k in (3, 4) for n in range(100, 201, 25)
              for seed in (n, 1000 + n)]
     for spec in specs + [["grid", 12, 15]]:
-        cases["centroid " + " ".join(map(str, spec))] = {"fn": "_min_degree_centroid_bag", "graph": spec}
+        key = "centroid " + " ".join(map(str, spec))
+        cases[key] = {"fn": "_min_degree_centroid_bag", "graph": spec}
     return cases
 
 
