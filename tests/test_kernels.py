@@ -32,6 +32,13 @@ def reference_w_balanced(G, w_mask, max_order):
     return None
 
 
+def draw_graph(data, max_n):
+    """A hypothesis-drawn graph with at most `max_n` vertices."""
+    n = data.draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+
+
 def seeded_kernel_cases(count=360, seed=18):
     """Graphs of up to 16 vertices, many disconnected, with W all of V, a
     random subset, one vertex or nothing (so many pieces weigh 0)."""
@@ -137,9 +144,8 @@ class TestBalancedSeparationKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_reference(self, data):
-        n = data.draw(st.integers(0, 11))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        G = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+        G = draw_graph(data, 11)
+        n = G.n
         w_mask = data.draw(st.integers(0, G.full_mask()))
         max_order = data.draw(st.integers(0, 4))
         found = kernels.min_w_balanced_separation(n, G.adj_masks, w_mask, max_order)
@@ -154,9 +160,8 @@ class TestEliminate:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_later_neighbourhoods_and_forest(self, data):
-        n = data.draw(st.integers(0, 12))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        G = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+        G = draw_graph(data, 12)
+        n = G.n
         given_order = data.draw(st.permutations(range(n)))
         for wanted in (given_order, None):
             order, later, parent = kernels.eliminate(G.adj_masks, wanted)
@@ -174,9 +179,8 @@ class TestEliminate:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_min_degree_takes_least_filled_degree(self, data):
-        n = data.draw(st.integers(0, 12))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        G = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+        G = draw_graph(data, 12)
+        n = G.n
         order, _, _ = kernels.eliminate(G.adj_masks)
         adj = [set(G.neighbors(v)) for v in range(n)]
         alive = set(range(n))
