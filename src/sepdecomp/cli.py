@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import generators
 from .constructor import construct, construct_theorem2
-from .decomposition import validate_decomposition, width
+from .decomposition import _validate, width
 from .errors import InvalidInputError, PostconditionFailedError, SepDecompError
 from .graph import Graph
 from .pace import export_dot, parse_gr, parse_td, write_gr, write_td
@@ -82,7 +82,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if td.host_n != G.n:
         print(f"vertex count mismatch: graph {G.n}, td {td.host_n}", file=sys.stderr)
         return FAILURE
-    ok, violations = validate_decomposition(G, td)
+    ok, violations = _validate(G, td, 1)  # in the files' 1-indexed ids
     if ok:
         print(f"valid, width {width(td)}")
         return OK

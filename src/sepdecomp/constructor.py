@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 from .decomposition import (
     RootedTreeDecomposition,
+    _bag_sets,
     _split,
     validate_decomposition,
     width,
@@ -31,14 +32,15 @@ from .errors import (
 from .graph import (
     Graph,
     Record,
-    VertexSet,
     _check_vertices,
-    induced_subgraph,
+    _induced,
+    _lift,
+    _stz_sides,
     mask_of,
     mask_vertices,
 )
 from .kernels import _sum_in_window, separators
-from .separations import EXACT_LIMIT_SEPARATION, Oracle, make_oracle, stz_separation
+from .separations import EXACT_LIMIT_SEPARATION, Oracle, make_oracle
 from .wsequence import _sequence_tail
 
 
@@ -134,7 +136,7 @@ def construct(
     if oracle is None:
         oracle = make_oracle(a)
     stats = RecursionStats()
-    td = _construct(G, a, W, oracle, stats)
+    td = _construct(G, a, mask_of(W), oracle, stats)
     c = CONSTANTS.c
     report = _checked_report("construct", G, td, a, stats, CONSTANTS.width_bound_ok,
                              "(7915/139)*a", c.numerator * a, c.denominator)
@@ -164,13 +166,8 @@ def _checked_report(where: str, G: Graph, td: RootedTreeDecomposition, a: int,
     )
 
 
-def _construct(
-    G: Graph,
-    a: int,
-    W: VertexSet,
-    oracle: Oracle,
-    stats: RecursionStats,
-) -> RootedTreeDecomposition:
+def _construct(G: Graph, a: int, W: int, oracle: Oracle,
+               stats: RecursionStats) -> RootedTreeDecomposition:
     """The recursion of ``construct``, run on an explicit stack of work items.
 
     A frame ``(region, W, p, parent_n, depth)`` decomposes G[region], with W
@@ -183,40 +180,33 @@ def _construct(
     Items pop in the recursion's order: T_Y in preorder, A child first, as
     ``separation_tree`` builds it, each leaf's subproblem in place of the
     leaf, then the X side; so each node is appended once, after its parent.
-    All sets are in G's ids.  Nothing here checks the bags; ``construct``
+    All sets are bitmasks of G.  Nothing here checks the bags; ``construct``
     validates the whole output once.
     """
     parents: list[int] = []
-    bags: list[VertexSet] = []
-    stack: list[tuple] = [(frozenset(range(G.n)), W, -1, G.n + 1, 0)]
+    bags: list[int] = []
+    stack: list[tuple] = [(G.full_mask(), W, -1, G.n + 1, 0)]
     while stack:
         item = stack.pop()
         if len(item) == 6:
             vset, bnd, p, d, pbag, frame = item
             x_side, Y, wz, top_n, n, depth = frame
             stats.separation_tree_nodes += 1
-            inner = vset - bnd
-            lhs = len(inner & wz)
-            stats.check(
-                "construct",
-                "cell_bound",
-                CONSTANTS.cell_bound_ok(lhs, d, a),
-                lambda: f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}",
-            )
+            inner = vset & ~bnd
+            lhs = (inner & wz).bit_count()
+            stats.check("construct", "cell_bound", CONSTANTS.cell_bound_ok(lhs, d, a),
+                        lambda: f"depth {d}: {lhs} vs (13/6)*t*a*(2/3)^d + 3*d*a, a={a}")
             split = _split(G, vset, bnd, top_n, a, CONSTANTS.h, oracle)
             if split is None:
                 if not d:
                     raise PostconditionFailedError("construct: the T_Y root is a leaf")
                 region = vset & Y
                 leaf_bnd = region & pbag
-                stats.check(
-                    "construct",
-                    "leaf_interface",
-                    CONSTANTS.w_small_enough(len(leaf_bnd), a),
-                    lambda: f"leaf boundary {len(leaf_bnd)} vs t*a, a={a}",
-                )
+                size = leaf_bnd.bit_count()
+                stats.check("construct", "leaf_interface", CONSTANTS.w_small_enough(size, a),
+                            lambda: f"leaf boundary {size} vs t*a, a={a}")
                 if region:
-                    stack.append((region, leaf_bnd or frozenset({min(region)}), p, n, depth + 1))
+                    stack.append((region, leaf_bnd or region & -region, p, n, depth + 1))
                 else:
                     parents.append(p)
                     bags.append(region)
@@ -224,7 +214,7 @@ def _construct(
             stats.oracle_calls += 1
             bag, A, B = split
             rbag = (bag & Y) | (inner & x_side & Y)
-            if not (d or wz <= rbag):
+            if not (d or wz & ~rbag == 0):
                 raise PostconditionFailedError("construct: the T_Y root bag misses W ∪ Z")
             _check_t_y_bag(stats, rbag, a)
             parents.append(p)
@@ -233,11 +223,9 @@ def _construct(
             stack.append((A, bag, len(bags) - 1, d + 1, rbag, frame))
             continue
         region, W, p, parent_n, depth = item
-        n = len(region)
+        n = region.bit_count()
         if n >= parent_n:
-            raise RecursionGuardError(
-                f"subproblem size {n} did not decrease below {parent_n}"
-            )
+            raise RecursionGuardError(f"subproblem size {n} did not decrease below {parent_n}")
         stats.construct_calls += 1
         stats.max_depth = max(stats.max_depth, depth)
         if CONSTANTS.base_case(n, a):
@@ -246,37 +234,37 @@ def _construct(
             bags.append(region)
             continue
 
-        H, to_g = induced_subgraph(G, region)
-        w_h = frozenset(v for v, g in to_g.items() if g in W)
+        H, to_g = _induced(G, region)
+        # W's ids in H: each vertex's rank in the region
+        w_h = mask_of((region & ((1 << g) - 1)).bit_count() for g in mask_vertices(W))
         w_ell, w_top, Z, ell_is_zero = _sequence_tail(H, w_h)
-        sep_xy = stz_separation(H, frozenset(range(n)) - w_ell, Z, w_h)
-        X, Y, Z, w_top = (
-            frozenset(map(to_g.__getitem__, s)) for s in (sep_xy.a_side, sep_xy.b_side, Z, w_top)
-        )
-        stats.check("construct", "z_lt_w", len(Z) < len(W), lambda: f"|Z|={len(Z)} |W|={len(W)}")
-        stats.check("construct", "xy_order", len(X & Y) == len(Z), lambda: f"order={len(X & Y)}")
-        stats.check("construct", "y_in_wtop", Y <= w_top, lambda: f"|Y\\W_top|={len(Y - w_top)}")
+        sides = _stz_sides(H, H.full_mask() & ~w_ell, Z, w_h)
+        stats.check("construct", "z_separates", sides is not None,
+                    lambda: "a path from V - W_l to W misses Z")
+        X, Y, Z, w_top = (_lift(m, to_g) for m in (*sides, Z, w_top))
+        w_size, z_size, order = W.bit_count(), Z.bit_count(), (X & Y).bit_count()
+        stats.check("construct", "z_lt_w", z_size < w_size, lambda: f"|Z|={z_size} |W|={w_size}")
+        stats.check("construct", "xy_order", order == z_size, lambda: f"order={order}")
+        stats.check("construct", "y_in_wtop", Y & ~w_top == 0,
+                    lambda: f"|Y\\W_top|={(Y & ~w_top).bit_count()}")
 
         # the X side hangs below the T_Y root, which is appended next
-        if X - Y:
-            stack.append((X, Z or frozenset({min(X)}), len(parents), n, depth + 1))
+        if X & ~Y:
+            stack.append((X, Z or X & -X, len(parents), n, depth + 1))
         if ell_is_zero:
             _check_t_y_bag(stats, W | Z, a)
             parents.append(p)
             bags.append(W | Z)
         else:
-            frame = ((X & w_top) | W, Y, W | Z, len(w_top), n, depth)
-            stack.append((w_top, frozenset(), p, 0, None, frame))
-    return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
+            frame = ((X & w_top) | W, Y, W | Z, w_top.bit_count(), n, depth)
+            stack.append((w_top, 0, p, 0, None, frame))
+    return RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
 
 
-def _check_t_y_bag(stats: RecursionStats, bag: VertexSet, a: int) -> None:
-    stats.check(
-        "construct",
-        "treewidth_bound",
-        CONSTANTS.width_bound_ok(len(bag) - 1, a),
-        lambda: f"T_Y bag of {len(bag)} vertices vs a={a}",
-    )
+def _check_t_y_bag(stats: RecursionStats, bag: int, a: int) -> None:
+    size = bag.bit_count()
+    stats.check("construct", "treewidth_bound", CONSTANTS.width_bound_ok(size - 1, a),
+                lambda: f"T_Y bag of {size} vertices vs a={a}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +340,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         )
     stats = RecursionStats()
     parents: list[int] = [-1]
-    bags: list[VertexSet] = [frozenset()]
+    bags: list[int] = [0]
     # (X, Y, node) as masks: extend the decomposition below `node` by one of G[X]
     stack = [(G.full_mask(), 0, 0)] if G.n else []
     while stack:
@@ -366,21 +354,21 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
             continue
         if X.bit_count() <= 4 * a:
             parents.append(node)
-            bags.append(frozenset(mask_vertices(X)))
+            bags.append(X)
             continue
         # pad W to exactly 3a with the smallest uncovered vertices; balancing
         # the padded set is what forces both child states to shrink
         wpad = W | mask_of(mask_vertices(rem)[: 3 * a - order])
         stats.oracle_calls += 1
         Z, A = _useful_w_balanced(G, X, W, wpad, a)
-        bag = frozenset(mask_vertices(W | Z))
-        stats.check("construct_theorem2", "bag_4a", len(bag) <= 4 * a, lambda: f"bag {len(bag)}")
+        size = (W | Z).bit_count()
+        stats.check("construct_theorem2", "bag_4a", size <= 4 * a, lambda: f"bag {size}")
         parents.append(node)
-        bags.append(bag)
+        bags.append(W | Z)
         here = len(parents) - 1
         stack.append(((X & ~A) | Z, Y | A, here))
         stack.append((A, Y | Z, here))
-    td = RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
+    td = RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
     return _checked_report(
         "construct_theorem2", G, td, a, stats, lambda w, a: w < 4 * a, "4a", 4 * a, 1
     )

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from .errors import (
-    InvalidInputError,
-    InvalidSeparationError,
-    OracleFailureError,
-    VertexOutOfRangeError,
-)
+from .errors import InvalidInputError, OracleFailureError
 from .graph import (
     Graph,
     Record,
     Separation,
     VertexSet,
-    induced_subgraph,
-    is_balanced,
+    _induced,
+    _lift,
+    _sides_balanced,
+    _strict_sides,
     is_separation,
     mask_of,
     mask_vertices,
@@ -90,7 +87,12 @@ def width(td: RootedTreeDecomposition) -> int:
 
 def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool, list[str]]:
     """Check tree well-formedness and both tree-decomposition properties,
-    on one vertex bitmask per bag."""
+    on one vertex bitmask per bag; the violations name 0-based ids."""
+    return _validate(G, td, 0)
+
+
+def _validate(G: Graph, td: RootedTreeDecomposition, base: int) -> tuple[bool, list[str]]:
+    """``validate_decomposition``, naming each node and vertex by its id + base."""
     violations: list[str] = []
     n_nodes = td.size
     # well-formed tree: valid parents, no cycles, all nodes reach the root
@@ -105,17 +107,18 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
             if p == -1:
                 break
             if not (0 <= p < n_nodes):
-                violations.append(f"node {y}: parent {p} out of range")
+                violations.append(f"node {y + base}: parent {p + base} out of range")
                 return False, violations
             if walk[p] == x:
-                violations.append(f"cycle through node {p}")
+                violations.append(f"cycle through node {p + base}")
                 return False, violations
             y = p
     # one bitmask per bag; an out-of-range vertex is reported and left out
     n, kept = G.n, td.bags
     used = frozenset().union(*kept)
     if used and not (min(used) >= 0 and max(used) < n):
-        violations.extend(f"bag vertex {v} out of range" for b in kept for v in b if not 0 <= v < n)
+        violations.extend(
+            f"bag vertex {v + base} out of range" for b in kept for v in b if not 0 <= v < n)
         kept = [[v for v in b if 0 <= v < n] for b in kept]
     masks = [mask_of(b) for b in kept]
     # cover[v]: the union of the bags holding v; held[v]: how many bags hold
@@ -131,14 +134,15 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
     for u, (nbrs, cov) in enumerate(zip(G.adj_masks, cover)):
         missing = nbrs & ~cov & -2 << u  # the neighbours v > u outside cover[u]
         if missing:
-            violations.extend(f"edge ({u},{v}) uncovered" for v in mask_vertices(missing))
+            violations.extend(
+                f"edge ({u + base},{v + base}) uncovered" for v in mask_vertices(missing))
     # (ii) the bags holding each vertex induce a non-empty subtree: a forest
     # on held[v] nodes with linked[v] edges is a tree iff it has one edge less
     for v in range(n):
         if not held[v]:
-            violations.append(f"vertex {v} in no bag")
+            violations.append(f"vertex {v + base} in no bag")
         elif linked[v] != held[v] - 1:
-            violations.append(f"vertex {v} bags not connected")
+            violations.append(f"vertex {v + base} bags not connected")
     return not violations, violations
 
 
@@ -176,8 +180,8 @@ def separation_tree(
     if oracle is None:
         oracle = make_oracle(a)
     parents: list[int] = []
-    bags: list[VertexSet] = []
-    stack = [(frozenset(range(G.n)), frozenset(), -1)]  # (vertex set, boundary, parent)
+    bags: list[int] = []
+    stack = [(G.full_mask(), 0, -1)]  # (vertex set, boundary, parent), as masks
     while stack:
         vset, bnd, parent = stack.pop()
         parents.append(parent)
@@ -189,33 +193,33 @@ def separation_tree(
         bags.append(bag)
         stack.append((B, bag, len(bags) - 1))
         stack.append((A, bag, len(bags) - 1))
-    return RootedTreeDecomposition(G.n, tuple(parents), tuple(bags))
+    return RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
 
 
-def _split(G: Graph, vset: VertexSet, bnd: VertexSet, n: int, a: int, h: int, oracle):
-    """One node of the separation tree of an n-vertex region of G, in G's
-    ids: None for a leaf, else (bag, A ∪ bnd, B ∪ bnd), its bag and its
+def _bag_sets(bags: list[int]) -> tuple[VertexSet, ...]:
+    return tuple(frozenset(mask_vertices(b)) for b in bags)
+
+
+def _split(G: Graph, vset: int, bnd: int, n: int, a: int, h: int, oracle):
+    """One node of the separation tree of an n-vertex region of G, on masks
+    of G: None for a leaf, else (bag, A ∪ bnd, B ∪ bnd), its bag and its
     children's vertex sets, whose boundary is the bag.  The oracle is handed
     G[vset - bnd].  A miss raises OracleFailureError with the oracle's
     ``certified`` flag, an answer that is not a balanced separation of order
     <= a of that graph an uncertified one; the witness is vset - bnd.
     """
-    inner = vset - bnd
-    if 3**h * len(inner) <= n * 2**h:
+    inner = vset & ~bnd
+    if 3**h * inner.bit_count() <= n * 2**h:
         return None
-    H, new_to_old = induced_subgraph(G, inner)
+    H, to_g = _induced(G, inner)
     outcome = oracle(H)
-    sep = outcome.separation
-    if sep is None:
-        raise OracleFailureError(inner, outcome.certified)
-    try:
-        ok = sep.order <= a and is_balanced(H, sep)
-    except (InvalidSeparationError, VertexOutOfRangeError):
-        ok = False  # not a separation of H
-    if not ok:
-        raise OracleFailureError(inner, certified=False)
-    A = frozenset(map(new_to_old.__getitem__, sep.a_side))
-    B = frozenset(map(new_to_old.__getitem__, sep.b_side))
+    if outcome.sides is None:
+        raise OracleFailureError(to_g, outcome.certified)
+    a_mask, b_mask = outcome.sides
+    sides = _strict_sides(H, a_mask, b_mask)
+    if not (sides and (a_mask & b_mask).bit_count() <= a and _sides_balanced(sides, H.full_mask())):
+        raise OracleFailureError(to_g, certified=False)
+    A, Z = _lift(a_mask, to_g), _lift(a_mask & b_mask, to_g)
     # the boundary rides along into both children so that its edges into
     # the interior stay covered
-    return bnd | (A & B), A | bnd, B | bnd
+    return bnd | Z, A | bnd, (inner & ~A) | Z | bnd

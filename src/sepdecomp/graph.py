@@ -120,20 +120,28 @@ def _check_vertices(G: Graph, S: Iterable[int]) -> VertexSet:
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on S, reindexed to 0..|S|-1.
+    """Induced subgraph on S, its new ids 0..|S|-1 in the sorted order of S,
+    and the new-id -> old-id map."""
+    H, old_ids = _induced(G, mask_of(_check_vertices(G, S)))
+    return H, dict(enumerate(old_ids))
 
-    Returns the subgraph and the new-id -> old-id map (old -> new is its
-    inverse; new ids follow the sorted order of S).
-    """
-    old_ids = sorted(_check_vertices(G, S))
-    bit_of = [0] * G.n  # host id -> the bit of its new id, 0 outside S
+
+def _induced(G: Graph, mask: int) -> tuple[Graph, list[int]]:
+    """G[mask], numbered in G's order, and the host id of each new id."""
+    old_ids = mask_vertices(mask)
+    bit_of = [0] * G.n  # host id -> the bit of its new id, 0 outside the mask
     for new, old in enumerate(old_ids):
         bit_of[old] = 1 << new
     # G is simple, so a list's bits are distinct and their sum is their OR,
     # and the relabelled masks need none of build_graph's checks
     adj, bit = G.adjacency, bit_of.__getitem__
     masks = tuple(sum(map(bit, adj[u])) for u in old_ids)
-    return Graph(len(old_ids), masks), dict(enumerate(old_ids))
+    return Graph(len(old_ids), masks), old_ids
+
+
+def _lift(mask: int, ids: Sequence[int]) -> int:
+    """The mask of ids[v] over the vertices v of `mask`."""
+    return mask_of(map(ids.__getitem__, mask_vertices(mask)))
 
 
 def component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
@@ -163,12 +171,10 @@ def components_in(adj_masks: Sequence[int], universe: int) -> list[int]:
     return out
 
 
-def _stz_sides(G: Graph, S: Iterable, Z: Iterable, T: Iterable) -> Optional[tuple[int, int]]:
-    """Z plus the components of G - Z that meet S, and Z plus the rest, as
-    bitmasks; None when a component of G - Z meets both S and T."""
-    s_mask = mask_of(_check_vertices(G, S))
-    x_mask = y_mask = z_mask = mask_of(_check_vertices(G, Z))
-    t_mask = mask_of(_check_vertices(G, T))
+def _stz_sides(G: Graph, s_mask: int, z_mask: int, t_mask: int) -> Optional[tuple[int, int]]:
+    """Z plus the components of G - Z that meet S, and Z plus the rest, all
+    as bitmasks; None when a component of G - Z meets both S and T."""
+    x_mask = y_mask = z_mask
     for comp in components_in(G.adj_masks, G.full_mask() & ~z_mask):
         if comp & s_mask:
             if comp & t_mask:
@@ -181,6 +187,10 @@ def _stz_sides(G: Graph, S: Iterable, Z: Iterable, T: Iterable) -> Optional[tupl
 
 def mask_vertices(mask: int) -> list[int]:
     """The vertices of a bitmask, ascending."""
+    size = mask.bit_length()
+    if size > 64 and 4 * mask.bit_count() > size:
+        # one pass over the binary digits beats a big-int step per vertex
+        return [v for v, digit in enumerate(reversed(bin(mask))) if digit == "1"]
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1
@@ -196,11 +206,10 @@ def mask_of(S: Iterable[int]) -> int:
     return m
 
 
-def _strict_sides(G: Graph, sep: Separation) -> Optional[tuple[int, int]]:
-    """The strict sides A \\ B and B \\ A of `sep` as bitmasks, or None unless
-    they cover V(G) with no edge between the strict sides."""
-    a_mask = mask_of(_check_vertices(G, sep.a_side))
-    b_mask = mask_of(_check_vertices(G, sep.b_side))
+def _strict_sides(G: Graph, a_mask: int, b_mask: int) -> Optional[tuple[int, int]]:
+    """The strict sides A \\ B and B \\ A of the sides A and B as bitmasks, or
+    None unless A and B hold V(G) and nothing else (so neither is negative)
+    and no edge joins the strict sides."""
     a_only, b_only = a_mask & ~b_mask, b_mask & ~a_mask
     if a_mask | b_mask != G.full_mask() or any(
         G.adj_masks[u] & b_only for u in mask_vertices(a_only)
@@ -209,8 +218,12 @@ def _strict_sides(G: Graph, sep: Separation) -> Optional[tuple[int, int]]:
     return a_only, b_only
 
 
+def _side_masks(G: Graph, sep: Separation):
+    return (mask_of(_check_vertices(G, side)) for side in (sep.a_side, sep.b_side))
+
+
 def is_separation(G: Graph, sep: Separation) -> bool:
-    return _strict_sides(G, sep) is not None
+    return _strict_sides(G, *_side_masks(G, sep)) is not None
 
 
 def is_balanced(G: Graph, sep: Separation) -> bool:
@@ -224,7 +237,11 @@ def is_w_balanced(G: Graph, sep: Separation, W: Iterable[int]) -> bool:
 
 
 def _balanced(G: Graph, sep: Separation, w_mask: int) -> bool:
-    sides = _strict_sides(G, sep)
+    sides = _strict_sides(G, *_side_masks(G, sep))
     if sides is None:
         raise InvalidSeparationError(f"not a separation of G: {sep}")
+    return _sides_balanced(sides, w_mask)
+
+
+def _sides_balanced(sides: tuple[int, int], w_mask: int) -> bool:
     return all(3 * (s & w_mask).bit_count() <= 2 * w_mask.bit_count() for s in sides)

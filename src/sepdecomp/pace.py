@@ -49,9 +49,9 @@ def parse_gr(text: str) -> Graph:
             raise ParseError(f"{'self-loop' if u == v else 'duplicate'} edge {u} {v}", lineno)
         edges.add(edge)
     if n is None:
-        raise ParseError("missing 'p tw' header", 0)
+        raise ParseError("missing 'p tw' header")
     if len(edges) != m:
-        raise ParseError(f"expected {m} edges, found {len(edges)}", 0)
+        raise ParseError(f"expected {m} edges, found {len(edges)}")
     return build_graph(n, edges)
 
 
@@ -109,18 +109,18 @@ def parse_td(text: str) -> RootedTreeDecomposition:
             raise ParseError("tree edge endpoints out of range", lineno)
         tree_edges.append((i, j))
     if header is None:
-        raise ParseError("missing 's td' header", 0)
+        raise ParseError("missing 's td' header")
     n_bags, max_bag, n = header
     if n_bags == 0:
-        raise ParseError("decomposition needs at least one bag", 0)
+        raise ParseError("decomposition needs at least one bag")
     # indices are distinct and within 1..n_bags, so counting them suffices
     if len(bag_lines) != n_bags:
-        raise ParseError("missing bag lines", 0)
+        raise ParseError("missing bag lines")
     largest = max(len(verts) for verts in bag_lines.values())
     if max_bag != largest:
-        raise ParseError(f"header max-bag {max_bag} but largest bag has {largest}", 0)
+        raise ParseError(f"header max-bag {max_bag} but largest bag has {largest}")
     if len(tree_edges) != n_bags - 1:
-        raise ParseError(f"expected {n_bags - 1} tree edges", 0)
+        raise ParseError(f"expected {n_bags - 1} tree edges")
     adj: dict[int, list[int]] = {i: [] for i in range(1, n_bags + 1)}
     for i, j in tree_edges:
         adj[i].append(j)
@@ -137,7 +137,7 @@ def parse_td(text: str) -> RootedTreeDecomposition:
                 parents[y - 1] = x - 1
                 stack.append(y)
     if len(seen) != n_bags:
-        raise ParseError("tree edges do not connect all bags", 0)
+        raise ParseError("tree edges do not connect all bags")
     bags = tuple(
         frozenset(v - 1 for v in bag_lines[i]) for i in range(1, n_bags + 1)
     )

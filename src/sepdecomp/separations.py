@@ -48,41 +48,47 @@ CANDIDATE_BUDGET = 2_000_000
 
 
 class SeparatorOracleOutcome(Record):
-    """An oracle's answer for the graph it was handed: a balanced separation
-    of order <= a, or None.
+    """An oracle's answer for the graph it was handed: the sides
+    ``(a_mask, b_mask)`` of a balanced separation of order <= a, as bitmasks
+    in that graph's ids, or None.
 
     ``certified`` tells whether a missing separation is a proof that the
     graph has none (exhaustive search) or merely a heuristic giving up.
     """
 
-    __slots__ = _fields = ("separation", "certified")
+    __slots__ = _fields = ("sides", "certified")
 
-    def __init__(self, separation: Optional[Separation], certified: bool):
-        object.__setattr__(self, "separation", separation)
+    def __init__(self, sides: Optional[tuple[int, int]], certified: bool):
+        object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "certified", certified)
 
     @property
     def found(self) -> bool:
-        return self.separation is not None
+        return self.sides is not None
+
+    @property
+    def separation(self) -> Optional[Separation]:
+        return None if self.sides is None else _separation_of(self.sides)
 
 
-def _separation_from_masks(G: Graph, z_mask: int, a_mask: int) -> Separation:
-    b_mask = (G.full_mask() & ~a_mask) | z_mask
-    return Separation(
-        frozenset(mask_vertices(a_mask)), frozenset(mask_vertices(b_mask))
-    )
+def _sides(G: Graph, z_mask: int, a_mask: int) -> tuple[int, int]:
+    """The sides (A, B) of the separation with separator Z and A side A."""
+    return a_mask, (G.full_mask() & ~a_mask) | z_mask
+
+
+def _separation_of(sides: tuple[int, int]) -> Separation:
+    return Separation(*(frozenset(mask_vertices(m)) for m in sides))
 
 
 def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int]) -> Separation:
     """The canonical (S,Z,T)-separation: X collects the components of G-Z
     that meet S (plus Z), Y collects the rest (plus Z).  Raises
     NotSeparatedError unless Z separates S from T."""
-    Z = frozenset(Z)
-    sides = _stz_sides(G, S, Z, T)
+    s_mask, z_mask, t_mask = (mask_of(_check_vertices(G, X)) for X in (S, Z, T))
+    sides = _stz_sides(G, s_mask, z_mask, t_mask)
     if sides is None:
-        raise NotSeparatedError(f"Z={sorted(Z)} does not separate S and T")
-    x_mask, y_mask = sides
-    return Separation(frozenset(mask_vertices(x_mask)), frozenset(mask_vertices(y_mask)))
+        raise NotSeparatedError(f"Z={mask_vertices(z_mask)} does not separate S and T")
+    return _separation_of(sides)
 
 
 def min_balanced_separation(G: Graph) -> Separation:
@@ -97,7 +103,7 @@ def min_balanced_separation(G: Graph) -> Separation:
             "although (V, V) is one"
         )
     _, z_mask, a_mask = found
-    return _separation_from_masks(G, z_mask, a_mask)
+    return _separation_of(_sides(G, z_mask, a_mask))
 
 
 def _bounded_candidates(n: int, a: int) -> int:
@@ -125,9 +131,7 @@ def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
         if found is None:
             return SeparatorOracleOutcome(None, certified=True)
         _, z_mask, a_mask = found
-        return SeparatorOracleOutcome(
-            _separation_from_masks(G, z_mask, a_mask), certified=True
-        )
+        return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), certified=True)
     return _cutter_balanced_within(G, a)
 
 
@@ -145,8 +149,7 @@ def _cutter_balanced_within(G: Graph, a: int) -> SeparatorOracleOutcome:
             continue
         a_mask = kernels._a_side(G.adj_masks, full, z_mask, hi)
         if a_mask is not None:
-            sep = _separation_from_masks(G, z_mask, a_mask)
-            return SeparatorOracleOutcome(sep, certified=True)
+            return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), certified=True)
     return SeparatorOracleOutcome(None, certified=False)
 
 
@@ -230,7 +233,7 @@ def min_w_balanced_separation(G: Graph, W: Iterable[int]) -> Separation:
             "although (V, V) is one"
         )
     _, z_mask, a_mask = found
-    return _separation_from_masks(G, z_mask, a_mask)
+    return _separation_of(_sides(G, z_mask, a_mask))
 
 
 # collections.abc.Callable, not typing.Callable: typing caches subscripted

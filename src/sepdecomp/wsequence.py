@@ -132,21 +132,20 @@ def _path(links: tuple[tuple[Link, ...], ...], i: int, k: int) -> Optional[tuple
     return None
 
 
-def _sequence_tail(G: Graph, W: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet, bool]:
-    """(W_l, W_{l+1}, Z, l == 0) of the width-|W| W-sequence of W.
+def _sequence_tail(G: Graph, w_mask: int) -> tuple[int, int, int, bool]:
+    """(W_l, W_{l+1}, Z, l == 0) of the width-|W| W-sequence of W, as masks.
 
     With W = {v}, every round adds one vertex of v's component and the
     sequence ends when none is left, whatever paths it picks; so
     W_l = W_{l+1} = that component, Z is empty and l = 0 exactly when the
     component is {v}.  Larger W reads the tail of ``build_w_sequence``.
     """
-    if len(W) == 1:
-        (v,) = W
-        comp = frozenset(mask_vertices(component_mask(G.adj_masks, G.full_mask(), v)))
-        return comp, comp, frozenset(), len(comp) == 1
-    ws = build_w_sequence(G, W, len(W))
-    top = frozenset().union(*ws.deltas)
-    return top - ws.deltas[-1], top, ws.z_set, ws.ell == 0
+    if w_mask.bit_count() == 1:
+        comp = component_mask(G.adj_masks, G.full_mask(), w_mask.bit_length() - 1)
+        return comp, comp, 0, comp == w_mask
+    ws = build_w_sequence(G, mask_vertices(w_mask), w_mask.bit_count())
+    top = mask_of(v for delta in ws.deltas for v in delta)
+    return top & ~mask_of(ws.deltas[-1]), top, mask_of(ws.z_set), ws.ell == 0
 
 
 def validate_w_sequence(G: Graph, ws: WSequence) -> tuple[bool, list[str]]:

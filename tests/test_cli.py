@@ -133,6 +133,17 @@ class TestValidate:
         tdf.write_text("s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n")  # edge 2-3 uncovered
         assert dispatch(["validate", "--input", g, "--td", str(tdf)]) == 1
 
+    def test_violations_in_file_ids(self, tmp_path, capsys):
+        # the vertices and bags are named as the files number them, from 1
+        g = tmp_path / "g.gr"
+        g.write_text("p tw 3 1\n1 2\n")
+        tdf = tmp_path / "t.td"
+        tdf.write_text("s td 1 1 3\nb 1 1\n")
+        assert dispatch(["validate", "--input", str(g), "--td", str(tdf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "edge (1,2) uncovered", "vertex 2 in no bag", "vertex 3 in no bag",
+        ]
+
     def test_mismatched_sizes(self, tmp_path, capsys):
         g = gr(tmp_path, path_graph(4))
         tdf = tmp_path / "t.td"

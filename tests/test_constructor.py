@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepdecomp import constructor, decomposition, wsequence
+from sepdecomp import constructor, decomposition, graph
 from sepdecomp.constructor import (
     CONSTANTS,
     _useful_w_balanced,
@@ -160,13 +160,14 @@ class TestConstruct:
         # one copy per recursing frame (its W-sequence flows) and one per
         # oracle call; T_Y is built in G's ids, with no copy of G[W_top]
         calls = []
+        real = graph._induced
 
-        def counted(H, vs):
-            calls.append(vs)
-            return induced_subgraph(H, vs)
+        def counted(H, mask):
+            calls.append(mask)
+            return real(H, mask)
 
-        for mod in (constructor, decomposition, wsequence):
-            monkeypatch.setattr(mod, "induced_subgraph", counted)
+        for mod in (graph, constructor, decomposition):
+            monkeypatch.setattr(mod, "_induced", counted)
         stats = construct(G, a, {0}).recursion_stats
         assert stats.oracle_calls > 0
         assert len(calls) == stats.oracle_calls + stats.construct_calls - stats.base_cases
@@ -181,7 +182,7 @@ class TestConstruct:
             split = real(*args)
             if split is not None and not calls:
                 bag, A, B = split
-                split = (bag - {max(bag)}, A, B)
+                split = (bag & ~(1 << bag.bit_length() - 1), A, B)
             calls.append(split)
             return split
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sepdecomp.errors import InvalidInputError, OracleFailureError
 from sepdecomp.constructor import construct
 from sepdecomp.generators import complete_graph, cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
-from sepdecomp.graph import Separation, build_graph, induced_subgraph
+from sepdecomp.graph import Separation, build_graph, induced_subgraph, mask_of
 from sepdecomp.separations import SeparatorOracleOutcome, make_oracle
 from sepdecomp.decomposition import (
     RootedTreeDecomposition,
@@ -37,6 +37,13 @@ def depths(t):
 
 def leaves(t):
     return [x for x, kids in enumerate(t.children()) if not kids]
+
+
+def halves(H):
+    """The sides of an order-1 balanced separation of a path H, as masks:
+    the first half and the second, sharing the middle vertex."""
+    k = H.n // 2
+    return (1 << k + 1) - 1, H.full_mask() & -(1 << k)
 
 
 class TestStructure:
@@ -402,7 +409,7 @@ class TestSeparationTree:
         # a failure's witness is the same graph's vertex set, in G's ids
         def split_walk(G, region, a, h, oracle):
             parents, bags = [], []
-            stack = [(region, frozenset(), -1)]
+            stack = [(mask_of(region), 0, -1)]
             while stack:
                 vset, bnd, parent = stack.pop()
                 parents.append(parent)
@@ -435,7 +442,7 @@ class TestSeparationTree:
                 continue
             parents, bags = split_walk(G, region, a, h, oracle)
             assert parents == ref.parents
-            assert bags == tuple(frozenset(to_g[v] for v in b) for b in ref.bags)
+            assert bags == tuple(mask_of(to_g[v] for v in b) for b in ref.bags)
             outcomes.add("tree" if len(bags) > 1 else "leaf")
         assert outcomes == {"failure", "tree", "leaf"}
 
@@ -452,12 +459,15 @@ class TestSeparationTree:
     @pytest.mark.parametrize(
         "answer",
         [
-            lambda H: (frozenset(range(H.n)), frozenset()),  # order 0, unbalanced
-            lambda H: (frozenset({0}), frozenset({0})),  # not a separation
-            lambda H: (frozenset({H.n}), frozenset(range(H.n))),  # vertex out of range
-            lambda H: (frozenset(range(H.n)), frozenset(range(H.n))),  # order n > a
+            lambda H: (H.full_mask(), 0),  # order 0, unbalanced
+            lambda H: (1, 1),  # not a separation
+            lambda H: (1 << H.n, H.full_mask()),  # vertex out of range
+            lambda H: (H.full_mask(), H.full_mask()),  # order n > a
+            lambda H: (halves(H)[0] | 1 << H.n + 3, halves(H)[1]),  # a bit above H's ids
+            lambda H: (halves(H)[0], halves(H)[1] | -1 << H.n),  # a negative mask
         ],
-        ids=["unbalanced", "non_separation", "out_of_range", "order_above_a"],
+        ids=["unbalanced", "non_separation", "out_of_range", "order_above_a", "bit_above_n",
+             "negative_mask"],
     )
     @pytest.mark.parametrize("via_construct", [False, True])
     def test_out_of_contract_answer_rejected(self, answer, via_construct):
@@ -472,7 +482,7 @@ class TestSeparationTree:
             calls.append(H)
             if len(calls) > 1000:
                 raise Looped
-            return SeparatorOracleOutcome(Separation(*answer(H)), certified=True)
+            return SeparatorOracleOutcome(answer(H), certified=True)
 
         G = path_graph(30)
         with pytest.raises(OracleFailureError) as ei:
@@ -482,3 +492,17 @@ class TestSeparationTree:
                 separation_tree(G, 1, 4, oracle)
         assert ei.value.certified is False and len(calls) == 1
         assert len(ei.value.witness) == calls[0].n
+
+    @pytest.mark.parametrize("via_construct", [False, True])
+    def test_in_contract_mask_answer_accepted(self, via_construct):
+        # the halves that the bit_above_n and negative_mask answers spoil
+        # are accepted on their own, down to every leaf
+        def oracle(H):
+            return SeparatorOracleOutcome(halves(H), certified=True)
+
+        G = path_graph(30)
+        if via_construct:
+            t = construct(G, 1, {0}, oracle=oracle).decomposition
+        else:
+            t = separation_tree(G, 1, 4, oracle)
+        assert t.size > 1 and validate_decomposition(G, t) == (True, [])

@@ -254,3 +254,24 @@ def test_parse_td_fuzz(text):
     back = parse_td(out)
     assert _shape(back) == _shape(t)
     assert write_td(back, G) == out
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_gr, "c no header\n", "missing 'p tw' header"),
+        (parse_gr, "p tw 3 2\n1 2\n", "expected 2 edges, found 1"),
+        (parse_td, "", "missing 's td' header"),
+        (parse_td, "s td 0 0 0\n", "decomposition needs at least one bag"),
+        (parse_td, "s td 2 1 1\nb 1 1\n", "missing bag lines"),
+        (parse_td, "s td 1 2 1\nb 1 1\n", "header max-bag 2 but largest bag has 1"),
+        (parse_td, "s td 2 1 1\nb 1 1\nb 2 1\n", "expected 1 tree edges"),
+        (parse_td, "s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n1 2\n",
+         "tree edges do not connect all bags"),
+    ],
+)
+def test_whole_file_errors_name_no_line(parse, text, message):
+    # these errors belong to no single line, so the message carries none
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == message and ei.value.line is None

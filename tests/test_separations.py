@@ -19,11 +19,13 @@ from sepdecomp.generators import (
 )
 from sepdecomp.constructor import construct
 from sepdecomp.graph import (
+    Separation,
     build_graph,
     induced_subgraph,
     is_balanced,
     is_separation,
     is_w_balanced,
+    mask_vertices,
 )
 from sepdecomp.menger import separates
 from sepdecomp.separations import (
@@ -213,3 +215,29 @@ class TestOracle:
     def test_oracle_failure_certified_when_exact(self):
         out = make_oracle(1)(cycle_graph(12))
         assert not out.found and out.certified
+
+    @pytest.mark.parametrize(
+        "G, a",
+        [
+            (path_graph(30), 1),
+            (cycle_graph(40), 2),
+            (partial_ktree(60, 2, seed=2), 3),
+            (partial_ktree(150, 3, seed=1), 4),
+        ],
+        ids=["path", "cycle", "ktree_exact", "ktree_cutter"],
+    )
+    def test_separation_derived_from_sides(self, G, a):
+        # the answer is its sides, masks in G's ids; found and separation
+        # read them, and the separation is balanced of order <= a
+        out = make_oracle(a)(G)
+        a_mask, b_mask = out.sides
+        assert out.found and out.certified
+        assert out.separation == Separation(
+            frozenset(mask_vertices(a_mask)), frozenset(mask_vertices(b_mask))
+        )
+        assert is_balanced(G, out.separation) and out.separation.order <= a
+
+    def test_no_sides_no_separation(self):
+        out = make_oracle(1)(cycle_graph(12))
+        assert out.sides is None and out.separation is None and not out.found
+

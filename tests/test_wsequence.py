@@ -19,7 +19,7 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, induced_subgraph
+from sepdecomp.graph import build_graph, induced_subgraph, mask_of
 from sepdecomp.menger import PathResult, disjoint_paths, separates
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
 from test_golden import NODE_ID_CASES
@@ -208,7 +208,7 @@ def test_path_witnesses_take_linear_memory():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_tail_matches_full_sequence(data):
-    """The tail that construct reads agrees with the witnessed sequence:
+    """The tail that construct reads, as masks, agrees with the witnessed sequence:
     in closed form for |W| = 1 (connected or not, W isolated or not), read
     from build_w_sequence for larger W."""
     n = data.draw(st.integers(1, 14))
@@ -217,8 +217,9 @@ def test_tail_matches_full_sequence(data):
     size = data.draw(st.sampled_from([1, 1, 1, 2, 3]))
     W = frozenset(data.draw(st.permutations(range(n)))[:size])
     ws = build_w_sequence(G, W, len(W))
-    expected = (ws.levels[ws.ell], ws.levels[ws.ell + 1], ws.z_set, ws.ell == 0)
-    assert wsequence._sequence_tail(G, W) == expected
+    sets = (ws.levels[ws.ell], ws.levels[ws.ell + 1], ws.z_set)
+    expected = (*map(mask_of, sets), ws.ell == 0)
+    assert wsequence._sequence_tail(G, mask_of(W)) == expected
 
 
 def flow_per_level_validator(G, ws):
