@@ -218,12 +218,12 @@ def _strict_sides(G: Graph, a_mask: int, b_mask: int) -> Optional[tuple[int, int
     return a_only, b_only
 
 
-def _side_masks(G: Graph, sep: Separation):
-    return (mask_of(_check_vertices(G, side)) for side in (sep.a_side, sep.b_side))
+def _checked_masks(G: Graph, *sets: Iterable[int]):
+    return (mask_of(_check_vertices(G, S)) for S in sets)
 
 
 def is_separation(G: Graph, sep: Separation) -> bool:
-    return _strict_sides(G, *_side_masks(G, sep)) is not None
+    return _strict_sides(G, *_checked_masks(G, sep.a_side, sep.b_side)) is not None
 
 
 def is_balanced(G: Graph, sep: Separation) -> bool:
@@ -237,7 +237,7 @@ def is_w_balanced(G: Graph, sep: Separation, W: Iterable[int]) -> bool:
 
 
 def _balanced(G: Graph, sep: Separation, w_mask: int) -> bool:
-    sides = _strict_sides(G, *_side_masks(G, sep))
+    sides = _strict_sides(G, *_checked_masks(G, sep.a_side, sep.b_side))
     if sides is None:
         raise InvalidSeparationError(f"not a separation of G: {sep}")
     return _sides_balanced(sides, w_mask)

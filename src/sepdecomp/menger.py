@@ -14,7 +14,7 @@ from bisect import bisect_left
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, PostconditionFailedError
-from .graph import Graph, Record, VertexSet, _check_vertices, _stz_sides, mask_of
+from .graph import Graph, Record, VertexSet, _check_vertices, _checked_masks, _stz_sides
 
 
 class PathResult(Record):
@@ -159,5 +159,4 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
 def separates(G: Graph, Z: Iterable[int], S: Iterable[int], T: Iterable[int]) -> bool:
     """True iff every S-T path of G meets Z: no component of G - Z meets
     both S and T (a vertex of S & T outside Z is such a path)."""
-    s_mask, z_mask, t_mask = (mask_of(_check_vertices(G, X)) for X in (S, Z, T))
-    return _stz_sides(G, s_mask, z_mask, t_mask) is not None
+    return _stz_sides(G, *_checked_masks(G, S, Z, T)) is not None

@@ -35,6 +35,7 @@ from .graph import (
     Record,
     Separation,
     _check_vertices,
+    _checked_masks,
     _stz_sides,
     components_in,
     mask_of,
@@ -84,7 +85,7 @@ def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int
     """The canonical (S,Z,T)-separation: X collects the components of G-Z
     that meet S (plus Z), Y collects the rest (plus Z).  Raises
     NotSeparatedError unless Z separates S from T."""
-    s_mask, z_mask, t_mask = (mask_of(_check_vertices(G, X)) for X in (S, Z, T))
+    s_mask, z_mask, t_mask = _checked_masks(G, S, Z, T)
     sides = _stz_sides(G, s_mask, z_mask, t_mask)
     if sides is None:
         raise NotSeparatedError(f"Z={mask_vertices(z_mask)} does not separate S and T")

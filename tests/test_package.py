@@ -2,7 +2,8 @@
 running tests' imports stay untouched: re-importing the package frees the
 old copy, the golden constructions come out the same under python -O, the
 constructions leave the interpreter's state alone, and a violated claim
-raises a typed error with or without -O.  One more reads the source: no
+or an oracle answer out of contract raises a typed error with or without
+-O.  One more reads the source: no
 assert statement (python -O strips them), no import inside a function, no
 module-level import that its module never uses, no import of
 dataclasses (its decorator generates and compiles code at every import;
@@ -87,6 +88,23 @@ except PostconditionFailedError as exc:
 print(json.dumps({"file": sepdecomp.__file__, "message": message}))
 """
 
+ANSWER = """
+import sepdecomp
+from sepdecomp.errors import OracleFailureError
+from sepdecomp.generators import path_graph
+from sepdecomp.separations import SeparatorOracleOutcome
+
+def oracle(H):
+    return SeparatorOracleOutcome((H.full_mask(), 1 << H.n), certified=True)
+
+try:
+    sepdecomp.separation_tree(path_graph(30), 1, 4, oracle)
+    certified = None
+except OracleFailureError as exc:
+    certified = exc.certified
+print(json.dumps({"file": sepdecomp.__file__, "certified": certified}))
+"""
+
 
 def run_child(code: str, *flags: str) -> dict:
     """Run `code` in a fresh interpreter that imports sepdecomp from the
@@ -127,6 +145,12 @@ def test_constructions_leave_interpreter_state_alone():
 def test_violated_claim_raises_typed_error(flags):
     out = run_child(CLAIM, *flags)
     assert (out["message"] or "").startswith("construct: claim treewidth_bound violated")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_out_of_contract_answer_rejected(flags):
+    # the re-check of an oracle's sides is plain code, so -O keeps it
+    assert run_child(ANSWER, *flags)["certified"] is False
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
