@@ -101,17 +101,6 @@ class ConstructReport(Record):
         "recursion_stats",
     )
 
-    def __init__(self, decomposition: RootedTreeDecomposition, a_used: int, width: int,
-                 bound_num: int, bound_den: int, certificate_node: int,
-                 recursion_stats: RecursionStats):
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "a_used", a_used)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "bound_num", bound_num)
-        object.__setattr__(self, "bound_den", bound_den)
-        object.__setattr__(self, "certificate_node", certificate_node)
-        object.__setattr__(self, "recursion_stats", recursion_stats)
-
 
 def construct(
     G: Graph,

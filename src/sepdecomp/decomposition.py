@@ -30,9 +30,7 @@ class RootedTreeDecomposition(Record):
         roots = parents.count(-1)
         if roots != 1:
             raise InvalidInputError(f"need exactly one root, found {roots}")
-        object.__setattr__(self, "host_n", host_n)
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "bags", bags)
+        super().__init__(host_n, parents, bags)
 
     @property
     def size(self) -> int:

@@ -21,11 +21,31 @@ VertexSet = frozenset[int]
 
 class Record:
     """Immutable value: equality, hash and repr over `_fields`.  Each subclass
-    declares `__slots__` and `_fields` and sets its fields in its `__init__`
-    with `object.__setattr__`; assigning or deleting one afterwards raises."""
+    declares `__slots__`, `_fields` and, for fields that may be left out,
+    their `_defaults`; `__init__` binds positional and keyword arguments to
+    the fields in order.  Assigning or deleting a field afterwards raises."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name, given = type(self).__name__, len(args)
+            if given > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields but {given} were given")
+            for f in kwargs:
+                if f not in fields[given:]:
+                    raise TypeError(f"{name}() got field {f!r} twice" if f in fields
+                                    else f"{name}() got an unknown field {f!r}")
+            values = {**self._defaults, **kwargs}
+            missing = [f for f in fields[given:] if f not in values]
+            if missing:
+                raise TypeError(f"{name}() missing field(s) {', '.join(map(repr, missing))}")
+            args += tuple(values[f] for f in fields[given:])
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -54,12 +74,7 @@ class Record:
 class Graph(Record):
     # __dict__ holds the cached adjacency
     __slots__ = ("n", "adj_masks", "__dict__")
-    _fields = ("n", "adj_masks")
-
-    def __init__(self, n: int, adj_masks: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        # bit u of adj_masks[v] is set iff uv is an edge
-        object.__setattr__(self, "adj_masks", adj_masks)
+    _fields = ("n", "adj_masks")  # bit u of adj_masks[v] is set iff uv is an edge
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -85,10 +100,6 @@ class Graph(Record):
 
 class Separation(Record):
     __slots__ = _fields = ("a_side", "b_side")
-
-    def __init__(self, a_side: VertexSet, b_side: VertexSet):
-        object.__setattr__(self, "a_side", a_side)
-        object.__setattr__(self, "b_side", b_side)
 
     @property
     def order(self) -> int:

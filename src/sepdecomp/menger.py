@@ -14,15 +14,11 @@ from bisect import bisect_left
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, PostconditionFailedError
-from .graph import Graph, Record, VertexSet, _check_vertices, _checked_masks, _stz_sides
+from .graph import Graph, Record, _check_vertices, _checked_masks, _stz_sides
 
 
 class PathResult(Record):
-    __slots__ = _fields = ("paths", "separator")
-
-    def __init__(self, paths: tuple[tuple[int, ...], ...], separator: Optional[VertexSet]):
-        object.__setattr__(self, "paths", paths)  # each path's vertices, from S to T
-        object.__setattr__(self, "separator", separator)
+    __slots__ = _fields = ("paths", "separator")  # paths: each path's vertices, from S to T
 
 
 # Split-network node ids: 2v = v_in, 2v+1 = v_out, then source and sink.

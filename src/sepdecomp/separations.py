@@ -59,10 +59,6 @@ class SeparatorOracleOutcome(Record):
 
     __slots__ = _fields = ("sides", "certified")
 
-    def __init__(self, sides: Optional[tuple[int, int]], certified: bool):
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "certified", certified)
-
     @property
     def found(self) -> bool:
         return self.sides is not None

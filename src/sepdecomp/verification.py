@@ -31,12 +31,6 @@ EXACT_LIMIT_TREEWIDTH = 16
 class TreewidthResult(Record):
     __slots__ = _fields = ("value", "elimination_order", "decomposition")
 
-    def __init__(self, value: int, elimination_order: tuple[int, ...],
-                 decomposition: RootedTreeDecomposition):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "elimination_order", elimination_order)
-        object.__setattr__(self, "decomposition", decomposition)
-
 
 def _witness_from_elimination(G: Graph, order: tuple[int, ...]) -> RootedTreeDecomposition:
     """Tree decomposition read off an elimination order.
@@ -73,14 +67,6 @@ def treewidth_exact(G: Graph) -> TreewidthResult:
 
 class ZWCheck(Record):
     __slots__ = _fields = ("holds", "lhs", "rhs", "secondary_holds", "secondary_rhs")
-
-    def __init__(self, holds: bool, lhs: Fraction, rhs: Fraction, secondary_holds: bool,
-                 secondary_rhs: Fraction):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "secondary_holds", secondary_holds)
-        object.__setattr__(self, "secondary_rhs", secondary_rhs)
 
 
 def check_zw_inequality(G: Graph, ws: WSequence, ab: Separation) -> ZWCheck:
@@ -125,14 +111,10 @@ def check_sep_le_tw(G: Graph) -> bool:
 
 
 class InstanceSpec(Record):
+    # kind: path | cycle | tree | grid | complete | gnp; a None: exact when
+    # small, else structural
     __slots__ = _fields = ("kind", "params", "a", "graph_id")
-
-    def __init__(self, kind: str, params: dict, a: Optional[int] = None,
-                 graph_id: Optional[str] = None):
-        object.__setattr__(self, "kind", kind)  # path | cycle | tree | grid | complete | gnp
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "a", a)  # None: exact when small, else structural
-        object.__setattr__(self, "graph_id", graph_id)
+    _defaults = {"a": None, "graph_id": None}
 
     def ident(self) -> str:
         if self.graph_id:
@@ -143,10 +125,7 @@ class InstanceSpec(Record):
 
 class SuiteConfig(Record):
     __slots__ = _fields = ("instances", "seed")
-
-    def __init__(self, instances: tuple[InstanceSpec, ...], seed: int = 0):
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "seed", seed)
+    _defaults = {"seed": 0}
 
 
 class InstanceRecord:

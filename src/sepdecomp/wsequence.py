@@ -34,14 +34,9 @@ Link = tuple[int, int | tuple[int, ...]]
 
 
 class WSequence(Record):
+    # deltas: Δ_0 = W, then each level's new vertices; links: per level, one
+    # link per witness path
     __slots__ = _fields = ("deltas", "width_w", "z_set", "links")
-
-    def __init__(self, deltas: tuple[VertexSet, ...], width_w: int, z_set: VertexSet,
-                 links: tuple[tuple[Link, ...], ...]):
-        object.__setattr__(self, "deltas", deltas)  # Δ_0 = W, then each level's new vertices
-        object.__setattr__(self, "width_w", width_w)
-        object.__setattr__(self, "z_set", z_set)
-        object.__setattr__(self, "links", links)  # per level, one link per witness path
 
     @property
     def ell(self) -> int:

@@ -1,12 +1,13 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdecomp.constructor import RecursionStats
+from sepdecomp.constructor import RecursionStats, construct
 from sepdecomp.decomposition import RootedTreeDecomposition
 from sepdecomp.errors import (
     DuplicateEdgeError,
@@ -30,7 +31,7 @@ from sepdecomp.graph import (
 )
 from sepdecomp.menger import disjoint_paths
 from sepdecomp.separations import make_oracle
-from sepdecomp.verification import InstanceSpec, check_zw_inequality, treewidth_exact
+from sepdecomp.verification import InstanceSpec, SuiteConfig, check_zw_inequality, treewidth_exact
 from sepdecomp.wsequence import build_w_sequence
 
 
@@ -260,6 +261,14 @@ RECORD_MAKERS = {
     ),
 }
 
+# one maker per record type, hashable or not
+RECORD_SAMPLES = {
+    **RECORD_MAKERS,
+    "ConstructReport": lambda: construct(path_graph(8), 1, {0}),
+    "InstanceSpec": lambda: InstanceSpec("path", {"n": 5}, a=1),
+    "SuiteConfig": lambda: SuiteConfig((InstanceSpec("cycle", {"n": 6}),), seed=2),
+}
+
 
 class TestRecord:
     """The immutable result types are plain slotted classes on graph.Record."""
@@ -301,6 +310,44 @@ class TestRecord:
         assert Graph.__slots__ == (*Graph._fields, "__dict__")
         with pytest.raises(AttributeError):
             RecursionStats().extra = 1
+
+    @pytest.mark.parametrize("name", sorted(RECORD_SAMPLES))
+    def test_binds_positional_keyword_and_mixed(self, name):
+        rec = RECORD_SAMPLES[name]()
+        cls, values = type(rec), rec._values()
+        named = dict(zip(rec._fields, values))
+        k = len(values) // 2
+        mixed = cls(*values[:k], **{f: named[f] for f in rec._fields[k:]})
+        assert cls(*values) == cls(**named) == mixed == rec
+        assert [getattr(mixed, f) for f in rec._fields] == list(values)
+
+    def test_samples_cover_every_record(self):
+        assert {cls.__name__ for cls in Record.__subclasses__()} == set(RECORD_SAMPLES)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((1, 2, 3), {}, "takes 2 fields but 3 were given"),
+        ((1,), {}, "missing field(s) 'b_side'"),
+        ((), {}, "missing field(s) 'a_side', 'b_side'"),
+        ((1,), {"a_side": 2}, "got field 'a_side' twice"),
+        ((1, 2), {"b_side": 2}, "got field 'b_side' twice"),
+        ((1, 2), {"c_side": 3}, "got an unknown field 'c_side'"),
+        ((), {"a_side": 1, "bside": 2}, "got an unknown field 'bside'"),
+    ])
+    def test_bad_arguments_raise_naming_the_record(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=re.escape(f"Separation() {message}")):
+            Separation(*args, **kwargs)
+
+    def test_defaults_fill_left_out_fields(self):
+        spec = InstanceSpec("path", {"n": 5})
+        assert (spec.a, spec.graph_id) == (None, None)
+        assert InstanceSpec("path", {}, graph_id="p") == InstanceSpec("path", {}, None, "p")
+        assert InstanceSpec(kind="path", params={}, a=2).a == 2
+        assert SuiteConfig((spec,)).seed == 0
+        assert SuiteConfig(instances=(spec,), seed=3) == SuiteConfig((spec,), 3)
+        with pytest.raises(TypeError, match=re.escape("InstanceSpec() missing field(s) 'params'")):
+            InstanceSpec("path", a=1)
+        with pytest.raises(TypeError, match=re.escape("Graph() missing field(s) 'adj_masks'")):
+            Graph(2)
 
     def test_unhashable_field_makes_an_unhashable_record(self):
         spec = InstanceSpec("path", {"n": 5}, a=1)

@@ -7,7 +7,9 @@ or an oracle answer out of contract raises a typed error with or without
 assert statement (python -O strips them), no import inside a function, no
 module-level import that its module never uses, no import of
 dataclasses (its decorator generates and compiles code at every import;
-the records are plain classes on graph.Record), and no underscore-prefixed
+the records are plain classes on graph.Record), no ``object.__setattr__``
+outside graph.Record (its one ``__init__`` sets every record's fields from
+``_fields``), and no underscore-prefixed
 module-level name that nothing in the package reads (a replaced routine
 left beside its replacement)."""
 
@@ -180,6 +182,21 @@ def dataclass_imports(tree: ast.Module) -> list[int]:
     ]
 
 
+def field_setters(tree: ast.Module, owner: str = "") -> list[int]:
+    """Lines that name ``object.__setattr__`` outside the module-level class
+    called `owner`."""
+    exempt = {
+        id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == owner
+        for node in ast.walk(cls)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+        and id(node) not in exempt
+    )
+
+
 def test_source_has_no_assert_or_function_level_import():
     paths = sorted((SRC / "sepdecomp").rglob("*.py"))
     assert paths
@@ -188,6 +205,9 @@ def test_source_has_no_assert_or_function_level_import():
         tree = ast.parse(path.read_text(), str(path))
         found.extend(f"{path.name}:{line}: unused import {n}" for line, n in unused_imports(tree))
         found.extend(f"{path.name}:{line}: dataclasses import" for line in dataclass_imports(tree))
+        # only graph.Record.__init__ sets a record's fields
+        owner = "Record" if path.name == "graph.py" else ""
+        found.extend(f"{path.name}:{line}: field setter" for line in field_setters(tree, owner))
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}: assert")
@@ -222,6 +242,25 @@ def test_dataclass_guard_reads_imports():
         "    import dataclasses\n"
     )
     assert dataclass_imports(tree) == [1, 2, 5]
+
+
+def test_field_setter_guard_reads_classes():
+    tree = ast.parse(
+        "class Record:\n"
+        "    def __init__(self, v):\n"
+        "        object.__setattr__(self, 'v', v)\n"
+        "class Point(Record):\n"
+        "    def __init__(self, x):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "set_field = object.__setattr__\n"
+        "def f(r):\n"
+        "    class Record:\n"
+        "        pass\n"
+        "    super(Record, r).__setattr__('x', 1)\n"
+        "    object.__setattr__(r, 'x', 1)\n"
+    )
+    assert field_setters(tree, "Record") == [6, 7, 12]
+    assert field_setters(tree) == [3, 6, 7, 12]
 
 
 def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
