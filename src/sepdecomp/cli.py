@@ -234,7 +234,7 @@ def dispatch(argv: list[str]) -> int:
         return USAGE_ERROR if exc.code else OK
     try:
         return args.func(args)
-    except (SepDecompError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SepDecompError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE if isinstance(exc, PostconditionFailedError) else USAGE_ERROR
 

@@ -57,27 +57,6 @@ class RootedTreeDecomposition(Record):
             stack.extend(reversed(children[x]))
         return order
 
-    def subtree_unions(self) -> list[VertexSet]:
-        children = self.children()
-        out: list[VertexSet] = [frozenset()] * self.size
-        for x in reversed(self.preorder()):
-            u = self.bags[x]
-            for c in children[x]:
-                u |= out[c]
-            out[x] = u
-        return out
-
-    def boundaries(self) -> list[VertexSet]:
-        return [
-            self.bags[x] & self.bags[p] if p != -1 else frozenset()
-            for x, p in enumerate(self.parents)
-        ]
-
-    def interiors(self) -> list[VertexSet]:
-        unions = self.subtree_unions()
-        bnd = self.boundaries()
-        return [unions[x] - bnd[x] for x in range(self.size)]
-
 
 def width(td: RootedTreeDecomposition) -> int:
     return max(len(b) for b in td.bags) - 1
@@ -149,17 +128,25 @@ def restrict_decomposition(
 ) -> RootedTreeDecomposition:
     """Restrict a decomposition of G to G[Y] along a separation (X, Y).
 
-    New bag rule: (old bag ∩ Y) plus (old interior ∩ X ∩ Y).  The tree shape
-    is preserved and the root bag picks up all of X ∩ Y.
+    New bag rule: (old bag ∩ Y) plus (old interior ∩ X ∩ Y), where a node's
+    interior is its subtree's union minus (its bag ∩ its parent's bag), the
+    rule that ``construct`` applies to each T_Y bag.  The tree shape is
+    preserved and the root bag picks up all of X ∩ Y.
     """
     ok, _ = validate_decomposition(G, td_prime)
     if not ok:
         raise InvalidInputError("td_prime does not decompose G")
     if not is_separation(G, sep):
         raise InvalidInputError("(X, Y) is not a separation of G")
-    X, Y = sep.a_side, sep.b_side
-    bags = tuple((b & Y) | (i & X & Y) for b, i in zip(td_prime.bags, td_prime.interiors()))
-    return RootedTreeDecomposition(G.n, td_prime.parents, bags)
+    xy, y = mask_of(sep.a_side & sep.b_side), mask_of(sep.b_side)
+    parents, masks = td_prime.parents, [mask_of(b) for b in td_prime.bags]
+    unions = masks[:]  # each node's subtree union, children before parents
+    for x in reversed(td_prime.preorder()):
+        if parents[x] != -1:
+            unions[parents[x]] |= unions[x]
+    bnds = [m & masks[p] if p != -1 else 0 for m, p in zip(masks, parents)]
+    bags = [(m & y) | (u & ~b & xy) for m, u, b in zip(masks, unions, bnds)]
+    return RootedTreeDecomposition(G.n, parents, _bag_sets(bags))
 
 
 def separation_tree(

@@ -144,16 +144,20 @@ def parse_td(text: str) -> RootedTreeDecomposition:
     return RootedTreeDecomposition(n, tuple(parents), bags)
 
 
+def _preorder_ids(td: RootedTreeDecomposition) -> dict[int, int]:
+    """Each node's 1-based place in preorder, its bag id in a file, in that order."""
+    return {x: i for i, x in enumerate(td.preorder(), 1)}
+
+
 def write_td(td: RootedTreeDecomposition, G: Graph) -> str:
     """Serialize a decomposition that validates against G."""
     ok, violations = validate_decomposition(G, td)
     if not ok:
         raise InvalidDecompositionError("; ".join(violations))
-    order = td.preorder()
-    number = {x: i + 1 for i, x in enumerate(order)}
+    number = _preorder_ids(td)
     max_bag = max(len(b) for b in td.bags)
     lines = [f"s td {td.size} {max_bag} {G.n}"]
-    for x in order:
+    for x in number:
         verts = " ".join(str(v + 1) for v in sorted(td.bags[x]))
         lines.append(f"b {number[x]}{' ' + verts if verts else ''}")
     edges = sorted(
@@ -167,13 +171,12 @@ def write_td(td: RootedTreeDecomposition, G: Graph) -> str:
 
 def export_dot(td: RootedTreeDecomposition) -> str:
     """Graphviz tree with bag contents (1-indexed) as labels."""
-    order = td.preorder()
-    number = {x: i + 1 for i, x in enumerate(order)}
+    number = _preorder_ids(td)
     lines = ["graph td {"]
-    for x in order:
+    for x in number:
         label = "{" + ", ".join(str(v + 1) for v in sorted(td.bags[x])) + "}"
         lines.append(f'  n{number[x]} [label="{label}"];')
-    for x in order:
+    for x in number:
         p = td.parents[x]
         if p != -1:
             lines.append(f"  n{number[p]} -- n{number[x]};")

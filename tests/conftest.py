@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+from sepdecomp.graph import Separation, components_in, induced_subgraph, is_separation, mask_vertices
+
 
 def elimination_width(G, order) -> int:
     """Largest later-neighbourhood met while eliminating in `order` with
@@ -14,3 +16,35 @@ def elimination_width(G, order) -> int:
         for u in nb:
             adj[u] |= nb - {u}
     return worst
+
+
+def random_separation(G, rng):
+    """A uniform-ish separation: random separator, components dealt to sides."""
+    k = rng.randint(0, max(0, G.n - 1))
+    zset = frozenset(rng.sample(range(G.n), k))
+    H, new_to_old = induced_subgraph(G, set(range(G.n)) - zset)
+    A, B = set(zset), set(zset)
+    for c in components_in(H.adj_masks, H.full_mask()):
+        (A if rng.random() < 0.5 else B).update(new_to_old[v] for v in mask_vertices(c))
+    sep = Separation(frozenset(A), frozenset(B))
+    assert is_separation(G, sep)
+    return sep
+
+
+def subtree_unions(t):
+    """Each node's union of the bags in its subtree."""
+    children = t.children()
+    out = [frozenset()] * t.size
+    for x in reversed(t.preorder()):
+        out[x] = t.bags[x].union(*(out[c] for c in children[x]))
+    return out
+
+
+def boundaries(t):
+    """Each node's bag ∩ its parent's bag, empty at the root."""
+    return [t.bags[x] & t.bags[p] if p != -1 else frozenset() for x, p in enumerate(t.parents)]
+
+
+def interiors(t):
+    """Each node's subtree union minus its boundary."""
+    return [u - b for u, b in zip(subtree_unions(t), boundaries(t))]

@@ -11,6 +11,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from conftest import boundaries, interiors, random_separation
 
 from sepdecomp.constructor import construct, construct_theorem2
 from sepdecomp.errors import RecursionGuardError
@@ -28,7 +29,6 @@ from sepdecomp.graph import (
     build_graph,
     components_in,
     induced_subgraph,
-    is_separation,
     mask_vertices,
 )
 from sepdecomp.decomposition import (
@@ -100,19 +100,6 @@ def all_separations(G):
                     (A if bits >> i & 1 else B).update(c)
                 out.append(Separation(frozenset(A), frozenset(B)))
     return out
-
-
-def random_separation(G, rng):
-    """A uniform-ish separation: random separator, components dealt to sides."""
-    k = rng.randint(0, max(0, G.n - 1))
-    zset = frozenset(rng.sample(range(G.n), k))
-    H, new_to_old = induced_subgraph(G, set(range(G.n)) - zset)
-    A, B = set(zset), set(zset)
-    for c in components_in(H.adj_masks, H.full_mask()):
-        (A if rng.random() < 0.5 else B).update(new_to_old[v] for v in mask_vertices(c))
-    sep = Separation(frozenset(A), frozenset(B))
-    assert is_separation(G, sep)
-    return sep
 
 
 def structured_corpus():
@@ -277,8 +264,8 @@ def test_criterion_4_separation_tree_invariants(report):
             for x in t.preorder():
                 if t.parents[x] != -1:
                     depths[x] = depths[t.parents[x]] + 1
-            bnds = t.boundaries()
-            ints = t.interiors()
+            bnds = boundaries(t)
+            ints = interiors(t)
             assert max(depths) <= h
             for x in range(t.size):
                 d = depths[x]

@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from conftest import boundaries, interiors, random_separation, subtree_unions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,8 +67,8 @@ class TestStructure:
     def test_boundary_interior(self):
         # path decomposition of P4: bags {0,1},{1,2},{2,3} in a chain
         t = td(4, [-1, 0, 1], [{0, 1}, {1, 2}, {2, 3}])
-        assert t.boundaries() == [frozenset(), {1}, {2}]
-        assert t.interiors() == [{0, 1, 2, 3}, {2, 3}, {3}]
+        assert boundaries(t) == [frozenset(), {1}, {2}]
+        assert interiors(t) == [{0, 1, 2, 3}, {2, 3}, {3}]
 
     def test_width(self):
         assert width(td(3, [-1], [{0, 1, 2}])) == 2
@@ -357,6 +358,21 @@ class TestRestrict:
         ok, v = validate_decomposition(H, mapped)
         assert ok, v
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 11), st.sampled_from((0.2, 0.4, 0.7)), st.integers(0, 10_000),
+        st.integers(0, 3), st.randoms(use_true_random=False),
+    )
+    def test_matches_reference_rule(self, n, p, seed, h, rng):
+        # (bag ∩ Y) ∪ (interior ∩ X ∩ Y), with the interiors of the tests'
+        # reference helpers
+        G = gnp_graph(n, p, seed)
+        t = separation_tree(G, -(-n // 3), h)
+        sep = random_separation(G, rng)
+        X, Y = sep.a_side, sep.b_side
+        expected = [(b & Y) | (i & X & Y) for b, i in zip(t.bags, interiors(t))]
+        assert restrict_decomposition(G, t, sep) == td(G.n, t.parents, expected)
+
 
 class TestSeparationTree:
     def test_height_zero_single_bag(self):
@@ -388,8 +404,8 @@ class TestSeparationTree:
         t = separation_tree(G, a, h)
         ok, v = validate_decomposition(G, t)
         assert ok, v
-        bnds = t.boundaries()
-        ints = t.interiors()
+        bnds = boundaries(t)
+        ints = interiors(t)
         for x, d in enumerate(depths(t)):
             assert 3 ** d * len(ints[x]) <= G.n * 2 ** d
             assert len(bnds[x]) <= d * a
@@ -400,8 +416,8 @@ class TestSeparationTree:
         children = t.children()
         for x in range(t.size):
             for c in children[x]:
-                assert t.bags[x] & t.bags[c] == t.bags[x] & t.subtree_unions()[c]
-                assert t.boundaries()[c] <= t.bags[x]
+                assert t.bags[x] & t.bags[c] == t.bags[x] & subtree_unions(t)[c]
+                assert boundaries(t)[c] <= t.bags[x]
 
     def test_region_matches_induced_reference(self):
         # _split driven over a region R of G, from the root (R, {}) with
