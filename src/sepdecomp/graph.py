@@ -30,22 +30,22 @@ class Record:
     _defaults: dict[str, object] = {}
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
+        fields, set_field = self._fields, object.__setattr__
         if kwargs or len(args) != len(fields):
-            name, given = type(self).__name__, len(args)
-            if given > len(fields):
-                raise TypeError(f"{name}() takes {len(fields)} fields but {given} were given")
+            name, rest = type(self).__name__, fields[len(args):]
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
             for f in kwargs:
-                if f not in fields[given:]:
+                if f not in rest:
                     raise TypeError(f"{name}() got field {f!r} twice" if f in fields
                                     else f"{name}() got an unknown field {f!r}")
             values = {**self._defaults, **kwargs}
-            missing = [f for f in fields[given:] if f not in values]
-            if missing:
-                raise TypeError(f"{name}() missing field(s) {', '.join(map(repr, missing))}")
-            args += tuple(values[f] for f in fields[given:])
+            for f in rest:
+                if f not in values:
+                    raise TypeError(f"{name}() missing field {f!r}")
+                set_field(self, f, values[f])
         for f, v in zip(fields, args):
-            object.__setattr__(self, f, v)
+            set_field(self, f, v)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
