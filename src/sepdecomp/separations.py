@@ -126,9 +126,9 @@ def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     if _bounded_candidates(G.n, a) <= CANDIDATE_BUDGET:
         found = kernels.min_balanced_separation(G.n, G.adj_masks, min(a, G.n))
         if found is None:
-            return SeparatorOracleOutcome(None, certified=True)
+            return SeparatorOracleOutcome(None, True)
         _, z_mask, a_mask = found
-        return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), certified=True)
+        return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), True)
     return _cutter_balanced_within(G, a)
 
 
@@ -146,8 +146,8 @@ def _cutter_balanced_within(G: Graph, a: int) -> SeparatorOracleOutcome:
             continue
         a_mask = kernels._a_side(G.adj_masks, full, z_mask, hi)
         if a_mask is not None:
-            return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), certified=True)
-    return SeparatorOracleOutcome(None, certified=False)
+            return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), True)
+    return SeparatorOracleOutcome(None, False)
 
 
 def _cutter_candidates(G: Graph, a: int) -> Iterator[int]:

@@ -106,7 +106,7 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
             )
         if mask_of(z) & outside:
             raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
-        return WSequence(deltas=tuple(deltas), width_w=w, z_set=z, links=tuple(links))
+        return WSequence(tuple(deltas), w, z, tuple(links))
 
 
 def _trim(vs: tuple[int, ...], outside: int, W: VertexSet) -> Link:

@@ -324,6 +324,23 @@ class TestRecord:
     def test_samples_cover_every_record(self):
         assert {cls.__name__ for cls in Record.__subclasses__()} == set(RECORD_SAMPLES)
 
+    def test_parameters_in_order_with_defaults(self):
+        # the constructors' public signatures: parameter order, names, defaults
+        assert {cls.__name__: (cls._fields, cls._defaults) for cls in Record.__subclasses__()} == {
+            "Graph": (("n", "adj_masks"), {}),
+            "Separation": (("a_side", "b_side"), {}),
+            "RootedTreeDecomposition": (("host_n", "parents", "bags"), {}),
+            "PathResult": (("paths", "separator"), {}),
+            "SeparatorOracleOutcome": (("sides", "certified"), {}),
+            "WSequence": (("deltas", "width_w", "z_set", "links"), {}),
+            "ConstructReport": (("decomposition", "a_used", "width", "bound_num", "bound_den",
+                                 "certificate_node", "recursion_stats"), {}),
+            "TreewidthResult": (("value", "elimination_order", "decomposition"), {}),
+            "ZWCheck": (("holds", "lhs", "rhs", "secondary_holds", "secondary_rhs"), {}),
+            "InstanceSpec": (("kind", "params", "a", "graph_id"), {"a": None, "graph_id": None}),
+            "SuiteConfig": (("instances", "seed"), {"seed": 0}),
+        }
+
     @pytest.mark.parametrize("args, kwargs, message", [
         ((1, 2, 3), {}, "takes 2 fields but 3 were given"),
         ((1,), {}, "missing field 'b_side'"),
