@@ -22,8 +22,9 @@ VertexSet = frozenset[int]
 class Record:
     """Immutable value: equality, hash and repr over `_fields`.  Each subclass
     declares `__slots__`, `_fields` and, for fields that may be left out,
-    their `_defaults`; `__init__` binds positional and keyword arguments to
-    the fields in order.  Assigning or deleting a field afterwards raises."""
+    their `_defaults`; `__init__` binds arguments to the fields in order, and
+    one positional per field (the hot records' calls) skips every check.
+    Assigning or deleting a field afterwards raises."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
