@@ -62,8 +62,10 @@ class TestBuildGraph:
             build_graph(2, [(0, 1), (1, 0)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(VertexOutOfRangeError):
-            build_graph(2, [(0, 2)])
+        # either endpoint, and the first one out of range is named
+        for edge, named in [((0, 2), 2), ((2, 0), 2), ((-1, 5), -1)]:
+            with pytest.raises(VertexOutOfRangeError, match=f"^vertex {named} out of range for n=2$"):
+                build_graph(2, [edge])
 
     def test_empty_graph(self):
         G = build_graph(0, [])

@@ -130,6 +130,9 @@ class TestTdFormat:
         (parse_td, "s td 1 1 2\nb 1 1 x\n", 2, "malformed bag line"),
         (parse_td, "s td 1 1 2\nb\n", 2, "malformed bag line"),
         (parse_td, "s td 2 1 2\nb 1 1\nb 2 2\n1 z\n", 4, "non-integer tree edge"),
+        # a header of the wrong shape: too few fields, or the wrong descriptor
+        (parse_td, "s td 1 1\n", 1, "header must be 's td <bags> <max-bag> <n>'"),
+        (parse_td, "c x\ns tw 1 1 1\n", 2, "header must be 's td <bags> <max-bag> <n>'"),
     ],
 )
 def test_non_integer_fields_name_their_line(parse, text, line, message):
