@@ -13,87 +13,85 @@ from .errors import InvalidDecompositionError, ParseError
 from .graph import Graph, build_graph
 
 
+def _ints(parts: list[str], message: str, lineno: int) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(message, lineno) from None
+
+
+def _scan(text: str, usage: str, before: str):
+    """Yield the integer fields of the header that ``usage`` spells, then
+    (line number, fields) for each later line that is neither blank nor a
+    comment.  Header errors, and ``before`` for a line ahead of the header,
+    are raised as the scan reaches them, so the first bad line decides."""
+    tag, kind, *names = usage.split()
+    header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
+            continue
+        if parts[0] != tag:
+            if not header:
+                raise ParseError(before, lineno)
+            yield lineno, parts
+            continue
+        if header:
+            raise ParseError("duplicate header", lineno)
+        if len(parts) != 2 + len(names) or parts[1] != kind:
+            raise ParseError(f"header must be '{usage}'", lineno)
+        fields = _ints(parts[2:], "non-integer header fields", lineno)
+        if min(fields) < 0:
+            raise ParseError("negative header fields", lineno)
+        header = True
+        yield fields
+    if not header:
+        raise ParseError(f"missing '{tag} {kind}' header")
+
+
 def parse_gr(text: str) -> Graph:
     """Parse "p tw <n> <m>" plus m edge lines; "c" comments allowed."""
-    n = m = None
+    lines = _scan(text, "p tw <n> <m>", "edge before header")
+    n, m = next(lines)
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "tw":
-                raise ParseError("header must be 'p tw <n> <m>'", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative header fields", lineno)
-            continue
-        if n is None:
-            raise ParseError("edge before header", lineno)
+    for lineno, parts in lines:
         if len(parts) != 2:
             raise ParseError("edge line must be '<u> <v>'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer edge endpoints", lineno) from None
+        u, v = _ints(parts, "non-integer edge endpoints", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex out of range 1..{n}", lineno)
         edge = (min(u, v) - 1, max(u, v) - 1)
         if u == v or edge in edges:
             raise ParseError(f"{'self-loop' if u == v else 'duplicate'} edge {u} {v}", lineno)
         edges.add(edge)
-    if n is None:
-        raise ParseError("missing 'p tw' header")
     if len(edges) != m:
         raise ParseError(f"expected {m} edges, found {len(edges)}")
     return build_graph(n, edges)
 
 
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
 def write_gr(G: Graph) -> str:
     lines = [f"p tw {G.n} {G.m}"]
     lines.extend(f"{u + 1} {v + 1}" for u, v in G.edges())
-    return "".join(line + "\n" for line in lines)
+    return _text(lines)
 
 
 def parse_td(text: str) -> RootedTreeDecomposition:
     """Parse "s td <bags> <max-bag> <n>"; the first bag becomes the root."""
-    header = None
+    lines = _scan(text, "s td <bags> <max-bag> <n>", "content before header")
+    n_bags, max_bag, n = next(lines)
     bag_lines: dict[int, list[int]] = {}
     tree_edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError("header must be 's td <bags> <max-bag> <n>'", lineno)
-            try:
-                header = tuple(int(p) for p in parts[2:])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
-            if min(header) < 0:
-                raise ParseError("negative header fields", lineno)
-            continue
-        if header is None:
-            raise ParseError("content before header", lineno)
+    for lineno, parts in lines:
         if parts[0] == "b":
-            try:
-                idx = int(parts[1])
-                verts = [int(p) for p in parts[2:]]
-            except (ValueError, IndexError):
-                raise ParseError("malformed bag line", lineno) from None
-            if not (1 <= idx <= header[0]) or idx in bag_lines:
+            # a bare "b" has no index, and fails as the integer "b"
+            idx, *verts = _ints(parts[1:] or parts, "malformed bag line", lineno)
+            if not (1 <= idx <= n_bags) or idx in bag_lines:
                 raise ParseError(f"bad bag index {idx}", lineno)
-            if any(not (1 <= v <= header[2]) for v in verts):
+            if any(not (1 <= v <= n) for v in verts):
                 raise ParseError("bag vertex out of range", lineno)
             if len(set(verts)) != len(verts):
                 raise ParseError("repeated vertex in bag", lineno)
@@ -101,16 +99,10 @@ def parse_td(text: str) -> RootedTreeDecomposition:
             continue
         if len(parts) != 2:
             raise ParseError("tree edge line must be '<i> <j>'", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer tree edge", lineno) from None
-        if not (1 <= i <= header[0] and 1 <= j <= header[0]) or i == j:
+        i, j = _ints(parts, "non-integer tree edge", lineno)
+        if not (1 <= i <= n_bags and 1 <= j <= n_bags) or i == j:
             raise ParseError("tree edge endpoints out of range", lineno)
-        tree_edges.append((i, j))
-    if header is None:
-        raise ParseError("missing 's td' header")
-    n_bags, max_bag, n = header
+        tree_edges.append((i - 1, j - 1))
     if n_bags == 0:
         raise ParseError("decomposition needs at least one bag")
     # indices are distinct and within 1..n_bags, so counting them suffices
@@ -121,26 +113,23 @@ def parse_td(text: str) -> RootedTreeDecomposition:
         raise ParseError(f"header max-bag {max_bag} but largest bag has {largest}")
     if len(tree_edges) != n_bags - 1:
         raise ParseError(f"expected {n_bags - 1} tree edges")
-    adj: dict[int, list[int]] = {i: [] for i in range(1, n_bags + 1)}
+    # n_bags - 1 edges reach every bag only as a tree, whose parents do not
+    # depend on the search order; -2 marks a bag not reached yet
+    adj: list[list[int]] = [[] for _ in range(n_bags)]
     for i, j in tree_edges:
         adj[i].append(j)
         adj[j].append(i)
-    parents = [-2] * n_bags
-    parents[0] = -1
-    stack = [1]
-    seen = {1}
+    parents = [-1] + [-2] * (n_bags - 1)
+    stack = [0]
     while stack:
         x = stack.pop()
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                parents[y - 1] = x - 1
+        for y in adj[x]:
+            if parents[y] == -2:
+                parents[y] = x
                 stack.append(y)
-    if len(seen) != n_bags:
+    if -2 in parents:
         raise ParseError("tree edges do not connect all bags")
-    bags = tuple(
-        frozenset(v - 1 for v in bag_lines[i]) for i in range(1, n_bags + 1)
-    )
+    bags = tuple(frozenset(v - 1 for v in bag_lines[i]) for i in range(1, n_bags + 1))
     return RootedTreeDecomposition(n, tuple(parents), bags)
 
 
@@ -160,13 +149,10 @@ def write_td(td: RootedTreeDecomposition, G: Graph) -> str:
     for x in number:
         verts = " ".join(str(v + 1) for v in sorted(td.bags[x]))
         lines.append(f"b {number[x]}{' ' + verts if verts else ''}")
-    edges = sorted(
-        tuple(sorted((number[x], number[p])))
-        for x, p in enumerate(td.parents)
-        if p != -1
-    )
+    # preorder numbers a parent before its child
+    edges = sorted((number[p], number[x]) for x, p in enumerate(td.parents) if p != -1)
     lines.extend(f"{i} {j}" for i, j in edges)
-    return "".join(line + "\n" for line in lines)
+    return _text(lines)
 
 
 def export_dot(td: RootedTreeDecomposition) -> str:
@@ -181,4 +167,4 @@ def export_dot(td: RootedTreeDecomposition) -> str:
         if p != -1:
             lines.append(f"  n{number[p]} -- n{number[x]};")
     lines.append("}")
-    return "".join(line + "\n" for line in lines)
+    return _text(lines)

@@ -259,6 +259,46 @@ def test_parse_td_fuzz(text):
     assert write_td(back, G) == out
 
 
+# Texts over the PACE token alphabet: an optional header, then lines of
+# tokens, bag lines and pairs.  Numbers stay small, since parse_gr hands
+# its header's n to build_graph, which makes one mask per vertex.
+_small = st.integers(-2, 9).map(str)
+_token = st.one_of(
+    st.sampled_from(["p", "tw", "s", "td", "b", "c"]),
+    _small,
+    st.text(alphabet="pstdwbcx+-._", min_size=1, max_size=3),
+)
+_header = st.builds(lambda head, rest: " ".join([head, *rest]),
+                    st.sampled_from(["p tw", "s td"]), st.lists(_small, min_size=2, max_size=3))
+_body_line = st.one_of(
+    st.lists(_token, max_size=6).map(" ".join),
+    st.lists(_small, max_size=4).map(lambda rest: " ".join(["b", *rest])),
+    st.lists(_small, min_size=2, max_size=2).map(" ".join),
+    _header,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_header, max_size=1), st.lists(_body_line, max_size=8))
+def test_parsers_raise_only_parse_error(header, body):
+    text = "\n".join(header + body)
+    for parse in (parse_gr, parse_td):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 5000), st.data())
+def test_body_line_order_does_not_matter(n, seed, data):
+    for parse, text in ((parse_gr, write_gr(gnp_graph(n, 0.4, seed))),
+                        (parse_td, _valid_td_text(n, seed))):
+        head, *body = text.splitlines()
+        shuffled = data.draw(st.permutations(body))
+        assert parse("\n".join([head, *shuffled]) + "\n") == parse(text)
+
+
 @pytest.mark.parametrize(
     "parse, text, message",
     [
