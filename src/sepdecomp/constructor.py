@@ -202,7 +202,7 @@ def _construct(G: Graph, a: int, W: int, oracle: Oracle,
                 continue
             stats.oracle_calls += 1
             bag, A, B = split
-            rbag = (bag & Y) | (inner & x_side & Y)
+            rbag = (bag | vset & x_side) & Y
             if not (d or wz & ~rbag == 0):
                 raise PostconditionFailedError("construct: the T_Y root bag misses W ∪ Z")
             _check_t_y_bag(stats, rbag, a)

@@ -128,10 +128,10 @@ def restrict_decomposition(
 ) -> RootedTreeDecomposition:
     """Restrict a decomposition of G to G[Y] along a separation (X, Y).
 
-    New bag rule: (old bag ∩ Y) plus (old interior ∩ X ∩ Y), where a node's
-    interior is its subtree's union minus (its bag ∩ its parent's bag), the
-    rule that ``construct`` applies to each T_Y bag.  The tree shape is
-    preserved and the root bag picks up all of X ∩ Y.
+    New bag rule: (old bag ∪ (subtree union ∩ X)) ∩ Y, as ``construct``
+    builds each T_Y bag.  It equals (old bag ∩ Y) ∪ (interior ∩ X ∩ Y), the
+    interior being the union minus (bag ∩ parent bag), which the bag holds.
+    The tree shape is preserved and the root bag picks up all of X ∩ Y.
     """
     ok, _ = validate_decomposition(G, td_prime)
     if not ok:
@@ -144,8 +144,7 @@ def restrict_decomposition(
     for x in reversed(td_prime.preorder()):
         if parents[x] != -1:
             unions[parents[x]] |= unions[x]
-    bnds = [m & masks[p] if p != -1 else 0 for m, p in zip(masks, parents)]
-    bags = [(m & y) | (u & ~b & xy) for m, u, b in zip(masks, unions, bnds)]
+    bags = [(m | u & xy) & y for m, u in zip(masks, unions)]
     return RootedTreeDecomposition(G.n, parents, _bag_sets(bags))
 
 
