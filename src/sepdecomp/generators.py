@@ -48,8 +48,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise InvalidInputError("tree needs n >= 1")
     if n == 1:
         return build_graph(1, [])
-    if n == 2:
-        return build_graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
