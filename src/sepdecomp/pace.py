@@ -15,7 +15,7 @@ from .graph import Graph, build_graph
 
 def _ints(parts: list[str], message: str, lineno: int) -> list[int]:
     try:
-        return [int(p) for p in parts]
+        return [*map(int, parts)]
     except ValueError:
         raise ParseError(message, lineno) from None
 
