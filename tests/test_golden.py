@@ -1,7 +1,8 @@
 """Byte-for-byte regression pins for the constructions and the kernels.
 
 ``tests/data/golden.json`` holds the sha256 of ``write_td`` for a corpus
-that drives the recursion (a = 3 runs the exact certifying oracle), the
+that drives the recursion (a = 3 runs the exact certifying oracle, and a
+partial 3-tree at a = 4 the cutter past its budget), the
 ``construct_theorem2`` outputs on small graphs, the raw node ids and bags
 of some of those runs, the raw result tuples of
 the four search kernels, the separation kernels' tuples on larger graphs
@@ -51,6 +52,10 @@ CONSTRUCT_CASES = {
     "cycle150_a3": (lambda: cycle_graph(150), 3),
     "tree150s5_a1": (lambda: random_tree(150, 5), 1),
     "tree150s5_a3": (lambda: random_tree(150, 5), 3),
+    # partial k-trees: the first runs the exact oracle, the second is past its
+    # candidate budget, where the cutter's min-degree centroid bag decides
+    "ktree132k2_a3": (lambda: partial_ktree(132, 2, 0.8, 132), 3),
+    "ktree140k3_a4": (lambda: partial_ktree(140, 3, 0.8, 140), 4),
 }
 # a=None runs at a = sep(G); the fixed-a cases make many W-balanced oracle
 # calls, and cycle20_a1 fails
