@@ -138,8 +138,10 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     return H, dict(enumerate(old_ids))
 
 
-def _induced(G: Graph, mask: int) -> tuple[Graph, list[int]]:
+def _induced(G: Graph, mask: int) -> tuple[Graph, Sequence[int]]:
     """G[mask], numbered in G's order, and the host id of each new id."""
+    if mask == G.full_mask():
+        return G, range(G.n)  # all of G: G itself, no copy
     old_ids = mask_vertices(mask)
     bit_of = [0] * G.n  # host id -> the bit of its new id, 0 outside the mask
     for new, old in enumerate(old_ids):
@@ -152,7 +154,9 @@ def _induced(G: Graph, mask: int) -> tuple[Graph, list[int]]:
 
 
 def _lift(mask: int, ids: Sequence[int]) -> int:
-    """The mask of ids[v] over the vertices v of `mask`."""
+    """The mask of ids[v] over the vertices v of `mask`; ids ascend."""
+    if not ids or ids[-1] == len(ids) - 1:
+        return mask  # ascending ids ending at len(ids) - 1 are the identity
     return mask_of(map(ids.__getitem__, mask_vertices(mask)))
 
 

@@ -21,6 +21,7 @@ from sepdecomp.constructor import construct
 from sepdecomp.graph import (
     Separation,
     build_graph,
+    components_in,
     induced_subgraph,
     is_balanced,
     is_separation,
@@ -177,20 +178,30 @@ class TestBalancedSeparationWithin:
         "G, a", [(path_graph(60), 1), (partial_ktree(120, 2, seed=3), 3)], ids=["path60", "ktree2"]
     )
     def test_exact_oracle_builds_no_neighbour_lists(self, G, a):
-        # the exact search runs on the masks alone, so neither a copy handed
-        # to it directly nor any copy construct hands its oracle builds lists
+        # the exact search runs on the masks alone, so no call gives the graph
+        # it is handed neighbour lists: neither a copy handed to it directly
+        # nor any graph construct hands it, G itself included (whose lists
+        # construct's copier may have built before the call)
         H, _ = induced_subgraph(G, range(1, G.n))
         assert _bounded_candidates(H.n, a) <= CANDIDATE_BUDGET
         assert balanced_separation_within(H, a).found
-        copies = []
+        assert "adjacency" not in H.__dict__
+        handed = []  # (graph, had lists before the call, has them after)
 
         def oracle(copy):
-            copies.append(copy)
-            return balanced_separation_within(copy, a)
+            before = "adjacency" in copy.__dict__
+            outcome = balanced_separation_within(copy, a)
+            handed.append((copy, before, "adjacency" in copy.__dict__))
+            return outcome
 
         construct(G, a, {0}, oracle=oracle)
-        assert copies and all(_bounded_candidates(H.n, a) <= CANDIDATE_BUDGET for H in copies)
-        assert all("adjacency" not in H.__dict__ for H in [H, *copies])
+        assert handed and all(_bounded_candidates(c.n, a) <= CANDIDATE_BUDGET for c, _, _ in handed)
+        assert all(after == before for _, before, after in handed)
+        # the T_Y root's vertex set is the component of W = {0}: with G
+        # connected, the oracle is handed G itself, not a copy of it
+        connected = components_in(G.adj_masks, G.full_mask()) == [G.full_mask()]
+        assert (handed[0][0] is G) == connected
+        assert connected == (G.n == 60)  # path60 is connected, the 2-tree is not
 
 
 class TestMinWBalanced:
