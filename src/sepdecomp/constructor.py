@@ -19,7 +19,7 @@ from .decomposition import (
     RootedTreeDecomposition,
     _bag_sets,
     _split,
-    validate_decomposition,
+    _validate,
     width,
 )
 from .errors import (
@@ -125,21 +125,22 @@ def construct(
     if oracle is None:
         oracle = make_oracle(a)
     stats = RecursionStats()
-    td = _construct(G, a, mask_of(W), oracle, stats)
+    parents, bags = _construct(G, a, mask_of(W), oracle, stats)
     c = CONSTANTS.c
-    report = _checked_report("construct", G, td, a, stats, CONSTANTS.width_bound_ok,
+    report = _checked_report("construct", G, parents, bags, a, stats, CONSTANTS.width_bound_ok,
                              "(7915/139)*a", c.numerator * a, c.denominator)
-    if not W <= td.bags[0]:
+    if not W <= report.decomposition.bags[0]:
         raise PostconditionFailedError("construct: W is not inside the root bag")
     return report
 
 
-def _checked_report(where: str, G: Graph, td: RootedTreeDecomposition, a: int,
+def _checked_report(where: str, G: Graph, parents: list[int], bags: list[int], a: int,
                     stats: RecursionStats, bound_ok, bound_name: str, bound_num: int,
                     bound_den: int) -> ConstructReport:
-    """The report on `td`, once it validates and its width w passes
-    bound_ok(w, a); otherwise raises, prefixed with `where`."""
-    ok, violations = validate_decomposition(G, td)
+    """The report on the decomposition of these parents and bag masks, once
+    it validates and its width w passes bound_ok(w, a); otherwise raises."""
+    td = RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
+    ok, violations = _validate(G, td, 0, bags)
     if not ok:
         raise PostconditionFailedError(
             f"{where}: invalid decomposition: {'; '.join(violations[:3])}"
@@ -156,7 +157,7 @@ def _checked_report(where: str, G: Graph, td: RootedTreeDecomposition, a: int,
 
 
 def _construct(G: Graph, a: int, W: int, oracle: Oracle,
-               stats: RecursionStats) -> RootedTreeDecomposition:
+               stats: RecursionStats) -> tuple[list[int], list[int]]:
     """The recursion of ``construct``, run on an explicit stack of work items.
 
     A frame ``(region, W, p, parent_n, depth)`` decomposes G[region], with W
@@ -169,8 +170,8 @@ def _construct(G: Graph, a: int, W: int, oracle: Oracle,
     Items pop in the recursion's order: T_Y in preorder, A child first, as
     ``separation_tree`` builds it, each leaf's subproblem in place of the
     leaf, then the X side; so each node is appended once, after its parent.
-    All sets are bitmasks of G.  Nothing here checks the bags; ``construct``
-    validates the whole output once.
+    All sets are bitmasks of G.  Nothing here checks the bags it returns
+    with the parents; ``construct`` validates the whole output once.
     """
     parents: list[int] = []
     bags: list[int] = []
@@ -247,7 +248,7 @@ def _construct(G: Graph, a: int, W: int, oracle: Oracle,
         else:
             frame = ((X & w_top) | W, Y, W | Z, w_top.bit_count(), n, depth)
             stack.append((w_top, 0, p, 0, None, frame))
-    return RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
+    return parents, bags
 
 
 def _check_t_y_bag(stats: RecursionStats, bag: int, a: int) -> None:
@@ -357,8 +358,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
         here = len(parents) - 1
         stack.append(((X & ~A) | Z, Y | A, here))
         stack.append((A, Y | Z, here))
-    td = RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
     return _checked_report(
-        "construct_theorem2", G, td, a, stats, lambda w, a: w < 4 * a, "4a", 4 * a, 1
+        "construct_theorem2", G, parents, bags, a, stats, lambda w, a: w < 4 * a, "4a", 4 * a, 1
     )
 

@@ -68,8 +68,10 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
     return _validate(G, td, 0)
 
 
-def _validate(G: Graph, td: RootedTreeDecomposition, base: int) -> tuple[bool, list[str]]:
-    """``validate_decomposition``, naming each node and vertex by its id + base."""
+def _validate(G: Graph, td: RootedTreeDecomposition, base: int,
+              masks: list[int] | None = None) -> tuple[bool, list[str]]:
+    """``validate_decomposition``, naming each node and vertex by its id + base;
+    `masks`, when given, are td's bags as bitmasks, all within range."""
     violations: list[str] = []
     n_nodes = td.size
     # well-formed tree: valid parents, no cycles, all nodes reach the root
@@ -92,34 +94,33 @@ def _validate(G: Graph, td: RootedTreeDecomposition, base: int) -> tuple[bool, l
             y = p
     # one bitmask per bag; an out-of-range vertex is reported and left out
     n, kept = G.n, td.bags
-    used = frozenset().union(*kept)
-    if used and not (min(used) >= 0 and max(used) < n):
-        violations.extend(
-            f"bag vertex {v + base} out of range" for b in kept for v in b if not 0 <= v < n)
-        kept = [[v for v in b if 0 <= v < n] for b in kept]
-    masks = [mask_of(b) for b in kept]
-    # cover[v]: the union of the bags holding v; held[v]: how many bags hold
-    # v; linked[v]: how many tree edges have v in the bags at both ends
-    cover, held, linked = [0] * n, [0] * n, [0] * n
+    if masks is None:
+        used = frozenset().union(*kept)
+        if used and not (min(used) >= 0 and max(used) < n):
+            violations.extend(
+                f"bag vertex {v + base} out of range" for b in kept for v in b if not 0 <= v < n)
+            kept = [[v for v in b if 0 <= v < n] for b in kept]
+        masks = [sum(map((1).__lshift__, b)) for b in kept]
+    # cover[v]: the union of the bags holding v.  A node's top vertices are
+    # those its parent's bag lacks; `tops` gathers them, `twice` those on top
+    # at two nodes.  The bags holding v form a subtree iff v is on top once
+    cover, tops, twice = [0] * n, 0, 0
     for b, m, p in zip(kept, masks, td.parents):
-        pm = masks[p] if p != -1 else 0
+        top = m & ~masks[p] if p != -1 else m
+        twice |= tops & top
+        tops |= top
         for v in b:
             cover[v] |= m
-            held[v] += 1
-            linked[v] += pm >> v & 1
     # (i) every edge inside some bag
     for u, (nbrs, cov) in enumerate(zip(G.adj_masks, cover)):
         missing = nbrs & ~cov & -2 << u  # the neighbours v > u outside cover[u]
         if missing:
             violations.extend(
                 f"edge ({u + base},{v + base}) uncovered" for v in mask_vertices(missing))
-    # (ii) the bags holding each vertex induce a non-empty subtree: a forest
-    # on held[v] nodes with linked[v] edges is a tree iff it has one edge less
-    for v in range(n):
-        if not held[v]:
-            violations.append(f"vertex {v + base} in no bag")
-        elif linked[v] != held[v] - 1:
-            violations.append(f"vertex {v + base} bags not connected")
+    # (ii) the bags holding each vertex induce a non-empty subtree
+    for v in mask_vertices(G.full_mask() & ~tops | twice):
+        violations.append(f"vertex {v + base} in no bag" if not tops >> v & 1
+                          else f"vertex {v + base} bags not connected")
     return not violations, violations
 
 

@@ -189,12 +189,14 @@ class TestTheorem2:
     def test_postcondition_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         # construct_theorem2 validates its own output: a bag missing a vertex
         # is a PostconditionFailedError, which the CLI reports with exit 1
-        real = constructor.RootedTreeDecomposition
+        real = constructor._checked_report
 
-        def corrupt(host_n, parents, bags):
-            return real(host_n, parents, bags[:-1] + (bags[-1] - {max(bags[-1])},))
+        def corrupt(where, G, parents, bags, *rest):
+            # the last bag mask loses its highest vertex before it is checked
+            last = bags[-1]
+            return real(where, G, parents, bags[:-1] + [last ^ 1 << last.bit_length() - 1], *rest)
 
-        monkeypatch.setattr(constructor, "RootedTreeDecomposition", corrupt)
+        monkeypatch.setattr(constructor, "_checked_report", corrupt)
         g = gr(tmp_path, cycle_graph(12))
         assert dispatch(["theorem2", "--input", g, "--a", "2"]) == 1
         assert "error: construct_theorem2: invalid decomposition" in capsys.readouterr().err

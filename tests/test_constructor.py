@@ -280,12 +280,14 @@ class TestTheorem2:
     def test_invalid_output_raises(self, monkeypatch):
         # a leaf bag missing a vertex no longer decomposes G; construct_theorem2
         # validates its own output
-        real = constructor.RootedTreeDecomposition
+        real = constructor._checked_report
 
-        def corrupt(host_n, parents, bags):
-            return real(host_n, parents, bags[:-1] + (bags[-1] - {max(bags[-1])},))
+        def corrupt(where, G, parents, bags, *rest):
+            # the last bag mask loses its highest vertex before it is checked
+            last = bags[-1]
+            return real(where, G, parents, bags[:-1] + [last ^ 1 << last.bit_length() - 1], *rest)
 
-        monkeypatch.setattr(constructor, "RootedTreeDecomposition", corrupt)
+        monkeypatch.setattr(constructor, "_checked_report", corrupt)
         with pytest.raises(
             PostconditionFailedError, match="^construct_theorem2: invalid decomposition"
         ):

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from sepdecomp.errors import InvalidInputError, OracleFailureError
 from sepdecomp.constructor import construct
-from sepdecomp.generators import complete_graph, cycle_graph, gnp_graph, grid_graph, path_graph, random_tree
+from sepdecomp.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    grid_graph,
+    partial_ktree,
+    path_graph,
+    random_tree,
+)
 from sepdecomp.graph import Separation, build_graph, induced_subgraph, mask_of
 from sepdecomp.separations import SeparatorOracleOutcome, make_oracle
 from sepdecomp.decomposition import (
@@ -271,6 +279,8 @@ class TestValidateMatchesReference:
             (cycle_graph(90), 2),
             (random_tree(80, seed=5), 1),
             (gnp_graph(40, 0.08, 3), 4),
+            # bags of up to 29 of 132 vertices: masks of several machine words
+            (partial_ktree(132, 2), 3),
         ]:
             yield G, construct(G, a, {0}).decomposition
         for G in (grid_graph(6, 6), gnp_graph(12, 0.3, 7), complete_graph(5)):

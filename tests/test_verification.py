@@ -12,7 +12,7 @@ from sepdecomp.generators import (
     random_tree,
 )
 from sepdecomp.graph import Separation, build_graph
-from sepdecomp.decomposition import RootedTreeDecomposition, validate_decomposition, width
+from sepdecomp.decomposition import validate_decomposition, width
 from sepdecomp import constructor, kernels, verification
 from sepdecomp.constructor import construct_theorem2
 from sepdecomp.separations import (
@@ -248,7 +248,7 @@ class TestSuite:
         # 139*(7914+1) == 7915*139: a bag of exactly c*a vertices breaks the
         # bound; construct enforces it, and the suite records its failure
         def one_bag(G, a, W, oracle, stats):
-            return RootedTreeDecomposition(G.n, (-1,), (frozenset(range(G.n)),))
+            return [-1], [G.full_mask()]  # the parents and bag masks of one bag
 
         monkeypatch.setattr(constructor, "_construct", one_bag)
         rep = run_suite(SuiteConfig(instances=(
