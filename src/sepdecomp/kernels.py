@@ -14,13 +14,12 @@ graph, with no induced copy) apply their own rules to it.  The
 order, but gets their pieces from one DFS on masks per separator prefix
 instead of one component search per candidate; on the subsets of at most
 14 vertices that ``separation_number`` walks, that DFS costs more than it
-saves.  ``eliminate`` is the one fill-in elimination, in a given order or by
-minimum degree: the treewidth witness and the cutter's centroid bag read it.
+saves.  ``eliminate``, the one fill-in elimination (in a given order, or by
+minimum degree off degree buckets), feeds the witness and the centroid bag.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations, count
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -271,32 +270,43 @@ def treewidth(n, adj_masks):
 
 
 def eliminate(adj_masks: Sequence[int], order: Optional[Sequence[int]] = None):
-    """Eliminate every vertex with fill-in, in `order`, or by minimum degree
-    in the filled graph (ties: lowest id) when `order` is None (Bodlaender &
-    Koster, "Treewidth computations I. Upper bounds", Inf. & Comput. 2010).
+    """Eliminate every vertex with fill-in: in `order` (a permutation), or, if
+    it is None, by minimum degree in the filled graph, lowest id first, read
+    off one mask of the vertices left per degree (Bodlaender & Koster 2010).
 
     Returns (order, later, parent): ``later[v]`` is v's neighbour mask when
     it is eliminated, and ``parent[v]`` the earliest-eliminated vertex of
     ``later[v]``, or -1 when there is none.
     """
     n = len(adj_masks)
-    adj = list(adj_masks)
-    # (degree, v) entries, or (step, v) when the order is given
-    heap = [(m.bit_count(), v) for v, m in enumerate(adj)] if order is None else [*enumerate(order)]
-    heapq.heapify(heap)
-    pos = [-1] * n  # elimination step of each vertex
-    done: list[int] = []
-    later = [0] * n
-    while heap:
-        d, v = heapq.heappop(heap)
-        if pos[v] >= 0 or order is None and d != adj[v].bit_count():
-            continue  # stale entry
-        pos[v] = len(done)
-        done.append(v)
+    # earlier[u]: the vertices v with u in later[v]
+    adj, later, earlier, parent = list(adj_masks), [0] * n, [0] * n, [-1] * n
+    degree = [m.bit_count() for m in adj]
+    by_degree = [0] * (n + 1)  # the vertices left of each degree
+    for v, d in enumerate(degree):
+        by_degree[d] |= 1 << v
+    low, orphans = 0, 0  # no degree left below low; orphans: gone, no parent yet
+    done = [] if order is None else list(order)
+    for step in range(n):
+        if order is None:
+            while not by_degree[low]:
+                low += 1
+            bit = by_degree[low] & -by_degree[low]
+            by_degree[low] ^= bit
+            done.append(bit.bit_length() - 1)
+        v = done[step]
+        # v is the first of later[x] to go for the orphans x that name it
+        kids = earlier[v] & orphans
+        orphans ^= kids | 1 << v
+        for x in mask_vertices(kids):
+            parent[x] = v
         nb = later[v] = adj[v]
         for u in mask_vertices(nb):
-            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
-            if order is None:
-                heapq.heappush(heap, (adj[u].bit_count(), u))
-    parent = [min(mask_vertices(m), key=pos.__getitem__) if m else -1 for m in later]
+            earlier[u] |= 1 << v
+            m = adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+            if order is None and m.bit_count() != degree[u]:
+                by_degree[degree[u]] ^= 1 << u
+                d = degree[u] = m.bit_count()
+                by_degree[d] |= 1 << u
+                low = min(low, d)
     return done, later, parent

@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+import heapq
+
 from sepdecomp.graph import Separation, components_in, induced_subgraph, is_separation, mask_vertices
 
 
@@ -16,6 +18,34 @@ def elimination_width(G, order) -> int:
         for u in nb:
             adj[u] |= nb - {u}
     return worst
+
+
+def heap_eliminate(adj_masks, order=None):
+    """Reference for ``kernels.eliminate``: fill-in elimination in `order`,
+    or by minimum degree from a heap of (degree, vertex) entries that skips
+    the stale ones, with each forest parent the earliest-eliminated later
+    neighbour."""
+    n = len(adj_masks)
+    adj = list(adj_masks)
+    # (degree, v) entries, or (step, v) when the order is given
+    heap = [(m.bit_count(), v) for v, m in enumerate(adj)] if order is None else [*enumerate(order)]
+    heapq.heapify(heap)
+    pos = [-1] * n  # elimination step of each vertex
+    done = []
+    later = [0] * n
+    while heap:
+        d, v = heapq.heappop(heap)
+        if pos[v] >= 0 or order is None and d != adj[v].bit_count():
+            continue  # stale entry
+        pos[v] = len(done)
+        done.append(v)
+        nb = later[v] = adj[v]
+        for u in mask_vertices(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+            if order is None:
+                heapq.heappush(heap, (adj[u].bit_count(), u))
+    parent = [min(mask_vertices(m), key=pos.__getitem__) if m else -1 for m in later]
+    return done, later, parent
 
 
 def random_separation(G, rng):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from conftest import elimination_width
+from conftest import elimination_width, heap_eliminate
 from hypothesis import strategies as st
 
 from sepdecomp import kernels
@@ -190,6 +190,24 @@ class TestEliminate:
             nb = adj[v] & alive
             for u in nb:
                 adj[u] |= nb - {u}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_heap_reference(self, data):
+        # degree buckets pick what the heap of (degree, vertex) entries picks,
+        # and one scan over the order finds the same forest parents
+        G = draw_graph(data, 24)
+        given_order = data.draw(st.permutations(range(G.n)))
+        for wanted in (given_order, None):
+            got = kernels.eliminate(G.adj_masks, wanted)
+            assert got == heap_eliminate(G.adj_masks, wanted)
+
+    def test_matches_the_heap_reference_past_the_budget(self):
+        # the graphs the cutter eliminates: partial 3- and 4-trees, n >= 100
+        for k in (3, 4):
+            for n in (100, 150, 200):
+                G = partial_ktree(n, k, 0.8, n)
+                assert kernels.eliminate(G.adj_masks) == heap_eliminate(G.adj_masks)
 
     def test_min_degree_ties_go_to_the_lowest_id(self):
         # a path 0-1-2-3: 0 and 3 have degree 1; 0 goes first, then 1
