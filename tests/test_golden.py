@@ -15,12 +15,15 @@ exact oracle's candidate budget.  A refactor must reproduce all of them
 exactly; a change of tie-break has to be argued, not regenerated away.
 
 ``python tests/test_golden.py`` prints the current values in the same
-format, for comparison by hand.
+format, for comparison by hand; ``python tests/test_golden.py --changed``
+prints only the pins that the current code no longer reproduces, one line
+each: section, key, and the old and new digest prefixes.
 """
 
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -396,5 +399,27 @@ def dumps(golden: dict) -> str:
     return "{\n " + ",\n ".join(sections) + "\n}\n"
 
 
+def _digest(value) -> str:
+    """A pin's digest: the pin itself when it is one, else its JSON's."""
+    return value if isinstance(value, str) else _sha(json.dumps(value, sort_keys=True))
+
+
+def changed_pins(stored: dict, current: dict) -> list[str]:
+    """One line per pin that `current` does not reproduce, in file order:
+    section, key and the old -> new digest prefixes ('-' for a pin that
+    only one side has)."""
+    lines = []
+    for section in sorted(stored.keys() | current.keys()):
+        old, new = stored.get(section, {}), current.get(section, {})
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                a, b = (_digest(d[key])[:12] if key in d else "-" for d in (old, new))
+                lines.append(f"{section}\t{key}\t{a} -> {b}")
+    return lines
+
+
 if __name__ == "__main__":
-    print(dumps(compute_golden()), end="")
+    if sys.argv[1:] == ["--changed"]:
+        print(*changed_pins(json.loads(GOLDEN.read_text()), compute_golden()), sep="\n")
+    else:
+        print(dumps(compute_golden()), end="")
