@@ -140,7 +140,7 @@ def _checked_report(where: str, G: Graph, parents: list[int], bags: list[int], a
     """The report on the decomposition of these parents and bag masks, once
     it validates and its width w passes bound_ok(w, a); otherwise raises."""
     td = RootedTreeDecomposition(G.n, tuple(parents), _bag_sets(bags))
-    ok, violations = _validate(G, td, 0, bags)
+    ok, violations = _validate(G, td, 0)
     if not ok:
         raise PostconditionFailedError(
             f"{where}: invalid decomposition: {'; '.join(violations[:3])}"

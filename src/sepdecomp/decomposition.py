@@ -68,10 +68,8 @@ def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool,
     return _validate(G, td, 0)
 
 
-def _validate(G: Graph, td: RootedTreeDecomposition, base: int,
-              masks: list[int] | None = None) -> tuple[bool, list[str]]:
-    """``validate_decomposition``, naming each node and vertex by its id + base;
-    `masks`, when given, are td's bags as bitmasks, all within range."""
+def _validate(G: Graph, td: RootedTreeDecomposition, base: int) -> tuple[bool, list[str]]:
+    """``validate_decomposition``, naming each node and vertex by its id + base."""
     violations: list[str] = []
     n_nodes = td.size
     # well-formed tree: valid parents, no cycles, all nodes reach the root
@@ -92,35 +90,45 @@ def _validate(G: Graph, td: RootedTreeDecomposition, base: int,
                 violations.append(f"cycle through node {p + base}")
                 return False, violations
             y = p
-    # one bitmask per bag; an out-of-range vertex is reported and left out
-    n, kept = G.n, td.bags
-    if masks is None:
-        used = frozenset().union(*kept)
-        if used and not (min(used) >= 0 and max(used) < n):
-            violations.extend(
-                f"bag vertex {v + base} out of range" for b in kept for v in b if not 0 <= v < n)
-            kept = [[v for v in b if 0 <= v < n] for b in kept]
-        masks = [sum(map((1).__lshift__, b)) for b in kept]
-    # cover[v]: the union of the bags holding v.  A node's top vertices are
-    # those its parent's bag lacks; `tops` gathers them, `twice` those on top
-    # at two nodes.  The bags holding v form a subtree iff v is on top once
-    cover, tops, twice = [0] * n, 0, 0
-    for b, m, p in zip(kept, masks, td.parents):
-        top = m & ~masks[p] if p != -1 else m
-        twice |= tops & top
-        tops |= top
+    # an out-of-range vertex is reported and left out
+    n, bags = G.n, td.bags
+    used = frozenset().union(*bags)
+    if used and not (min(used) >= 0 and max(used) < n):
+        violations.extend(
+            f"bag vertex {v + base} out of range" for b in bags for v in b if not 0 <= v < n)
+        bags = [frozenset(v for v in b if 0 <= v < n) for b in bags]
+    # v is on top at a node whose parent's bag lacks it; the bags holding v
+    # form a subtree iff it is on top exactly once.  top[v]: the first such
+    # node's bag (the empty bag after the last: none); more: the others
+    empty: frozenset[int] = frozenset()
+    top, more = [empty] * n, {}
+    for b, p in zip(bags, td.parents):
+        up = bags[p] if p != -1 else empty
         for v in b:
-            cover[v] |= m
-    # (i) every edge inside some bag
-    for u, (nbrs, cov) in enumerate(zip(G.adj_masks, cover)):
-        missing = nbrs & ~cov & -2 << u  # the neighbours v > u outside cover[u]
-        if missing:
-            violations.extend(
-                f"edge ({u + base},{v + base}) uncovered" for v in mask_vertices(missing))
+            if v not in up:
+                if top[v] is empty:
+                    top[v] = b
+                else:
+                    more.setdefault(v, []).append(b)
+    # (i) every edge inside some bag: two subtrees meet iff one's top node
+    # lies in the other, so uv is covered iff a top bag of u holds v or a
+    # top bag of v holds u; the neighbours above u come from a shift of its
+    # mask, which costs their span, not n
+    for u, m in enumerate(G.adj_masks):
+        tu, above = top[u], m >> u + 1  # bit k: neighbour u + 1 + k
+        while above:
+            low = above & -above
+            above ^= low
+            v = u + low.bit_length()
+            if v not in tu and u not in top[v] and not (more and (
+                    any(v in b for b in more.get(u, ())) or any(u in b for b in more.get(v, ())))):
+                violations.append(f"edge ({u + base},{v + base}) uncovered")
     # (ii) the bags holding each vertex induce a non-empty subtree
-    for v in mask_vertices(G.full_mask() & ~tops | twice):
-        violations.append(f"vertex {v + base} in no bag" if not tops >> v & 1
-                          else f"vertex {v + base} bags not connected")
+    for v in range(n):
+        if top[v] is empty:
+            violations.append(f"vertex {v + base} in no bag")
+        elif v in more:
+            violations.append(f"vertex {v + base} bags not connected")
     return not violations, violations
 
 

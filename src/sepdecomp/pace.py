@@ -12,6 +12,11 @@ from .decomposition import RootedTreeDecomposition, validate_decomposition
 from .errors import InvalidDecompositionError, ParseError
 from .graph import Graph, build_graph
 
+# parse_gr refuses a header n above this: building a graph allocates a
+# mask per vertex, so an edgeless n would cost memory that the file's size
+# does not bound
+MAX_GR_VERTICES = 2_000_000
+
 
 def _ints(parts: list[str], message: str, lineno: int) -> list[int]:
     try:
@@ -21,9 +26,9 @@ def _ints(parts: list[str], message: str, lineno: int) -> list[int]:
 
 
 def _scan(text: str, usage: str, before: str):
-    """Yield the integer fields of the header that ``usage`` spells, then
-    (line number, fields) for each later line that is neither blank nor a
-    comment.  Header errors, and ``before`` for a line ahead of the header,
+    """Yield (line number, fields) for the header that ``usage`` spells,
+    its fields as integers, then for each later line that is neither blank
+    nor a comment.  Header errors, and ``before`` for a line ahead of the header,
     are raised as the scan reaches them, so the first bad line decides."""
     tag, kind, *names = usage.split()
     header = False
@@ -44,7 +49,7 @@ def _scan(text: str, usage: str, before: str):
         if min(fields) < 0:
             raise ParseError("negative header fields", lineno)
         header = True
-        yield fields
+        yield lineno, fields
     if not header:
         raise ParseError(f"missing '{tag} {kind}' header")
 
@@ -52,7 +57,9 @@ def _scan(text: str, usage: str, before: str):
 def parse_gr(text: str) -> Graph:
     """Parse "p tw <n> <m>" plus m edge lines; "c" comments allowed."""
     lines = _scan(text, "p tw <n> <m>", "edge before header")
-    n, m = next(lines)
+    header, (n, m) = next(lines)
+    if n > MAX_GR_VERTICES:
+        raise ParseError(f"n = {n} exceeds the limit of {MAX_GR_VERTICES} vertices", header)
     edges: set[tuple[int, int]] = set()
     for lineno, parts in lines:
         if len(parts) != 2:
@@ -82,7 +89,7 @@ def write_gr(G: Graph) -> str:
 def parse_td(text: str) -> RootedTreeDecomposition:
     """Parse "s td <bags> <max-bag> <n>"; the first bag becomes the root."""
     lines = _scan(text, "s td <bags> <max-bag> <n>", "content before header")
-    n_bags, max_bag, n = next(lines)
+    _, (n_bags, max_bag, n) = next(lines)
     bag_lines: dict[int, list[int]] = {}
     tree_edges: list[tuple[int, int]] = []
     for lineno, parts in lines:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from sepdecomp.decomposition import RootedTreeDecomposition, separation_tree
 from sepdecomp.errors import InvalidDecompositionError, ParseError, SepDecompError
 from sepdecomp.generators import complete_graph, gnp_graph, path_graph
 from sepdecomp.graph import build_graph
-from sepdecomp.pace import export_dot, parse_gr, parse_td, write_gr, write_td
+from sepdecomp.pace import MAX_GR_VERTICES, export_dot, parse_gr, parse_td, write_gr, write_td
 
 
 def td(host_n, parents, bags):
@@ -67,6 +69,24 @@ class TestGrFormat:
         with pytest.raises(ParseError) as ei:
             parse_gr("p tw 2 1\n1 5\n")
         assert "line 2" in str(ei.value) or ei.value.lineno == 2
+
+    def test_huge_header_refused_before_allocating(self):
+        # 17 bytes that would ask for a mask per vertex, about 16 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=(
+                    f"^line 2: n = 1000000000 exceeds the limit of {MAX_GR_VERTICES} vertices$")) as ei:
+                parse_gr("c big\np tw 1000000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ei.value.line == 2 and peak < 1 << 20
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_gr(f"p tw {MAX_GR_VERTICES + 1} 0\n")
+
+    def test_edgeless_graph_below_the_limit_parses(self):
+        G = parse_gr("p tw 12800 0\n")
+        assert G.n == 12800 and G.m == 0
 
 
 class TestTdFormat:
