@@ -69,20 +69,98 @@ def _augment(adj, fresh, sources, T, pred, succ) -> Optional[list[int]]:
             break
     else:
         return par
-    y = snk
-    while y != src:
-        x = par[y]
+    path = [snk]
+    while path[-1] != src:
+        path.append(par[path[-1]])
+    _push(zip(path[1:], path), pred, succ)
+    return None
+
+
+def _push(arcs, pred, succ) -> None:
+    """Push one unit along the arcs (tail, head) of a residual path, in any
+    order: a forward arc into v_in sets v's feeder and its tail's target, a
+    reverse arc v_out -> v_in cancels v's unit, and an arc into the sink
+    ends its tail's unit there."""
+    snk = 2 * len(pred) + 1
+    for x, y in arcs:
         if y == snk:
             succ[x >> 1] = snk
         elif not y & 1:
             u = y >> 1
-            if x == y + 1:  # cancels the unit through u
+            if x == y + 1:
                 pred[u] = succ[u] = _NONE
             else:
                 pred[u] = x
-                if x != src:
+                if x != snk - 1:
                     succ[x >> 1] = y
-        y = x
+
+
+def _cut(reach, sources, pred) -> set[int]:
+    """The vertices of the minimum cut that a failed search's `reach` gives:
+    those whose in-copy it reached and out-copy it did not, and the sources
+    whose in-copy it missed behind a saturated source arc."""
+    src = 2 * len(pred)
+    sep = {v for v in range(len(pred)) if reach[2 * v] >= 0 and reach[2 * v + 1] == _NONE}
+    sep.update(v for v in sources if reach[2 * v] == _NONE and pred[v] == src)
+    return sep
+
+
+def _complete(adj, sources, T, pred, succ, more: int, removed=()) -> Optional[set[int]]:
+    """Push up to `more` further units into the flow held in pred/succ,
+    from `sources` (ascending) to T; the in-copies of `removed` are never
+    reached.  Returns the minimum cut's vertices once a search fails, None
+    if all `more` units went through."""
+    snk = 2 * len(pred) + 1
+    fresh = [_NONE] * (snk + 1)
+    fresh[snk - 1] = snk - 1
+    for v in removed:
+        fresh[2 * v] = _REMOVED
+    for _ in range(more):
+        reach = _augment(adj, fresh, sources, T, pred, succ)
+        if reach is not None:
+            return _cut(reach, sources, pred)
+    return None
+
+
+def _reroot(adj, x: int, free: int, T: tuple[int, ...], pred, succ) -> Optional[list[int]]:
+    """Move the unit that starts at x onto a start in `free`, keeping the
+    flow's value: search the residual network backwards from x_in,
+    breadth-first, for the first out-copy of a vertex in `free` (a mask of
+    vertices that carry no flow), and push a unit along the path found, the
+    source arc into x_in giving way.  Returns that path's nodes from the
+    source on, or None if no vertex of `free` reaches x_in.
+
+    Backwards, v_in is entered from v_out when v carries flow, then from
+    the out-copies of v's neighbours in ascending id, but not the one
+    feeding it; v_out from v_in, or from the node it feeds when v carries
+    flow; the sink from the out-copies of T that do not end a unit.
+    """
+    snk = 2 * len(pred) + 1
+    start = 2 * x
+    nxt = {start: _NONE}  # reached node -> the next node of its path to x_in
+    queue = [start]
+    for y in queue:
+        if y == snk:
+            before = [2 * t + 1 for t in T if succ[t] != snk]
+        elif y & 1:
+            v = y >> 1
+            before = [y - 1 if pred[v] == _NONE else succ[v]]
+        else:
+            v = y >> 1
+            p = pred[v]
+            before = [y + 1] if p != _NONE else []
+            before += [z for u in adj[v] if (z := 2 * u + 1) != p]
+        for z in before:
+            if z in nxt:
+                continue
+            nxt[z] = y
+            if z & 1 and free >> (z >> 1) & 1:  # the sink's bit, n, is not in free
+                path = [snk - 1, z - 1, z]
+                while path[-1] != start:
+                    path.append(nxt[path[-1]])
+                _push(zip(path, path[1:]), pred, succ)
+                return path
+            queue.append(z)
     return None
 
 
@@ -106,17 +184,9 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     # pred[v]: node feeding v_in; succ[v]: node fed by v_out
     pred = [_NONE] * n
     succ = [_NONE] * n
-    fresh = [_NONE] * (snk + 1)
-    fresh[src] = src
-    for v in common:
-        fresh[2 * v] = _REMOVED
     sources = sorted(S.difference(common))
-    T2 = T.difference(common)
-    reach = None
-    for _ in range(cap - len(common)):
-        reach = _augment(G.adjacency, fresh, sources, T2, pred, succ)
-        if reach is not None:
-            break
+    sep = _complete(G.adjacency, sources, T.difference(common), pred, succ,
+                    cap - len(common), common)
 
     paths = [(v,) for v in common]
     for v in sources:
@@ -133,17 +203,9 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
             walk.append(u)
         paths.append(tuple(walk))
 
-    if reach is None:
+    if sep is None:
         return PathResult(tuple(paths), None)
-
-    # the last search's reach gives the minimum cut, hence the separator
-    sep = set(common)
-    for v in range(n):
-        if reach[2 * v] >= 0 and reach[2 * v + 1] == _NONE:
-            sep.add(v)
-    for v in sources:
-        if reach[2 * v] == _NONE and pred[v] == src:
-            sep.add(v)
+    sep.update(common)
     if len(sep) != len(paths):
         raise PostconditionFailedError(
             f"disjoint_paths: min cut of size {len(sep)} does not certify "

@@ -4,10 +4,13 @@ A W-sequence of width w is a chain W = W_0 ⊆ ... ⊆ W_{l+1} where each new
 layer contributes exactly w fresh vertices linked to W by vertex-disjoint
 paths inside the layer, the final layer contributes fewer than w, and a
 separator of that final deficit size cuts everything beyond W_l off from W.
-A round starts warm: it extends the last round's paths by a vertex each and
-runs a Menger flow only when it cannot.  Each witness is kept as a link to
-the path it extends, so a sequence takes linear memory.  ``construct`` reads
-only the tail (``_sequence_tail``), which for |W| = 1 needs no flow.
+The rounds keep their w paths as one unit flow of ``menger``'s split
+network for the whole sequence: a round extends each path by a vertex,
+re-roots a path whose head has no free neighbour by one local search of the
+residual network, and once a path cannot be re-rooted, completes the flow to
+a maximum one, whose minimum cut is Z.  Each witness is kept as a link to
+the path it extends, so a sequence takes linear memory.  ``construct``
+reads only the tail (``_sequence_tail``), which for |W| = 1 needs no flow.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .graph import (
     mask_of,
     mask_vertices,
 )
-from .menger import disjoint_paths, separates
+from .menger import _NONE, _complete, _reroot, disjoint_paths, separates
 
 # (v, j): v, then path j of the level before; (v, rest): the path (v, *rest)
 Link = tuple[int, int | tuple[int, ...]]
@@ -60,53 +63,124 @@ class WSequence(Record):
 def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
     """Construct a W-sequence of width w.
 
-    Each round adds the last vertex outside W_i of w disjoint (V\\W_i)-W
-    paths, linked to W by the rest of its path.  It first extends the last
-    round's paths (W's own vertices when w = |W|), each by its head's
-    lowest-id neighbour outside W_{i+1} not yet taken, and runs a Menger
-    flow only when some head has none.  A flow with fewer than w paths
-    ends the sequence; its minimum separator becomes Z.
+    Each round adds the head, the last vertex outside W_i, of each of w
+    disjoint (V\\W_i)-W paths, linked to W by the rest of its path.  The
+    paths are one unit flow from the heads to W, kept across rounds; the
+    first round's are W's own vertices when w = |W|, and a Menger flow's
+    otherwise.  A round extends each path whose head has a neighbour
+    outside W_{i+1} not yet taken by the lowest-id one, then re-roots each
+    other path by ``menger._reroot``.  A path that cannot be re-rooted
+    shows that fewer than w paths exist: the paths still at their old heads
+    are dropped, the rest completed to a maximum flow, whose paths form the
+    last layer and whose minimum cut becomes Z.  Only the paths a
+    re-rooting changed are written out; the others stay links.
     """
     W = _check_vertices(G, W)
     if not W:
         raise EmptyWError("W must be non-empty")
     if not (1 <= w <= len(W)):
         raise WidthOutOfRangeError(f"w must be in 1..|W|, got {w}")
-    adj = G.adjacency
+    adj, n = G.adjacency, G.n
+    src, snk = 2 * n, 2 * n + 1
+    T = tuple(sorted(W))
     outside = G.full_mask() & ~mask_of(W)  # V \ W_i
     deltas = [W]
-    links: list[tuple[Link, ...]] = [tuple((v, ()) for v in sorted(W))]
-    heads = sorted(W) if w == len(W) else []  # the new vertex of each path to extend
+    links: list[list[Link]] = [[(v, ()) for v in T]]
+    # menger's split network: pred[v] feeds v_in, v_out feeds succ[v]
+    pred, succ = [_NONE] * n, [_NONE] * n
+    if w == len(W):
+        for v in T:
+            pred[v], succ[v] = src, snk
+        heads, ends = list(T), list(T)  # each path's head and its vertex in W
+    else:
+        res = disjoint_paths(G, mask_vertices(outside), W, w)
+        step = [_trim(vs, outside, W) for vs in res.paths]
+        if len(step) < w:
+            return _finish(deltas, links, w, res.separator or frozenset(), step, outside)
+        for h, rest in step:
+            pred[h] = src
+            for a, b in zip((h, *rest), rest):
+                succ[a], pred[b] = 2 * b, 2 * a + 1
+            succ[rest[-1]] = snk
+        heads, ends = [h for h, _ in step], [rest[-1] for _, rest in step]
+        outside &= ~mask_of(heads)
+        deltas.append(frozenset(heads))
+        links.append(step)
     while True:
         free = outside
-        step: list[Link] = []
+        step, stuck = [], []
         for j, x in enumerate(heads):
             y = next((u for u in adj[x] if free >> u & 1), None)
             if y is None:
-                break
+                stuck.append(j)
+                step.append(None)
+                continue
             free ^= 1 << y
+            pred[y], succ[y], pred[x] = src, 2 * x, 2 * y + 1
             step.append((y, j))
-        if heads and len(step) == len(heads):
-            outside = free
-        else:
-            res = disjoint_paths(G, mask_vertices(outside), W, w)
-            step = [_trim(vs, outside, W) for vs in res.paths]
-            outside &= ~mask_of(v for v, _ in step)
+        touched: set[int] = set()  # the vertices of the re-rooting paths
+        for k, j in enumerate(stuck):
+            path = _reroot(adj, heads[j], free, T, pred, succ)
+            if path is None:
+                # w disjoint paths from V \ W_{i+1} would lead a free
+                # vertex to this head, so fewer exist: drop the paths still
+                # at old heads and complete the rest to a maximum flow
+                for x in (heads[j] for j in stuck[k:]):
+                    for v in _unit(x, succ):
+                        pred[v] = succ[v] = _NONE
+                sources = mask_vertices(outside)
+                z = _complete(adj, sources, W, pred, succ, len(stuck) - k)
+                if z is None:
+                    raise PostconditionFailedError(
+                        "build_w_sequence: w paths after a failed re-rooting")
+                last = [_trim(_unit(v, succ), outside, W) for v in sources if pred[v] == src]
+                return _finish(deltas, links, w, z, last, outside)
+            v = path[1] >> 1
+            free ^= 1 << v
+            step[j] = (v, None)
+            touched.update(y >> 1 for y in path[1:] if y != snk)
+        if touched:
+            # hit: the re-rooting paths' vertices and those after them on
+            # a unit; a path whose old vertex in W is not hit is its old
+            # path behind its new head
+            hit = set(touched)
+            for u in touched:
+                while pred[u] != _NONE and succ[u] != snk and succ[u] >> 1 not in hit:
+                    u = succ[u] >> 1
+                    hit.add(u)
+            for j, (v, rest) in enumerate(step):
+                if rest is None or ends[j] in hit:
+                    vs = _unit(v, succ)
+                    step[j], ends[j] = (v, vs[1:]), vs[-1]
         heads = [v for v, _ in step]
+        outside = free
         deltas.append(frozenset(heads))
-        links.append(tuple(step))
-        if len(step) == w:
-            continue  # an extension keeps all w paths, so only a flow ends here
-        # r disjoint (V\W_l)-W paths each need a separator vertex, so a
-        # size-r separator lives on them, inside W_{l+1}
-        z = res.separator or frozenset()
-        if len(z) != len(step):
-            raise PostconditionFailedError(
-                f"build_w_sequence: separator of size {len(z)} for {len(step)} paths"
-            )
-        if mask_of(z) & outside:
-            raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
-        return WSequence(tuple(deltas), w, z, tuple(links))
+        links.append(step)
+
+
+def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
+    """The vertices of the flow's unit from v to its end."""
+    snk = 2 * len(succ) + 1
+    vs = [v]
+    while succ[vs[-1]] != snk:
+        vs.append(succ[vs[-1]] >> 1)
+    return tuple(vs)
+
+
+def _finish(deltas: list, links: list, w: int, z, step: list[Link], outside: int) -> WSequence:
+    """The sequence with `step`'s r < w paths as its last layer and Z = z."""
+    heads = [v for v, _ in step]
+    # r disjoint (V\W_l)-W paths each need a separator vertex, so a size-r
+    # separator lives on them, inside W_{l+1}
+    if len(z) != len(step):
+        raise PostconditionFailedError(
+            f"build_w_sequence: separator of size {len(z)} for {len(step)} paths"
+        )
+    if mask_of(z) & outside & ~mask_of(heads):
+        raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
+    deltas.append(frozenset(heads))
+    links.append(step)
+    return WSequence(tuple(deltas), w, frozenset(z), tuple(map(tuple, links)))
 
 
 def _trim(vs: tuple[int, ...], outside: int, W: VertexSet) -> Link:

@@ -20,7 +20,7 @@ from sepdecomp.generators import (
     random_tree,
 )
 from sepdecomp.graph import build_graph, induced_subgraph, mask_of
-from sepdecomp.menger import PathResult, disjoint_paths, separates
+from sepdecomp.menger import disjoint_paths, separates
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
 from test_golden import NODE_ID_CASES
 
@@ -82,22 +82,23 @@ class TestErrors:
 
 
 class TestPostconditions:
-    """A Menger separator that breaks the W-sequence's final condition
-    raises a typed error (a plain assert would vanish under python -O)."""
+    """A minimum cut that breaks the W-sequence's final condition raises a
+    typed error (a plain assert would vanish under python -O)."""
 
     @pytest.mark.parametrize("bogus, message", [
         (frozenset({2, 3}), "separator of size 2 for 1 paths"),
         (frozenset({3}), "separator leaves the last layer"),
     ])
     def test_bad_separator(self, monkeypatch, bogus, message):
-        real = wsequence.disjoint_paths
+        real = wsequence._complete
 
-        def fake(G, S, T, cap):
-            res = real(G, S, T, cap)
-            return res if res.separator is None else PathResult(res.paths, bogus)
+        def fake(*args):
+            cut = real(*args)
+            return cut if cut is None else bogus
 
-        monkeypatch.setattr(wsequence, "disjoint_paths", fake)
-        # W = {0, 1} with 1 isolated: one path 2-0, so the last layer is
+        monkeypatch.setattr(wsequence, "_complete", fake)
+        # W = {0, 1} with 1 isolated: 0 takes 2, 1 cannot be re-rooted, so
+        # the closing flow keeps the one path 2-0, the last layer is
         # {0, 1, 2} and the true separator has size 1
         G = build_graph(4, [(0, 2), (2, 3)])
         with pytest.raises(PostconditionFailedError, match=f"build_w_sequence: {message}"):
@@ -106,8 +107,9 @@ class TestPostconditions:
 
 # path 0-1-2-3-4-5 with W = {0, 2} and w = 2 gives the valid sequence
 # Δ = {0,2}, {1,3}, {4} and Z = {4}: round 1 extends W's own vertices (0 by 1,
-# 2 by 3), round 2 finds no free neighbour of 1 and runs the flow, whose one
-# path 4-3-2 ends the sequence; as paths, ((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),)
+# 2 by 3), round 2 extends 3 by 4 but finds no free vertex to re-root 1 on,
+# so it drops 1's path and completes the flow, whose one path 4-3-2 ends the
+# sequence; as paths, ((0,), (2,)), ((1, 0), (3, 2)), ((4, 3, 2),)
 D0, D1, D2 = frozenset({0, 2}), frozenset({1, 3}), frozenset({4})
 K0, K1, K2 = ((0, ()), (2, ())), ((1, 0), (3, 1)), ((4, (3, 2)),)
 TAMPERS = {
@@ -194,6 +196,62 @@ def test_random_sequences_validate(data):
     ws = build_w_sequence(G, W, w)
     assert validate_w_sequence(G, ws) == (True, []) == flow_per_level_validator(G, ws)
     assert ws.levels[0] == W and ws.width_w == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tail_matches_cold_flow(data):
+    """The kept flow ends where a cold Menger flow from V \\ W_l to W would:
+    the same minimum cut Z (the source-side one, which every maximum flow
+    shares) and as many paths, for w = |W| and w < |W|."""
+    kind = data.draw(st.sampled_from(sorted(GRAPHS)))
+    G = GRAPHS[kind](data.draw(st.integers(3, 40)), data.draw(st.integers(0, 10_000)))
+    W = frozenset(data.draw(st.permutations(range(G.n)))[:data.draw(st.integers(1, min(5, G.n)))])
+    w = data.draw(st.one_of(st.just(len(W)), st.integers(1, len(W))))
+    ws = build_w_sequence(G, W, w)
+    assert validate_w_sequence(G, ws) == (True, [])
+    cold = disjoint_paths(G, set(range(G.n)) - ws.levels[ws.ell], W, w)
+    assert cold.separator == ws.z_set and len(cold.paths) == ws.sizes[-1] < w
+
+
+def test_tree_sequence_runs_no_global_flow(monkeypatch):
+    # every stuck round is repaired locally or closes the sequence; the
+    # rounds used to run 176 global flows here
+    calls = Counter()
+    real = wsequence.disjoint_paths
+
+    def counted(*args):
+        calls["disjoint_paths"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(wsequence, "disjoint_paths", counted)
+    G = random_tree(800, 1)
+    ws = build_w_sequence(G, {0, 266, 400}, 3)
+    assert calls["disjoint_paths"] == 0 and ws.ell > 100
+    monkeypatch.undo()
+    assert validate_w_sequence(G, ws) == (True, [])
+
+
+def test_repair_reroutes_through_another_path(monkeypatch):
+    """W = {0, 1}: round 1 takes 2 and 3, round 2 extends 2 by 4 and leaves
+    3 stuck.  The only free vertex, 5, reaches 3 only by taking over 2 from
+    the path 4-2-0: the repair cancels the arc 4 -> 2, so 4 runs on through
+    3 and 5 through 2, and both paths are written out."""
+    G = build_graph(6, [(0, 2), (1, 3), (2, 4), (3, 4), (2, 5)])
+    real, paths = wsequence._reroot, []
+
+    def recorded(*args):
+        paths.append(real(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(wsequence, "_reroot", recorded)
+    ws = build_w_sequence(G, {0, 1}, 2)
+    # split nodes: 2v = v_in, 2v + 1 = v_out, 12 the source; 4 -> 9 runs
+    # the arc 4_out -> 2_in backwards
+    assert paths[0] == [12, 10, 11, 4, 9, 6]
+    assert ws.deltas == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}), frozenset())
+    assert ws.links[2] == ((4, (3, 1)), (5, (2, 0)))
+    assert validate_w_sequence(G, ws) == (True, [])
 
 
 def test_path_witnesses_take_linear_memory():
@@ -358,7 +416,7 @@ def load_corpus(monkeypatch):
 
 def test_construct_sequences_validate(monkeypatch):
     """Every W-sequence that construct builds validates, over the golden
-    construct cases and the benchmark's sparse corpus at seeds 0-2."""
+    construct cases and the benchmark's sparse corpus at seeds 0-9."""
     real, built = wsequence.build_w_sequence, Counter()
 
     def checked(G, W, w):
@@ -372,7 +430,7 @@ def test_construct_sequences_validate(monkeypatch):
     runs = [(make(), a, marked) for make, a, marked in NODE_ID_CASES.values()]
     runs += [
         (inst.graph, inst.a, lambda G: {0})
-        for seed in range(3) for inst in corpus.build("sparse", seed)
+        for seed in range(10) for inst in corpus.build("sparse", seed)
     ]
     for G, a, marked in runs:
         construct(G, a, marked(G))
