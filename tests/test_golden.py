@@ -420,6 +420,7 @@ def changed_pins(stored: dict, current: dict) -> list[str]:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--changed"]:
-        print(*changed_pins(json.loads(GOLDEN.read_text()), compute_golden()), sep="\n")
+        for line in changed_pins(json.loads(GOLDEN.read_text()), compute_golden()):
+            print(line)
     else:
         print(dumps(compute_golden()), end="")
