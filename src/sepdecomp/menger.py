@@ -139,28 +139,35 @@ def _reroot(adj, x: int, free: int, T: tuple[int, ...], pred, succ) -> Optional[
     start = 2 * x
     nxt = {start: _NONE}  # reached node -> the next node of its path to x_in
     queue = [start]
+    push = queue.append
     for y in queue:
-        if y == snk:
-            before = [2 * t + 1 for t in T if succ[t] != snk]
-        elif y & 1:
-            v = y >> 1
-            before = [y - 1 if pred[v] == _NONE else succ[v]]
-        else:
-            v = y >> 1
-            p = pred[v]
-            before = [y + 1] if p != _NONE else []
-            before += [z for u in adj[v] if (z := 2 * u + 1) != p]
-        for z in before:
-            if z in nxt:
+        v = y >> 1
+        if y & 1:  # v_out or the sink, entered from nodes of no free vertex
+            if y != snk:
+                before = (y - 1 if pred[v] == _NONE else succ[v],)
+            else:
+                before = [2 * t + 1 for t in T if succ[t] != snk]
+            for z in before:
+                if z not in nxt:
+                    nxt[z] = y
+                    push(z)
+            continue
+        p = pred[v]
+        if p != _NONE and y + 1 not in nxt:
+            nxt[y + 1] = y
+            push(y + 1)
+        for u in adj[v]:
+            z = 2 * u + 1
+            if z == p or z in nxt:
                 continue
             nxt[z] = y
-            if z & 1 and free >> (z >> 1) & 1:  # the sink's bit, n, is not in free
+            if free >> u & 1:
                 path = [snk - 1, z - 1, z]
                 while path[-1] != start:
                     path.append(nxt[path[-1]])
                 _push(zip(path, path[1:]), pred, succ)
                 return path
-            queue.append(z)
+            push(z)
     return None
 
 

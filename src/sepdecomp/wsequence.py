@@ -80,7 +80,7 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
         raise EmptyWError("W must be non-empty")
     if not (1 <= w <= len(W)):
         raise WidthOutOfRangeError(f"w must be in 1..|W|, got {w}")
-    adj, n = G.adjacency, G.n
+    masks, n = G.adj_masks, G.n
     src, snk = 2 * n, 2 * n + 1
     T = tuple(sorted(W))
     outside = G.full_mask() & ~mask_of(W)  # V \ W_i
@@ -110,17 +110,18 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
         free = outside
         step, stuck = [], []
         for j, x in enumerate(heads):
-            y = next((u for u in adj[x] if free >> u & 1), None)
-            if y is None:
+            cand = masks[x] & free
+            if not cand:
                 stuck.append(j)
                 step.append(None)
                 continue
+            y = (cand & -cand).bit_length() - 1
             free ^= 1 << y
             pred[y], succ[y], pred[x] = src, 2 * x, 2 * y + 1
             step.append((y, j))
         touched: set[int] = set()  # the vertices of the re-rooting paths
         for k, j in enumerate(stuck):
-            path = _reroot(adj, heads[j], free, T, pred, succ)
+            path = _reroot(G.adjacency, heads[j], free, T, pred, succ) if free else None
             if path is None:
                 # w disjoint paths from V \ W_{i+1} would lead a free
                 # vertex to this head, so fewer exist: drop the paths still
@@ -129,6 +130,9 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
                     for v in _unit(x, succ):
                         pred[v] = succ[v] = _NONE
                 sources = mask_vertices(outside)
+                # with no free vertex the search starts nowhere and reads no
+                # neighbour lists, which then need not be built
+                adj = G.adjacency if free else ()
                 z = _complete(adj, sources, W, pred, succ, len(stuck) - k)
                 if z is None:
                     raise PostconditionFailedError(
