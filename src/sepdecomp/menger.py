@@ -95,30 +95,25 @@ def _push(arcs, pred, succ) -> None:
                     succ[x >> 1] = y
 
 
-def _cut(reach, sources, pred) -> set[int]:
-    """The vertices of the minimum cut that a failed search's `reach` gives:
-    those whose in-copy it reached and out-copy it did not, and the sources
-    whose in-copy it missed behind a saturated source arc."""
-    src = 2 * len(pred)
-    sep = {v for v in range(len(pred)) if reach[2 * v] >= 0 and reach[2 * v + 1] == _NONE}
-    sep.update(v for v in sources if reach[2 * v] == _NONE and pred[v] == src)
-    return sep
-
-
 def _complete(adj, sources, T, pred, succ, more: int, removed=()) -> Optional[set[int]]:
     """Push up to `more` further units into the flow held in pred/succ,
     from `sources` (ascending) to T; the in-copies of `removed` are never
     reached.  Returns the minimum cut's vertices once a search fails, None
     if all `more` units went through."""
-    snk = 2 * len(pred) + 1
-    fresh = [_NONE] * (snk + 1)
-    fresh[snk - 1] = snk - 1
+    src = 2 * len(pred)
+    fresh = [_NONE] * (src + 2)
+    fresh[src] = src
     for v in removed:
         fresh[2 * v] = _REMOVED
     for _ in range(more):
         reach = _augment(adj, fresh, sources, T, pred, succ)
         if reach is not None:
-            return _cut(reach, sources, pred)
+            # the cut: each vertex whose in-copy the failed search reached
+            # and out-copy it did not, and each source behind a saturated
+            # source arc
+            cut = {v for v in range(len(pred)) if reach[2 * v] >= 0 and reach[2 * v + 1] == _NONE}
+            cut.update(v for v in sources if reach[2 * v] == _NONE and pred[v] == src)
+            return cut
     return None
 
 

@@ -65,15 +65,15 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
 
     Each round adds the head, the last vertex outside W_i, of each of w
     disjoint (V\\W_i)-W paths, linked to W by the rest of its path.  The
-    paths are one unit flow from the heads to W, kept across rounds; the
-    first round's are W's own vertices when w = |W|, and a Menger flow's
-    otherwise.  A round extends each path whose head has a neighbour
-    outside W_{i+1} not yet taken by the lowest-id one, then re-roots each
-    other path by ``menger._reroot``.  A path that cannot be re-rooted
-    shows that fewer than w paths exist: the paths still at their old heads
-    are dropped, the rest completed to a maximum flow, whose paths form the
-    last layer and whose minimum cut becomes Z.  Only the paths a
-    re-rooting changed are written out; the others stay links.
+    paths are one unit flow to W, kept across rounds and starting at their
+    heads; the first round's are W's own vertices when w = |W|.  A round
+    extends each path whose head has a neighbour outside W_{i+1} not yet
+    taken by the lowest-id one, then re-roots each other path by
+    ``menger._reroot``.  A path that cannot be re-rooted shows that fewer
+    than w paths exist: the paths still at their old heads are dropped and
+    the rest completed to a maximum flow (from nothing when w < |W|), whose
+    paths form the last layer and whose minimum cut becomes Z.  Only the
+    paths a re-rooting changed are written out; the others stay links.
     """
     W = _check_vertices(G, W)
     if not W:
@@ -88,24 +88,11 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
     links: list[list[Link]] = [[(v, ()) for v in T]]
     # menger's split network: pred[v] feeds v_in, v_out feeds succ[v]
     pred, succ = [_NONE] * n, [_NONE] * n
+    heads, ends = [], []  # each path's head and its vertex in W
     if w == len(W):
         for v in T:
             pred[v], succ[v] = src, snk
-        heads, ends = list(T), list(T)  # each path's head and its vertex in W
-    else:
-        res = disjoint_paths(G, mask_vertices(outside), W, w)
-        step = [_trim(vs, outside, W) for vs in res.paths]
-        if len(step) < w:
-            return _finish(deltas, links, w, res.separator or frozenset(), step, outside)
-        for h, rest in step:
-            pred[h] = src
-            for a, b in zip((h, *rest), rest):
-                succ[a], pred[b] = 2 * b, 2 * a + 1
-            succ[rest[-1]] = snk
-        heads, ends = [h for h, _ in step], [rest[-1] for _, rest in step]
-        outside &= ~mask_of(heads)
-        deltas.append(frozenset(heads))
-        links.append(step)
+        heads, ends = list(T), list(T)
     while True:
         free = outside
         step, stuck = [], []
@@ -119,31 +106,40 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
             free ^= 1 << y
             pred[y], succ[y], pred[x] = src, 2 * x, 2 * y + 1
             step.append((y, j))
+        missing = w - len(heads)
         touched: set[int] = set()  # the vertices of the re-rooting paths
         for k, j in enumerate(stuck):
             path = _reroot(G.adjacency, heads[j], free, T, pred, succ) if free else None
             if path is None:
                 # w disjoint paths from V \ W_{i+1} would lead a free
                 # vertex to this head, so fewer exist: drop the paths still
-                # at old heads and complete the rest to a maximum flow
+                # at old heads
                 for x in (heads[j] for j in stuck[k:]):
                     for v in _unit(x, succ):
                         pred[v] = succ[v] = _NONE
-                sources = mask_vertices(outside)
-                # with no free vertex the search starts nowhere and reads no
-                # neighbour lists, which then need not be built
-                adj = G.adjacency if free else ()
-                z = _complete(adj, sources, W, pred, succ, len(stuck) - k)
-                if z is None:
-                    raise PostconditionFailedError(
-                        "build_w_sequence: w paths after a failed re-rooting")
-                last = [_trim(_unit(v, succ), outside, W) for v in sources if pred[v] == src]
-                return _finish(deltas, links, w, z, last, outside)
+                missing = len(stuck) - k
+                break
             v = path[1] >> 1
             free ^= 1 << v
             step[j] = (v, None)
             touched.update(y >> 1 for y in path[1:] if y != snk)
-        if touched:
+        if missing:
+            # complete the flow from V \ W_{i+1} to a maximum one; with no
+            # free vertex its search starts nowhere and reads no neighbour
+            # lists, which then need not be built
+            sources = mask_vertices(outside)
+            z = _complete(G.adjacency if free else (), sources, W, pred, succ, missing)
+            starts = [v for v in sources if pred[v] == src]
+            step = [_head(_unit(v, succ), outside) for v in starts]
+            for v, (h, _) in zip(starts, step):  # start each path at its head
+                while v != h:
+                    u = succ[v] >> 1
+                    pred[v] = succ[v] = _NONE
+                    v = u
+                pred[h] = src
+            ends = [rest[-1] for _, rest in step]
+            free = outside & ~mask_of(h for h, _ in step)
+        elif touched:
             # hit: the re-rooting paths' vertices and those after them on
             # a unit; a path whose old vertex in W is not hit is its old
             # path behind its new head
@@ -157,9 +153,20 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
                     vs = _unit(v, succ)
                     step[j], ends[j] = (v, vs[1:]), vs[-1]
         heads = [v for v, _ in step]
-        outside = free
         deltas.append(frozenset(heads))
         links.append(step)
+        if len(heads) < w:
+            break
+        outside = free
+    # the r < w last paths each need a vertex of a minimum cut, so a
+    # size-r cut lives on them, inside W_{l+1}
+    if len(z) != len(heads):
+        raise PostconditionFailedError(
+            f"build_w_sequence: separator of size {len(z)} for {len(heads)} paths"
+        )
+    if mask_of(z) & outside & ~mask_of(heads):
+        raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
+    return WSequence(tuple(deltas), w, frozenset(z), tuple(map(tuple, links)))
 
 
 def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
@@ -171,27 +178,10 @@ def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
     return tuple(vs)
 
 
-def _finish(deltas: list, links: list, w: int, z, step: list[Link], outside: int) -> WSequence:
-    """The sequence with `step`'s r < w paths as its last layer and Z = z."""
-    heads = [v for v, _ in step]
-    # r disjoint (V\W_l)-W paths each need a separator vertex, so a size-r
-    # separator lives on them, inside W_{l+1}
-    if len(z) != len(step):
-        raise PostconditionFailedError(
-            f"build_w_sequence: separator of size {len(z)} for {len(step)} paths"
-        )
-    if mask_of(z) & outside & ~mask_of(heads):
-        raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
-    deltas.append(frozenset(heads))
-    links.append(step)
-    return WSequence(tuple(deltas), w, frozenset(z), tuple(map(tuple, links)))
-
-
-def _trim(vs: tuple[int, ...], outside: int, W: VertexSet) -> Link:
-    """(last vertex of vs outside W_i, the rest of vs up to its next W vertex)."""
+def _head(vs: tuple[int, ...], outside: int) -> Link:
+    """(the last vertex of vs outside W_i, the rest of vs)."""
     start = max(i for i, v in enumerate(vs) if outside >> v & 1)
-    end = min(i for i, v in enumerate(vs) if i > start and v in W)
-    return vs[start], vs[start + 1 : end + 1]
+    return vs[start], vs[start + 1 :]
 
 
 def _path(links: tuple[tuple[Link, ...], ...], i: int, k: int) -> Optional[tuple[int, ...]]:
