@@ -129,16 +129,11 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
             # lists, which then need not be built
             sources = mask_vertices(outside)
             z = _complete(G.adjacency if free else (), sources, W, pred, succ, missing)
-            starts = [v for v in sources if pred[v] == src]
-            step = [_head(_unit(v, succ), outside) for v in starts]
-            for v, (h, _) in zip(starts, step):  # start each path at its head
-                while v != h:
-                    u = succ[v] >> 1
-                    pred[v] = succ[v] = _NONE
-                    v = u
-                pred[h] = src
+            # each search queues every free source first, so a path found
+            # enters no source but its first: each path starts at its head
+            step = [(v, _unit(v, succ)[1:]) for v in sources if pred[v] == src]
             ends = [rest[-1] for _, rest in step]
-            free = outside & ~mask_of(h for h, _ in step)
+            free = outside & ~mask_of(v for v, _ in step)
         elif touched:
             # hit: the re-rooting paths' vertices and those after them on
             # a unit; a path whose old vertex in W is not hit is its old
@@ -176,12 +171,6 @@ def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
     while succ[vs[-1]] != snk:
         vs.append(succ[vs[-1]] >> 1)
     return tuple(vs)
-
-
-def _head(vs: tuple[int, ...], outside: int) -> Link:
-    """(the last vertex of vs outside W_i, the rest of vs)."""
-    start = max(i for i, v in enumerate(vs) if outside >> v & 1)
-    return vs[start], vs[start + 1 :]
 
 
 def _path(links: tuple[tuple[Link, ...], ...], i: int, k: int) -> Optional[tuple[int, ...]]:
