@@ -5,7 +5,11 @@ augmentation (Even & Tarjan 1975).  The split network is kept in flat
 per-vertex arrays: a vertex carries at most one unit, so its flow is the
 node feeding its in-copy and the node its out-copy feeds.  Each augmenting
 search is O(n + m) and scans arcs in ascending split-node id, so the
-returned paths and separator are deterministic.
+returned paths and separator are deterministic.  A caller may keep a flow
+in those arrays and change it in place: ``_complete`` augments it to a
+maximum flow and returns the minimum cut, and ``_reroot`` moves one unit's
+start by a backward search that stops at the first free vertex it meets,
+so its cost is the part of the residual network it explores.
 """
 
 from __future__ import annotations

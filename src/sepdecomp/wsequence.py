@@ -159,7 +159,7 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
         raise PostconditionFailedError(
             f"build_w_sequence: separator of size {len(z)} for {len(heads)} paths"
         )
-    if mask_of(z) & outside & ~mask_of(heads):
+    if mask_of(z) & free:  # free: V \ W_{l+1}
         raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
     return WSequence(tuple(deltas), w, frozenset(z), tuple(map(tuple, links)))
 
