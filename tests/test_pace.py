@@ -74,8 +74,8 @@ class TestGrFormat:
         # 17 bytes that would ask for a mask per vertex, about 16 GB
         tracemalloc.start()
         try:
-            with pytest.raises(ParseError, match=(
-                    f"^line 2: n = 1000000000 exceeds the limit of {MAX_GR_VERTICES} vertices$")) as ei:
+            message = f"^line 2: n = 1000000000 exceeds the limit of {MAX_GR_VERTICES} vertices$"
+            with pytest.raises(ParseError, match=message) as ei:
                 parse_gr("c big\np tw 1000000000 0\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
