@@ -70,15 +70,19 @@ def _greedy_a_side(z_mask: int, comps, weights, lo: int, hi: int):
     on edges {0,4}, {2,3} with isolated 1 it returns {0,4}, not {0,1,4}.
     Returns None if no grouping is feasible.
     """
-    if not _sum_window_reachable(weights, lo, hi):
+    # suffix[i]: the subset sums of weights[i:], as a bitset
+    suffix = [1]
+    for wt in reversed(weights):
+        suffix.append(suffix[-1] | suffix[-1] << wt)
+    suffix.reverse()
+    if not _sum_in_window(suffix[0], lo, hi):
         return None
     a_mask = z_mask
     cur = 0
     for i, comp in enumerate(comps):
         if lo <= cur <= hi:
             return a_mask
-        rest = weights[i + 1 :]
-        if _sum_window_reachable(rest, lo - cur - weights[i], hi - cur - weights[i]):
+        if _sum_in_window(suffix[i + 1], lo - cur - weights[i], hi - cur - weights[i]):
             a_mask |= comp
             cur += weights[i]
     if not lo <= cur <= hi:

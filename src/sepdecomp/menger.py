@@ -5,11 +5,14 @@ augmentation (Even & Tarjan 1975).  The split network is kept in flat
 per-vertex arrays: a vertex carries at most one unit, so its flow is the
 node feeding its in-copy and the node its out-copy feeds.  Each augmenting
 search is O(n + m) and scans arcs in ascending split-node id, so the
-returned paths and separator are deterministic.  A caller may keep a flow
-in those arrays and change it in place: ``_complete`` augments it to a
-maximum flow and returns the minimum cut, and ``_reroot`` moves one unit's
-start by a backward search that stops at the first free vertex it meets,
-so its cost is the part of the residual network it explores.
+returned paths and separator are deterministic.  A vertex of both S and T
+carries a length-0 unit from the start, as a vertex of W does in a
+W-sequence.  A caller may keep a flow in those arrays and change it in
+place: ``_complete``, the one forward search, augments it to a maximum flow
+and returns the minimum cut, and ``_reroot`` moves one unit's start by a
+backward search that stops at the first free vertex it meets, so its cost
+is the part of the residual network it explores.  ``_unit`` is the one
+walk that reads a unit's vertices off the arrays.
 """
 
 from __future__ import annotations
@@ -27,57 +30,10 @@ class PathResult(Record):
 
 # Split-network node ids: 2v = v_in, 2v+1 = v_out, then source and sink.
 # Arcs: v_in -> v_out (capacity 1); u_out -> v_in for every edge uv; source
-# -> v_in for v in S; v_out -> sink for v in T.  Vertices in both S and T
-# are length-0 paths and take no part in the network.
+# -> v_in for v in S; v_out -> sink for v in T.  A vertex of both S and T
+# carries a length-0 unit, source -> v_in -> v_out -> sink: a search that
+# reaches its in-copy can only go back to the source, so none crosses it.
 _NONE = -1  # no flow through the vertex; an unreached node
-_REMOVED = -2  # marks the in-copy of a vertex of S & T as never reachable
-
-
-def _augment(adj, fresh, sources, T, pred, succ) -> Optional[list[int]]:
-    """One breadth-first search of the residual network from `fresh`, the
-    initial parent array.
-
-    On success, pushes a unit along the path found and returns None.  On
-    failure, returns the search's parent array: the nodes it reached are
-    those with a parent >= 0.
-    """
-    par = fresh[:]
-    snk = len(par) - 1
-    src = snk - 1
-    queue = [2 * v for v in sources if pred[v] != src]
-    for x in queue:
-        par[x] = src
-    push = queue.append
-    for x in queue:
-        v = x >> 1
-        p = pred[v]
-        if not x & 1:
-            # v_in: with flow through v the only residual arc runs back to
-            # the node feeding v_in, otherwise the only one is v_in -> v_out
-            y = x + 1 if p == _NONE else p
-            if par[y] == _NONE:
-                par[y] = x
-                push(y)
-            continue
-        nbrs = adj[v]
-        if p != _NONE:  # residual v_out -> v_in sits among the u_in
-            k = bisect_left(nbrs, v)
-            nbrs = nbrs[:k] + (v,) + nbrs[k:]
-        for u in nbrs:
-            y = 2 * u
-            if par[y] == _NONE:
-                par[y] = x
-                push(y)
-        if v in T and succ[v] != snk:
-            par[snk] = x
-            break
-    else:
-        return par
-    path = [snk]
-    while path[-1] != src:
-        path.append(par[path[-1]])
-    _push(zip(path[1:], path), pred, succ)
-    return None
 
 
 def _push(arcs, pred, succ) -> None:
@@ -99,25 +55,66 @@ def _push(arcs, pred, succ) -> None:
                     succ[x >> 1] = y
 
 
-def _complete(adj, sources, T, pred, succ, more: int, removed=()) -> Optional[set[int]]:
+def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
+    """The vertices of the flow's unit from v to its end."""
+    snk = 2 * len(succ) + 1
+    vs = [v]
+    while succ[vs[-1]] != snk:
+        if succ[vs[-1]] == _NONE:
+            raise PostconditionFailedError("_unit: flow decomposition lost a unit")
+        vs.append(succ[vs[-1]] >> 1)
+    return tuple(vs)
+
+
+def _complete(adj, sources, T, pred, succ, more: int) -> Optional[set[int]]:
     """Push up to `more` further units into the flow held in pred/succ,
-    from `sources` (ascending) to T; the in-copies of `removed` are never
-    reached.  Returns the minimum cut's vertices once a search fails, None
-    if all `more` units went through."""
-    src = 2 * len(pred)
-    fresh = [_NONE] * (src + 2)
-    fresh[src] = src
-    for v in removed:
-        fresh[2 * v] = _REMOVED
+    from `sources` (ascending) to T, one breadth-first search of the
+    residual network per unit.  Returns the minimum cut's vertices once a
+    search fails, None if all `more` units went through."""
+    n = len(pred)
+    src, snk = 2 * n, 2 * n + 1
     for _ in range(more):
-        reach = _augment(adj, fresh, sources, T, pred, succ)
-        if reach is not None:
+        par = [_NONE] * (snk + 1)  # each reached node's parent in the search
+        par[src] = src
+        queue = [2 * v for v in sources if pred[v] != src]
+        for x in queue:
+            par[x] = src
+        push = queue.append
+        for x in queue:
+            v = x >> 1
+            p = pred[v]
+            if not x & 1:
+                # v_in: with flow through v the only residual arc runs back
+                # to the node feeding v_in, otherwise the only one is
+                # v_in -> v_out
+                y = x + 1 if p == _NONE else p
+                if par[y] == _NONE:
+                    par[y] = x
+                    push(y)
+                continue
+            nbrs = adj[v]
+            if p != _NONE:  # residual v_out -> v_in sits among the u_in
+                k = bisect_left(nbrs, v)
+                nbrs = nbrs[:k] + (v,) + nbrs[k:]
+            for u in nbrs:
+                y = 2 * u
+                if par[y] == _NONE:
+                    par[y] = x
+                    push(y)
+            if v in T and succ[v] != snk:
+                par[snk] = x
+                break
+        else:
             # the cut: each vertex whose in-copy the failed search reached
             # and out-copy it did not, and each source behind a saturated
             # source arc
-            cut = {v for v in range(len(pred)) if reach[2 * v] >= 0 and reach[2 * v + 1] == _NONE}
-            cut.update(v for v in sources if reach[2 * v] == _NONE and pred[v] == src)
+            cut = {v for v in range(n) if par[2 * v] >= 0 and par[2 * v + 1] == _NONE}
+            cut.update(v for v in sources if par[2 * v] == _NONE and pred[v] == src)
             return cut
+        path = [snk]
+        while path[-1] != src:
+            path.append(par[path[-1]])
+        _push(zip(path[1:], path), pred, succ)
     return None
 
 
@@ -184,40 +181,24 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     common = sorted(S & T)
     if cap <= len(common):
         return PathResult(tuple((v,) for v in common[:cap]), None)
-    n = G.n
-    src = 2 * n
-    snk = src + 1
     # pred[v]: node feeding v_in; succ[v]: node fed by v_out
-    pred = [_NONE] * n
-    succ = [_NONE] * n
-    sources = sorted(S.difference(common))
-    sep = _complete(G.adjacency, sources, T.difference(common), pred, succ,
-                    cap - len(common), common)
-
-    paths = [(v,) for v in common]
-    for v in sources:
-        if pred[v] != src:
-            continue
-        walk = [v]
-        u = v
-        while succ[u] != snk:
-            if succ[u] == _NONE:
-                raise PostconditionFailedError(
-                    "disjoint_paths: flow decomposition lost a unit"
-                )
-            u = succ[u] >> 1
-            walk.append(u)
-        paths.append(tuple(walk))
-
+    pred = [_NONE] * G.n
+    succ = [_NONE] * G.n
+    src, snk = 2 * G.n, 2 * G.n + 1
+    for v in common:
+        pred[v], succ[v] = src, snk
+    sources = sorted(S)
+    sep = _complete(G.adjacency, sources, T, pred, succ, cap - len(common))
+    starts = common + [v for v in sources if pred[v] == src and succ[v] != snk]
+    paths = tuple(_unit(v, succ) for v in starts)
     if sep is None:
-        return PathResult(tuple(paths), None)
-    sep.update(common)
+        return PathResult(paths, None)
     if len(sep) != len(paths):
         raise PostconditionFailedError(
             f"disjoint_paths: min cut of size {len(sep)} does not certify "
             f"{len(paths)} paths"
         )
-    return PathResult(tuple(paths), frozenset(sep))
+    return PathResult(paths, frozenset(sep))
 
 
 def separates(G: Graph, Z: Iterable[int], S: Iterable[int], T: Iterable[int]) -> bool:

@@ -30,7 +30,7 @@ from .graph import (
     mask_of,
     mask_vertices,
 )
-from .menger import _NONE, _complete, _reroot, disjoint_paths, separates
+from .menger import _NONE, _complete, _reroot, _unit, disjoint_paths, separates
 
 # (v, j): v, then path j of the level before; (v, rest): the path (v, *rest)
 Link = tuple[int, int | tuple[int, ...]]
@@ -162,15 +162,6 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
     if mask_of(z) & free:  # free: V \ W_{l+1}
         raise PostconditionFailedError("build_w_sequence: separator leaves the last layer")
     return WSequence(tuple(deltas), w, frozenset(z), tuple(map(tuple, links)))
-
-
-def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
-    """The vertices of the flow's unit from v to its end."""
-    snk = 2 * len(succ) + 1
-    vs = [v]
-    while succ[vs[-1]] != snk:
-        vs.append(succ[vs[-1]] >> 1)
-    return tuple(vs)
 
 
 def _path(links: tuple[tuple[Link, ...], ...], i: int, k: int) -> Optional[tuple[int, ...]]:

@@ -111,7 +111,7 @@ class TestPureKernels:
     def test_greedy_a_side_postcondition(self, monkeypatch):
         # with a subset-sum test that always says yes, the walk ends outside
         # the window; the check is an exception, so it also runs under -O
-        monkeypatch.setattr(kernels, "_sum_window_reachable", lambda sizes, lo, hi: True)
+        monkeypatch.setattr(kernels, "_sum_in_window", lambda sums, lo, hi: True)
         with pytest.raises(PostconditionFailedError, match="_greedy_a_side"):
             kernels._greedy_a_side(0, [0b1], [5], 1, 2)
 

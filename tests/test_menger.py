@@ -2,10 +2,10 @@ from itertools import combinations
 
 import pytest
 
-from sepdecomp.errors import InvalidInputError
+from sepdecomp.errors import InvalidInputError, PostconditionFailedError
 from sepdecomp.generators import complete_graph, gnp_graph, path_graph
 from sepdecomp.graph import build_graph
-from sepdecomp.menger import disjoint_paths, separates
+from sepdecomp.menger import _NONE, _unit, disjoint_paths, separates
 
 
 def brute_min_separator_size(G, S, T):
@@ -34,8 +34,15 @@ class TestDisjointPaths:
     def test_overlap_yields_zero_length_paths(self):
         G = path_graph(3)
         res = disjoint_paths(G, {0, 1}, {1, 2}, 5)
-        # vertex 1 is in both sides: a length-0 path, listed first
-        assert res.paths[0] == (1,)
+        # vertex 1 is in both sides: a length-0 path, and the only route from
+        # 0 to 2; a search that could cross 1 would find the path 0-1-2 too
+        assert res.paths == ((1,),)
+        assert res.separator == {1}
+
+    def test_unit_walk_meets_empty_vertex(self):
+        # 0's out-copy feeds 1_in, but 1 carries no flow
+        with pytest.raises(PostconditionFailedError, match="lost a unit"):
+            _unit(0, [2, _NONE, _NONE])
 
     def test_cap_reached_no_separator(self):
         G = complete_graph(5)

@@ -40,16 +40,13 @@ gc.collect()
 print(json.dumps({"file": sepdecomp.__file__, "old_alive": old() is not None}))
 """
 
+# prints one golden section, recomputed by the expression `pins`
 OPTIMIZED = """
 import sys
 sys.path.insert(0, {tests!r})
 import sepdecomp
-from test_golden import CONSTRUCT_CASES, construct_digest
-print(json.dumps({{
-    "file": sepdecomp.__file__,
-    "debug": __debug__,
-    "construct": {{name: construct_digest(name) for name in CONSTRUCT_CASES}},
-}}))
+from test_golden import CONSTRUCT_CASES, construct_digest, menger_cases, run_menger
+print(json.dumps({{"file": sepdecomp.__file__, "debug": __debug__, "pins": {pins}}}))
 """
 
 STATE = """
@@ -130,10 +127,21 @@ def test_reimport_frees_the_old_copy():
 
 
 def test_golden_construct_under_optimize():
-    out = run_child(OPTIMIZED.format(tests=str(TESTS)), "-O")
+    pins = "{name: construct_digest(name) for name in CONSTRUCT_CASES}"
+    out = run_child(OPTIMIZED.format(tests=str(TESTS), pins=pins), "-O")
     assert out["debug"] is False
     golden = json.loads((TESTS / "data" / "golden.json").read_text())
-    assert out["construct"] == golden["construct"]
+    assert out["pins"] == golden["construct"]
+
+
+def test_golden_menger_under_optimize():
+    # the flow's lost-unit and cut-size checks are plain code, so -O keeps
+    # them; the paths, separators and W-sequences stay the pinned ones
+    pins = "{key: run_menger(case) for key, case in menger_cases().items()}"
+    out = run_child(OPTIMIZED.format(tests=str(TESTS), pins=pins), "-O")
+    assert out["debug"] is False
+    golden = json.loads((TESTS / "data" / "golden.json").read_text())
+    assert out["pins"] == {key: case["result"] for key, case in golden["menger"].items()}
 
 
 def test_constructions_leave_interpreter_state_alone():
