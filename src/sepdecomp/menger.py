@@ -59,10 +59,10 @@ def _unit(v: int, succ: list[int]) -> tuple[int, ...]:
     """The vertices of the flow's unit from v to its end."""
     snk = 2 * len(succ) + 1
     vs = [v]
-    while succ[vs[-1]] != snk:
-        if succ[vs[-1]] == _NONE:
+    while (x := succ[vs[-1]]) != snk:
+        if x == _NONE:
             raise PostconditionFailedError("_unit: flow decomposition lost a unit")
-        vs.append(succ[vs[-1]] >> 1)
+        vs.append(x >> 1)
     return tuple(vs)
 
 
@@ -189,6 +189,7 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
         pred[v], succ[v] = src, snk
     sources = sorted(S)
     sep = _complete(G.adjacency, sources, T, pred, succ, cap - len(common))
+    # the length-0 units first, then the units that leave their source
     starts = common + [v for v in sources if pred[v] == src and succ[v] != snk]
     paths = tuple(_unit(v, succ) for v in starts)
     if sep is None:
