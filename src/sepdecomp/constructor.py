@@ -32,6 +32,7 @@ from .errors import (
 from .graph import (
     Graph,
     Record,
+    _check_order,
     _check_vertices,
     _induced,
     _lift,
@@ -116,8 +117,7 @@ def construct(
     sep(G) > a.  The certificate node is the root, node 0.
     """
     W = _check_vertices(G, W)
-    if a < 1:
-        raise InvalidInputError("a must be >= 1")
+    _check_order("construct", "a", a, 1)
     if not W:
         raise InvalidInputError("W must be non-empty")
     if not CONSTANTS.w_small_enough(len(W), a):
@@ -227,8 +227,8 @@ def _construct(G: Graph, a: int, W: int, oracle: Oracle,
         H, to_g = _induced(G, region)
         # W's ids in H: each vertex's rank in the region
         w_h = mask_of((region & ((1 << g) - 1)).bit_count() for g in mask_vertices(W))
-        w_ell, w_top, Z, ell_is_zero = _sequence_tail(H, w_h)
-        sides = _stz_sides(H, H.full_mask() & ~w_ell, Z, w_h)
+        w_ell, w_top, Z, ell_is_zero, comps = _sequence_tail(H, w_h)
+        sides = _stz_sides(comps, H.full_mask() & ~w_ell, Z, w_h)
         stats.check("construct", "z_separates", sides is not None,
                     lambda: "a path from V - W_l to W misses Z")
         X, Y, Z, w_top = (_lift(m, to_g) for m in (*sides, Z, w_top))
@@ -322,8 +322,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
     balances X ∩ Y (padded up to 3a, which is what forces termination) off
     into a new leaf bag of size <= 4a.
     """
-    if a < 1:
-        raise InvalidInputError("a must be >= 1")
+    _check_order("construct_theorem2", "a", a, 1)
     if G.n > EXACT_LIMIT_SEPARATION:
         raise SizeLimitExceededError(
             G.n, EXACT_LIMIT_SEPARATION, "exhaustive separation search"

@@ -8,6 +8,7 @@ from .graph import (
     Record,
     Separation,
     VertexSet,
+    _check_order,
     _induced,
     _lift,
     _sides_balanced,
@@ -64,7 +65,8 @@ def width(td: RootedTreeDecomposition) -> int:
 
 def validate_decomposition(G: Graph, td: RootedTreeDecomposition) -> tuple[bool, list[str]]:
     """Check tree well-formedness and both tree-decomposition properties,
-    on one vertex bitmask per bag; the violations name 0-based ids."""
+    on the bag sets and the neighbour lists, in time linear in the bag sizes
+    and the edges; the violations name 0-based ids."""
     return _validate(G, td, 0)
 
 
@@ -90,45 +92,43 @@ def _validate(G: Graph, td: RootedTreeDecomposition, base: int) -> tuple[bool, l
                 violations.append(f"cycle through node {p + base}")
                 return False, violations
             y = p
-    # an out-of-range vertex is reported and left out
-    n, bags = G.n, td.bags
-    used = frozenset().union(*bags)
-    if used and not (min(used) >= 0 and max(used) < n):
-        violations.extend(
-            f"bag vertex {v + base} out of range" for b in bags for v in b if not 0 <= v < n)
-        bags = [frozenset(v for v in b if 0 <= v < n) for b in bags]
     # v is on top at a node whose parent's bag lacks it; the bags holding v
     # form a subtree iff it is on top exactly once.  top[v]: the first such
-    # node's bag (the empty bag after the last: none); more: the others
+    # node's bag (the empty bag after the last: none); more: the others.
+    # Every bag vertex is on top somewhere (at the root if nowhere lower),
+    # so range-checking the top vertices checks every bag; an out-of-range
+    # vertex is reported and left out
+    n, bags = G.n, td.bags
     empty: frozenset[int] = frozenset()
-    top, more = [empty] * n, {}
+    top, more, stray = [empty] * n, {}, False
     for b, p in zip(bags, td.parents):
-        up = bags[p] if p != -1 else empty
-        for v in b:
-            if v not in up:
-                if top[v] is empty:
-                    top[v] = b
-                else:
-                    more.setdefault(v, []).append(b)
+        for v in (b - bags[p] if p != -1 else b):
+            if not 0 <= v < n:
+                stray = True
+            elif top[v] is empty:
+                top[v] = b
+            else:
+                more.setdefault(v, []).append(b)
+    if stray:
+        violations.extend(
+            f"bag vertex {v + base} out of range" for b in bags for v in b if not 0 <= v < n)
     # (i) every edge inside some bag: two subtrees meet iff one's top node
     # lies in the other, so uv is covered iff a top bag of u holds v or a
-    # top bag of v holds u; the neighbours above u come from a shift of its
-    # mask, which costs their span, not n
-    for u, m in enumerate(G.adj_masks):
-        tu, above = top[u], m >> u + 1  # bit k: neighbour u + 1 + k
-        while above:
-            low = above & -above
-            above ^= low
-            v = u + low.bit_length()
-            if v not in tu and u not in top[v] and not (more and (
+    # top bag of v holds u; each edge is tested once, from its lower end
+    for u, nbrs in enumerate(G.adjacency):
+        tu = top[u]
+        for v in nbrs:
+            if v > u and v not in tu and u not in top[v] and not (more and (
                     any(v in b for b in more.get(u, ())) or any(u in b for b in more.get(v, ())))):
                 violations.append(f"edge ({u + base},{v + base}) uncovered")
-    # (ii) the bags holding each vertex induce a non-empty subtree
-    for v in range(n):
-        if top[v] is empty:
-            violations.append(f"vertex {v + base} in no bag")
-        elif v in more:
-            violations.append(f"vertex {v + base} bags not connected")
+    # (ii) the bags holding each vertex induce a non-empty subtree; the
+    # vertices are walked only to name a violation
+    if more or empty in top:
+        for v in range(n):
+            if top[v] is empty:
+                violations.append(f"vertex {v + base} in no bag")
+            elif v in more:
+                violations.append(f"vertex {v + base} bags not connected")
     return not violations, violations
 
 
@@ -168,8 +168,8 @@ def separation_tree(
     that is not a balanced separation of order <= a, raises
     OracleFailureError.
     """
-    if a < 0 or h < 0:
-        raise InvalidInputError(f"a and h must be >= 0, got a={a}, h={h}")
+    _check_order("separation_tree", "a", a, 0)
+    _check_order("separation_tree", "h", h, 0)
     if oracle is None:
         oracle = make_oracle(a)
     parents: list[int] = []

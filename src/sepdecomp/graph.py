@@ -11,6 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateEdgeError,
+    InvalidInputError,
     InvalidSeparationError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -131,6 +132,13 @@ def _check_vertices(G: Graph, S: Iterable[int]) -> VertexSet:
     return S
 
 
+def _check_order(where: str, name: str, value, least: int) -> None:
+    """Raise InvalidInputError, naming `where`, unless `value` is an integer
+    (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InvalidInputError(f"{where}: {name} must be an integer >= {least}, got {value!r}")
+
+
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on S, its new ids 0..|S|-1 in the sorted order of S,
     and the new-id -> old-id map."""
@@ -187,11 +195,12 @@ def components_in(adj_masks: Sequence[int], universe: int) -> list[int]:
     return out
 
 
-def _stz_sides(G: Graph, s_mask: int, z_mask: int, t_mask: int) -> Optional[tuple[int, int]]:
-    """Z plus the components of G - Z that meet S, and Z plus the rest, all
-    as bitmasks; None when a component of G - Z meets both S and T."""
+def _stz_sides(comps: Iterable[int], s_mask: int, z_mask: int,
+               t_mask: int) -> Optional[tuple[int, int]]:
+    """Z plus the components `comps` of G - Z that meet S, and Z plus the
+    rest, all as bitmasks; None when a component meets both S and T."""
     x_mask = y_mask = z_mask
-    for comp in components_in(G.adj_masks, G.full_mask() & ~z_mask):
+    for comp in comps:
         if comp & s_mask:
             if comp & t_mask:
                 return None

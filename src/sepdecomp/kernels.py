@@ -290,27 +290,37 @@ def eliminate(adj_masks: Sequence[int], order: Optional[Sequence[int]] = None):
     for v, d in enumerate(degree):
         by_degree[d] |= 1 << v
     low, orphans = 0, 0  # no degree left below low; orphans: gone, no parent yet
-    done = [] if order is None else list(order)
+    by_min_degree = order is None
+    done = [] if by_min_degree else list(order)
     for step in range(n):
-        if order is None:
+        if by_min_degree:
             while not by_degree[low]:
                 low += 1
             bit = by_degree[low] & -by_degree[low]
             by_degree[low] ^= bit
             done.append(bit.bit_length() - 1)
         v = done[step]
+        v_bit = 1 << v
         # v is the first of later[x] to go for the orphans x that name it
         kids = earlier[v] & orphans
-        orphans ^= kids | 1 << v
-        for x in mask_vertices(kids):
-            parent[x] = v
-        nb = later[v] = adj[v]
-        for u in mask_vertices(nb):
-            earlier[u] |= 1 << v
-            m = adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
-            if order is None and m.bit_count() != degree[u]:
-                by_degree[degree[u]] ^= 1 << u
-                d = degree[u] = m.bit_count()
-                by_degree[d] |= 1 << u
-                low = min(low, d)
+        orphans ^= kids | v_bit
+        while kids:
+            bit = kids & -kids
+            kids ^= bit
+            parent[bit.bit_length() - 1] = v
+        nb = rest = later[v] = adj[v]
+        while rest:
+            u_bit = rest & -rest
+            rest ^= u_bit
+            u = u_bit.bit_length() - 1
+            earlier[u] |= v_bit
+            m = adj[u] = (adj[u] | nb) & ~(u_bit | v_bit)
+            if by_min_degree:
+                d = m.bit_count()
+                if d != degree[u]:
+                    by_degree[degree[u]] ^= u_bit
+                    by_degree[d] |= u_bit
+                    degree[u] = d
+                    if d < low:
+                        low = d
     return done, later, parent

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, PostconditionFailedError
-from .graph import Graph, Record, _check_vertices, _checked_masks, _stz_sides
+from .graph import Graph, Record, _check_vertices, _checked_masks, _stz_sides, components_in
 
 
 class PathResult(Record):
@@ -205,4 +205,6 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
 def separates(G: Graph, Z: Iterable[int], S: Iterable[int], T: Iterable[int]) -> bool:
     """True iff every S-T path of G meets Z: no component of G - Z meets
     both S and T (a vertex of S & T outside Z is such a path)."""
-    return _stz_sides(G, *_checked_masks(G, S, Z, T)) is not None
+    s_mask, z_mask, t_mask = _checked_masks(G, S, Z, T)
+    comps = components_in(G.adj_masks, G.full_mask() & ~z_mask)
+    return _stz_sides(comps, s_mask, z_mask, t_mask) is not None

@@ -25,7 +25,6 @@ from typing import Iterable, Optional
 
 from . import kernels
 from .errors import (
-    InvalidInputError,
     NotSeparatedError,
     PostconditionFailedError,
     SizeLimitExceededError,
@@ -34,6 +33,7 @@ from .graph import (
     Graph,
     Record,
     Separation,
+    _check_order,
     _check_vertices,
     _checked_masks,
     _stz_sides,
@@ -82,7 +82,8 @@ def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int
     that meet S (plus Z), Y collects the rest (plus Z).  Raises
     NotSeparatedError unless Z separates S from T."""
     s_mask, z_mask, t_mask = _checked_masks(G, S, Z, T)
-    sides = _stz_sides(G, s_mask, z_mask, t_mask)
+    comps = components_in(G.adj_masks, G.full_mask() & ~z_mask)
+    sides = _stz_sides(comps, s_mask, z_mask, t_mask)
     if sides is None:
         raise NotSeparatedError(f"Z={mask_vertices(z_mask)} does not separate S and T")
     return _separation_of(sides)
@@ -121,8 +122,7 @@ def balanced_separation_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     only once it is checked balanced with order <= a, and a miss is an
     uncertified failure.
     """
-    if a < 0:
-        raise InvalidInputError(f"a must be >= 0, got {a}")
+    _check_order("balanced_separation_within", "a", a, 0)
     if _bounded_candidates(G.n, a) <= CANDIDATE_BUDGET:
         found = kernels.min_balanced_separation(G.n, G.adj_masks, min(a, G.n))
         if found is None:
@@ -242,6 +242,7 @@ def make_oracle(a: int) -> Oracle:
     """The default oracle of separation_tree / construct:
     ``balanced_separation_within(H, a)`` for each graph H it is handed, exact
     within the candidate budget and the cutter past it."""
+    _check_order("make_oracle", "a", a, 0)
 
     def oracle(H: Graph) -> SeparatorOracleOutcome:
         return balanced_separation_within(H, a)

@@ -10,7 +10,8 @@ re-roots a path whose head has no free neighbour by one local search of the
 residual network, and once a path cannot be re-rooted, completes the flow to
 a maximum one, whose minimum cut is Z.  Each witness is kept as a link to
 the path it extends, so a sequence takes linear memory.  ``construct``
-reads only the tail (``_sequence_tail``), which for |W| = 1 needs no flow.
+reads only the tail and the components of G - Z (``_sequence_tail``), which
+for |W| = 1 come from one component search and no flow.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .graph import (
     Record,
     VertexSet,
     _check_vertices,
-    component_mask,
+    components_in,
     induced_subgraph,
     mask_of,
     mask_vertices,
@@ -175,20 +176,25 @@ def _path(links: tuple[tuple[Link, ...], ...], i: int, k: int) -> Optional[tuple
     return None
 
 
-def _sequence_tail(G: Graph, w_mask: int) -> tuple[int, int, int, bool]:
-    """(W_l, W_{l+1}, Z, l == 0) of the width-|W| W-sequence of W, as masks.
+def _sequence_tail(G: Graph, w_mask: int) -> tuple[int, int, int, bool, list[int]]:
+    """(W_l, W_{l+1}, Z, l == 0) of the width-|W| W-sequence of W, as masks,
+    and the components of G - Z (``components_in``), which split G along Z.
 
     With W = {v}, every round adds one vertex of v's component and the
     sequence ends when none is left, whatever paths it picks; so
     W_l = W_{l+1} = that component, Z is empty and l = 0 exactly when the
-    component is {v}.  Larger W reads the tail of ``build_w_sequence``.
+    component is {v}: one component search of G gives all five.  Larger W
+    reads the tail of ``build_w_sequence``.
     """
     if w_mask.bit_count() == 1:
-        comp = component_mask(G.adj_masks, G.full_mask(), w_mask.bit_length() - 1)
-        return comp, comp, 0, comp == w_mask
+        comps = components_in(G.adj_masks, G.full_mask())
+        comp = next(c for c in comps if c & w_mask)
+        return comp, comp, 0, comp == w_mask, comps
     ws = build_w_sequence(G, mask_vertices(w_mask), w_mask.bit_count())
     top = mask_of(v for delta in ws.deltas for v in delta)
-    return top & ~mask_of(ws.deltas[-1]), top, mask_of(ws.z_set), ws.ell == 0
+    z = mask_of(ws.z_set)
+    comps = components_in(G.adj_masks, G.full_mask() & ~z)
+    return top & ~mask_of(ws.deltas[-1]), top, z, ws.ell == 0, comps
 
 
 def validate_w_sequence(G: Graph, ws: WSequence) -> tuple[bool, list[str]]:

@@ -29,7 +29,7 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, induced_subgraph, mask_of, mask_vertices
+from sepdecomp.graph import build_graph, components_in, induced_subgraph, mask_of, mask_vertices
 from sepdecomp.decomposition import validate_decomposition, width
 from sepdecomp.kernels import separators
 from sepdecomp.pace import write_td
@@ -172,6 +172,30 @@ class TestConstruct:
         assert stats.oracle_calls > 0
         assert len(calls) == stats.oracle_calls + stats.construct_calls - stats.base_cases
 
+    @pytest.mark.parametrize("G,a", [(path_graph(400), 1), (cycle_graph(300), 2),
+                                     (random_tree(300, seed=2), 1)])
+    def test_one_component_search_per_frame(self, G, a, monkeypatch):
+        # a frame's tail searches each component of its copy minus Z once,
+        # and the (S, Z, T) split reads that list instead of searching again
+        searches, frames = [], []
+        real_search, real_tail = graph.component_mask, constructor._sequence_tail
+
+        def counted(*args):
+            searches.append(args)
+            return real_search(*args)
+
+        def tail(H, w):
+            before = len(searches)
+            out = real_tail(H, w)
+            frames.append((w.bit_count(), len(searches) - before, len(out[4])))
+            return out
+
+        monkeypatch.setattr(graph, "component_mask", counted)
+        monkeypatch.setattr(constructor, "_sequence_tail", tail)
+        construct(G, a, {0})
+        assert any(size == 1 for size, _, _ in frames)
+        assert all(ran == found for _, ran, found in frames), frames
+
     def test_invalid_output_raises(self, monkeypatch):
         # a T_Y root bag missing a vertex no longer decomposes G; construct's
         # own validation of its output catches it
@@ -226,6 +250,51 @@ class TestConstruct:
         )
 
     @pytest.mark.parametrize(
+        "name, W, change, message",
+        [
+            # W_l shrunk to W: V - W_l meets W's component, which Z = {} leaves whole
+            ("_sequence_tail", {0}, lambda H, w, tail: (w, *tail[1:]),
+             "z_separates violated: a path from V - W_l to W misses Z"),
+            # Z dropped, with the components of G it leaves
+            ("_sequence_tail", {0, 100, 200},
+             lambda H, w, tail: (*tail[:2], 0, tail[3], components_in(H.adj_masks, H.full_mask())),
+             "z_separates violated: a path from V - W_l to W misses Z"),
+            # Z = W, with the components of G - W
+            ("_sequence_tail", {0},
+             lambda H, w, tail: (*tail[:2], w, tail[3], components_in(H.adj_masks, H.full_mask() & ~w)),
+             "z_lt_w violated: |Z|=1 |W|=1"),
+            # the X side takes vertex 0 of the Y side
+            ("_stz_sides", {0}, lambda comps, s, z, t, sides: (sides[0] | 1, sides[1]),
+             "xy_order violated: order=1"),
+            # W_top shrunk to W
+            ("_sequence_tail", {0}, lambda H, w, tail: (tail[0], w, *tail[2:]),
+             "y_in_wtop violated: |Y\\W_top|=399"),
+        ],
+        ids=["z_separates_one_w", "z_separates_wide_w", "z_lt_w", "xy_order", "y_in_wtop"],
+    )
+    def test_frame_claim_violation_message(self, name, W, change, message, monkeypatch):
+        # each claim on the root frame's (S, Z, T) split trips on its own
+        # when the routine `name` answers wrongly there, and names itself
+        real, calls = getattr(constructor, name), []
+
+        def tampered(*args):
+            calls.append(args)
+            out = real(*args)
+            return change(*args, out) if len(calls) == 1 else out
+
+        monkeypatch.setattr(constructor, name, tampered)
+        with pytest.raises(PostconditionFailedError) as ei:
+            construct(path_graph(400), 1, W)
+        assert str(ei.value) == f"construct: claim {message}"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, "2", None, True])
+    def test_non_integer_a_rejected(self, a):
+        with pytest.raises(InvalidInputError) as ei:
+            construct(path_graph(80), a, {0})
+        assert str(ei.value) == f"construct: a must be an integer >= 1, got {a!r}"
+
+    @pytest.mark.parametrize(
         "G, a, W, lhs",
         [(path_graph(400), 1, {0, 100, 200}, 4), (partial_ktree(120, 2, seed=3), 3, {0, 1, 2}, 3)],
         ids=["path400", "ktree2"],
@@ -276,6 +345,12 @@ class TestTheorem2:
     def test_a_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             construct_theorem2(path_graph(5), 0)
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, True])
+    def test_non_integer_a_rejected(self, a):
+        with pytest.raises(InvalidInputError) as ei:
+            construct_theorem2(path_graph(10), a)
+        assert str(ei.value) == f"construct_theorem2: a must be an integer >= 1, got {a!r}"
 
     def test_invalid_output_raises(self, monkeypatch):
         # a leaf bag missing a vertex no longer decomposes G; construct_theorem2

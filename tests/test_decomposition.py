@@ -476,6 +476,18 @@ class TestSeparationTree:
         with pytest.raises(InvalidInputError):
             separation_tree(path_graph(3), 1, -1)
 
+    @pytest.mark.parametrize(
+        "a, h, message",
+        [(1, 1.5, "h must be an integer >= 0, got 1.5"),
+         (1.0, 4, "a must be an integer >= 0, got 1.0"),
+         (1, True, "h must be an integer >= 0, got True")],
+    )
+    def test_non_integer_order_or_height_rejected(self, a, h, message):
+        # the thresholds are exact integer comparisons: a float is refused
+        with pytest.raises(InvalidInputError) as ei:
+            separation_tree(path_graph(40), a, h)
+        assert str(ei.value) == f"separation_tree: {message}"
+
     @pytest.mark.parametrize("G", [path_graph(3), path_graph(40)], ids=["leaf", "tree"])
     def test_negative_order_rejected(self, G):
         # not a certified failure: no order below 0 means anything

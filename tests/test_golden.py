@@ -17,7 +17,9 @@ exactly; a change of tie-break has to be argued, not regenerated away.
 ``python tests/test_golden.py`` prints the current values in the same
 format, for comparison by hand; ``python tests/test_golden.py --changed``
 prints only the pins that the current code no longer reproduces, one line
-each: section, key, and the old and new digest prefixes.
+each: section, key, and the old and new digest prefixes, and exits with
+status 1 when it printed any (0 when every pin holds), so a script can
+check the pins.
 """
 
 import hashlib
@@ -418,9 +420,28 @@ def changed_pins(stored: dict, current: dict) -> list[str]:
     return lines
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--changed"]:
-        for line in changed_pins(json.loads(GOLDEN.read_text()), compute_golden()):
+def main(argv: list[str]) -> int:
+    """The command line: 1 when ``--changed`` printed a moved pin, else 0."""
+    if argv == ["--changed"]:
+        moved = changed_pins(json.loads(GOLDEN.read_text()), compute_golden())
+        for line in moved:
             print(line)
-    else:
-        print(dumps(compute_golden()), end="")
+        return 1 if moved else 0
+    print(dumps(compute_golden()), end="")
+    return 0
+
+
+def test_changed_exit_status(monkeypatch, capsys):
+    stored = json.loads(GOLDEN.read_text())
+    monkeypatch.setitem(globals(), "compute_golden", lambda: stored)
+    assert main(["--changed"]) == 0 and capsys.readouterr().out == ""
+    section = sorted(stored)[0]
+    key = sorted(stored[section])[0]
+    moved = {**stored, section: {**stored[section], key: "moved"}}
+    monkeypatch.setitem(globals(), "compute_golden", lambda: moved)
+    assert main(["--changed"]) == 1
+    assert capsys.readouterr().out.startswith(f"{section}\t{key}\t")
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

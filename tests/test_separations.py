@@ -166,6 +166,18 @@ class TestBalancedSeparationWithin:
         with pytest.raises(InvalidInputError):
             balanced_separation_within(path_graph(10), -1)
 
+    @pytest.mark.parametrize("a", [1.5, 1.0, True])
+    @pytest.mark.parametrize(
+        "where, call",
+        [("balanced_separation_within", lambda a: balanced_separation_within(path_graph(10), a)),
+         ("make_oracle", make_oracle)],
+        ids=["balanced_separation_within", "make_oracle"],
+    )
+    def test_non_integer_order_rejected(self, where, call, a):
+        with pytest.raises(InvalidInputError) as ei:
+            call(a)
+        assert str(ei.value) == f"{where}: a must be an integer >= 0, got {a!r}"
+
     def test_heuristic_mode_finds_trivial(self):
         G = gnp_graph(40, 0.5, 11)
         a = -(-G.n // 3)

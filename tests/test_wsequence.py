@@ -19,7 +19,7 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import build_graph, induced_subgraph, mask_of
+from sepdecomp.graph import build_graph, components_in, induced_subgraph, mask_of
 from sepdecomp.menger import disjoint_paths, separates
 from sepdecomp.wsequence import build_w_sequence, validate_w_sequence
 from test_golden import NODE_ID_CASES
@@ -268,7 +268,7 @@ def test_path_witnesses_take_linear_memory():
 def test_tail_matches_full_sequence(data):
     """The tail that construct reads, as masks, agrees with the witnessed sequence:
     in closed form for |W| = 1 (connected or not, W isolated or not), read
-    from build_w_sequence for larger W."""
+    from build_w_sequence for larger W; the components are those of G - Z."""
     n = data.draw(st.integers(1, 14))
     p = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.4]))
     G = gnp_graph(n, p, data.draw(st.integers(0, 10_000)))
@@ -276,7 +276,8 @@ def test_tail_matches_full_sequence(data):
     W = frozenset(data.draw(st.permutations(range(n)))[:size])
     ws = build_w_sequence(G, W, len(W))
     sets = (ws.levels[ws.ell], ws.levels[ws.ell + 1], ws.z_set)
-    expected = (*map(mask_of, sets), ws.ell == 0)
+    comps = components_in(G.adj_masks, G.full_mask() & ~mask_of(ws.z_set))
+    expected = (*map(mask_of, sets), ws.ell == 0, comps)
     assert wsequence._sequence_tail(G, mask_of(W)) == expected
 
 
