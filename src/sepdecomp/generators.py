@@ -7,30 +7,27 @@ import random
 from typing import Optional
 
 from .errors import InvalidInputError
-from .graph import Graph, build_graph
+from .graph import Graph, _check_order, build_graph
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise InvalidInputError("path needs n >= 1")
+    _check_order("path_graph", "n", n, 1, "path needs n >= 1")
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidInputError("cycle needs n >= 3")
+    _check_order("cycle_graph", "n", n, 3, "cycle needs n >= 3")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise InvalidInputError("complete graph needs n >= 1")
+    _check_order("complete_graph", "n", n, 1, "complete graph needs n >= 1")
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
-    if rows < 1 or cols < 1:
-        raise InvalidInputError("grid needs positive dimensions")
+    _check_order("grid_graph", "rows", rows, 1, "grid needs positive dimensions")
+    _check_order("grid_graph", "cols", cols, 1, "grid needs positive dimensions")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -44,8 +41,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 def random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform labeled tree from a random Pruefer sequence."""
-    if n < 1:
-        raise InvalidInputError("tree needs n >= 1")
+    _check_order("random_tree", "n", n, 1, "tree needs n >= 1")
     if n == 1:
         return build_graph(1, [])
     rng = random.Random(seed)
@@ -69,8 +65,7 @@ def random_tree(n: int, seed: int = 0) -> Graph:
 
 
 def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
-    if n < 1:
-        raise InvalidInputError("gnp needs n >= 1")
+    _check_order("gnp_graph", "n", n, 1, "gnp needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError("p must be in [0, 1]")
     rng = random.Random(seed)
@@ -90,8 +85,9 @@ def partial_ktree(n: int, k: int, keep: float = 0.8, seed: int = 0) -> Graph:
     them from the highest id down meets each vertex with at most its k
     attachment vertices still present.
     """
-    if k < 0 or n <= k:
-        raise InvalidInputError(f"a partial k-tree needs 0 <= k < n, got k={k}, n={n}")
+    needs = f"a partial k-tree needs 0 <= k < n, got k={k}, n={n}"
+    _check_order("partial_ktree", "k", k, 0, needs)
+    _check_order("partial_ktree", "n", n, k + 1, needs)
     if not 0.0 <= keep <= 1.0:
         raise InvalidInputError("keep must be in [0, 1]")
     rng = random.Random(seed)

@@ -11,11 +11,12 @@ each leaves behind; the separation number (over each subset) and the
 W-balanced iteration of ``construct_theorem2`` (over each X of the input
 graph, with no induced copy) apply their own rules to it.  The
 (W-)balanced separation search visits the same candidates in the same
-order, but gets their pieces from one DFS on masks per separator prefix
-instead of one component search per candidate; on the subsets of at most
-14 vertices that ``separation_number`` walks, that DFS costs more than it
-saves.  ``eliminate``, the one fill-in elimination (in a given order, or by
-minimum degree off degree buckets), feeds the witness and the centroid bag.
+order, but runs no component search: one DFS walk per separator prefix
+(``_walk``) finds the components and every candidate's pieces.  On the
+subsets of at most 14 vertices that ``separation_number`` walks, that DFS
+costs more than it saves.  ``eliminate``, the one fill-in elimination (in a
+given order, or by minimum degree off degree buckets), feeds the witness
+and the centroid bag.
 """
 
 from __future__ import annotations
@@ -103,106 +104,101 @@ def min_w_balanced_separation(n, adj_masks, w_mask, max_order):
     z_mask).
 
     A separator Z of size k >= 1 is a prefix Z' of k-1 vertices plus a
-    last vertex z > max Z'.  For each prefix, one DFS per component of
-    G - Z' (Hopcroft & Tarjan's articulation-point search, on subtree
-    masks) lists the subtrees each vertex cuts off, so the pieces of
-    G - Z' - z, the winner's components included, come out for every z
-    without a component search.  The order-0 test and the empty prefix
-    share one component search of G.
+    last vertex z > max Z'.  Each prefix costs one DFS of G - Z'
+    (``_walk``), which finds the components and the subtrees each vertex
+    cuts off, so the pieces of G - Z' - z, the winner's components
+    included, come out for every z with no component search.  The order-0
+    test and the empty prefix share the walk of G.
     """
     hi = (2 * w_mask.bit_count()) // 3
-    comps = components_in(adj_masks, (1 << n) - 1)
+    full = (1 << n) - 1
+    comps, cuts = _walk(adj_masks, full)
     if max_order >= 0:
         weights = [(c & w_mask).bit_count() for c in comps]
         a_mask = _greedy_a_side(0, comps, weights, w_mask.bit_count() - hi, hi)
         if a_mask is not None:
             return 0, 0, a_mask
     for k in range(1, min(max_order, n) + 1):
-        for prefix in combinations(range(n), k - 1):
-            found = _first_feasible_last_vertex(adj_masks, w_mask, prefix, hi, comps)
+        # a prefix that ends at n - 1 leaves no last vertex
+        for prefix in combinations(range(n - 1), k - 1):
+            if prefix:
+                comps, cuts = _walk(adj_masks, full & ~mask_of(prefix))
+            found = _first_last_vertex(w_mask, hi, prefix, comps, cuts)
             if found is not None:
                 return k, *found
     return None
 
 
-def _a_side(adj_masks, w_mask: int, z_mask: int, hi: int):
-    """``_greedy_a_side`` over the components of G - Z."""
-    comps = components_in(adj_masks, ((1 << len(adj_masks)) - 1) & ~z_mask)
-    weights = [(c & w_mask).bit_count() for c in comps]
-    return _greedy_a_side(z_mask, comps, weights, (w_mask & ~z_mask).bit_count() - hi, hi)
+def _walk(adj_masks, alive: int):
+    """(components, cuts) of G[alive] from one DFS (Hopcroft & Tarjan's
+    articulation-point search, on masks).
 
-
-def _first_feasible_last_vertex(adj_masks, w_mask, prefix, hi, comps):
-    """(z_mask, a_mask) for the smallest z > max(prefix) such that
-    Z = prefix + z leaves pieces with a W-balanced grouping, or None.
-
-    `comps` are the components of G, used when the prefix is empty.  A
-    vertex p cuts its DFS child v's subtree off exactly when no vertex
-    outside that subtree and p neighbours it.  The pieces of G - Z are the
-    subtrees z cuts off, the rest of z's component, and the other
-    components; one heavier than `hi` fits on neither side.
+    Each tree roots at the lowest vertex not yet visited and takes the
+    lowest-id unvisited neighbour first, so the components, the roots'
+    subtrees, come out ordered by lowest vertex.  ``cuts[p]`` lists the
+    subtrees p cuts off: those of its DFS children v with no neighbour
+    outside v's subtree and p.
     """
-    n = len(adj_masks)
-    start = prefix[-1] + 1 if prefix else 0
-    if start >= n:
-        return None
-    z_prefix = mask_of(prefix)
-    alive = ((1 << n) - 1) & ~z_prefix
-    if prefix:
-        comps = components_in(adj_masks, alive)
-    comp_w = [(c & w_mask).bit_count() for c in comps]
-    heavy = [i for i, wt in enumerate(comp_w) if wt > hi]  # at most one
-    lo = (w_mask & alive).bit_count() - hi
-    comp_of = [0] * n
-    sub = [0] * n  # DFS subtree of each vertex
-    reach = [0] * n  # the alive neighbours of the subtree's vertices
-    cuts: dict[int, list[int]] = {}  # z -> masks of the subtrees z cuts off
-    # the z worth testing: those that cut a subtree off, and those of a
-    # component light enough that the rest of it may fit
-    cand = 0
-    for i, c in enumerate(comps):
-        if not c >> start or heavy and heavy != [i]:
-            continue  # no z here, or z would leave the heavy component whole
-        if comp_w[i] <= hi + 1:
-            cand |= c
-        v = (c & -c).bit_length() - 1
-        left = c ^ 1 << v
-        sub[v], reach[v], comp_of[v] = 1 << v, adj_masks[v] & alive, i
-        stack = [v]
+    # each vertex's DFS subtree, and that subtree with its alive neighbours
+    sub, reach = [0] * len(adj_masks), [0] * len(adj_masks)
+    comps, cuts, left = [], {}, alive
+    while left:
+        stack, nxt = [], left  # the root: the lowest vertex left
         while True:
-            nxt = adj_masks[v] & left
             if nxt:
                 bit = nxt & -nxt
                 left ^= bit
                 v = bit.bit_length() - 1
-                sub[v], reach[v], comp_of[v] = bit, adj_masks[v] & alive, i
+                sub[v], reach[v] = bit, adj_masks[v] & alive | bit
                 stack.append(v)
-                continue
-            stack.pop()
-            if not stack:
-                break
-            p = stack[-1]
-            s, r = sub[v], reach[v]
-            sub[p] |= s
-            reach[p] |= r
-            if not r & ~(s | 1 << p):
-                cuts.setdefault(p, []).append(s)
-            v = p
-    cand |= mask_of(cuts)
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1]
+                s, r = sub[v], reach[v]
+                sub[p] |= s
+                reach[p] |= r
+                if r.bit_count() == s.bit_count() + 1:  # r is exactly s plus p
+                    cuts.setdefault(p, []).append(s)
+                v = p
+            nxt = adj_masks[v] & left
+        comps.append(sub[v])
+    return comps, cuts
+
+
+def _first_last_vertex(w_mask, hi, prefix, comps, cuts):
+    """(z_mask, a_mask) for the smallest z > max(prefix) such that
+    Z = prefix + z leaves pieces with a W-balanced grouping, or None; `comps`
+    and `cuts` are the walk of G - prefix.  G - Z falls into the subtrees z
+    cuts off, the rest of z's component and the other components."""
+    comp_w = [(c & w_mask).bit_count() for c in comps]
+    lo = sum(comp_w) - hi
+    # the z worth testing: those that cut a subtree off, and those of a
+    # component light enough that the rest of it may fit; none outside a
+    # component heavier than hi (there is at most one)
+    cand = mask_of(cuts) | sum(c for c, wt in zip(comps, comp_w) if wt <= hi + 1)
+    for c in (c for c, wt in zip(comps, comp_w) if wt > hi):
+        cand &= c
+    i, start = 0, (prefix[-1] + 1 if prefix else 0)  # i: the component of z
     for z in mask_vertices(cand >> start << start):
-        i = comp_of[z]
-        wz = w_mask >> z & 1
-        pieces = [(s & w_mask).bit_count() for s in cuts.get(z, ())]
-        pieces.append(comp_w[i] - wz - sum(pieces))  # 0 when z is the DFS root
-        if max(pieces) > hi:
-            continue
-        pieces += comp_w[:i] + comp_w[i + 1 :]
-        if _sum_window_reachable(pieces, lo - wz, hi):
-            z_mask = z_prefix | 1 << z
-            tail = comps[i] & ~z_mask
-            for s in cuts.get(z, ()):
-                tail &= ~s
-            parts = [c for c in (*cuts.get(z, ()), tail, *comps[:i], *comps[i + 1 :]) if c]
+        if not comps[i] >> z & 1:
+            i = next(j for j, c in enumerate(comps) if c >> z & 1)
+        wz, subs = w_mask >> z & 1, cuts.get(z, ())
+        rest = comp_w[i] - wz  # 0 when z is the DFS root
+        for s in subs:  # a piece heavier than hi fits on neither side
+            wt = (s & w_mask).bit_count()
+            if wt > hi:
+                break
+            rest -= wt
+        else:
+            if rest > hi or not _sum_window_reachable(
+                    [rest, *[(s & w_mask).bit_count() for s in subs], *comp_w[:i], *comp_w[i + 1:]],
+                    lo - wz, hi):
+                continue
+            z_mask = mask_of(prefix) | 1 << z
+            tail = comps[i] & ~(z_mask | sum(subs))  # the rest of z's component
+            parts = [c for c in (*subs, tail, *comps[:i], *comps[i + 1:]) if c]
             parts.sort(key=lambda c: c & -c)
             weights = [(c & w_mask).bit_count() for c in parts]
             a_mask = _greedy_a_side(z_mask, parts, weights, lo - wz, hi)

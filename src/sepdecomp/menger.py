@@ -20,8 +20,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Optional
 
-from .errors import InvalidInputError, PostconditionFailedError
-from .graph import Graph, Record, _check_vertices, _checked_masks, _stz_sides, components_in
+from .errors import PostconditionFailedError
+from .graph import (Graph, Record, _check_order, _check_vertices, _checked_masks, _stz_sides,
+                    components_in)
 
 
 class PathResult(Record):
@@ -174,8 +175,7 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     When fewer than `cap` paths exist, a minimum separator of matching size
     is returned; it contains S∩T and removing it destroys all S-T paths.
     """
-    if cap < 0:
-        raise InvalidInputError(f"cap must be >= 0, got {cap}")
+    _check_order("disjoint_paths", "cap", cap, 0, f"cap must be >= 0, got {cap}")
     S = _check_vertices(G, S)
     T = _check_vertices(G, T)
     common = sorted(S & T)

@@ -139,12 +139,13 @@ def _cutter_balanced_within(G: Graph, a: int) -> SeparatorOracleOutcome:
     Deterministic, and no proof when it finds nothing: the failure is
     uncertified.
     """
-    full = G.full_mask()
     hi = (2 * G.n) // 3
     for z_mask in _cutter_candidates(G, a):
         if z_mask.bit_count() > a:
             continue
-        a_mask = kernels._a_side(G.adj_masks, full, z_mask, hi)
+        comps = components_in(G.adj_masks, G.full_mask() & ~z_mask)
+        weights = [c.bit_count() for c in comps]
+        a_mask = kernels._greedy_a_side(z_mask, comps, weights, G.n - z_mask.bit_count() - hi, hi)
         if a_mask is not None:
             return SeparatorOracleOutcome(_sides(G, z_mask, a_mask), True)
     return SeparatorOracleOutcome(None, False)

@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     Record,
     VertexSet,
+    _check_order,
     _check_vertices,
     components_in,
     induced_subgraph,
@@ -76,6 +77,7 @@ def build_w_sequence(G: Graph, W: Iterable[int], w: int) -> WSequence:
     paths form the last layer and whose minimum cut becomes Z.  Only the
     paths a re-rooting changed are written out; the others stay links.
     """
+    _check_order("build_w_sequence", "w", w)
     W = _check_vertices(G, W)
     if not W:
         raise EmptyWError("W must be non-empty")

@@ -2,7 +2,16 @@ import pytest
 from conftest import elimination_width
 
 from sepdecomp.errors import InvalidInputError
-from sepdecomp.generators import generate, gnp_graph, partial_ktree, random_tree
+from sepdecomp.generators import (
+    complete_graph,
+    cycle_graph,
+    generate,
+    gnp_graph,
+    grid_graph,
+    partial_ktree,
+    path_graph,
+    random_tree,
+)
 
 
 class TestPartialKtree:
@@ -85,3 +94,25 @@ def test_generate_passes_on_size_and_range_errors(kind, params, message):
     # well-formed params whose values the generator itself refuses
     with pytest.raises(InvalidInputError, match=message):
         generate(kind, params, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make,named",
+    [
+        (lambda x: path_graph(x), "path_graph: n must be an integer >= 1"),
+        (lambda x: cycle_graph(x), "cycle_graph: n must be an integer >= 3"),
+        (lambda x: complete_graph(x), "complete_graph: n must be an integer >= 1"),
+        (lambda x: grid_graph(x, 3), "grid_graph: rows must be an integer >= 1"),
+        (lambda x: grid_graph(2, x), "grid_graph: cols must be an integer >= 1"),
+        (lambda x: gnp_graph(x, 0.3), "gnp_graph: n must be an integer >= 1"),
+        (lambda x: random_tree(x, 1), "random_tree: n must be an integer >= 1"),
+        (lambda x: partial_ktree(x, 2), "partial_ktree: n must be an integer >= 3"),
+        (lambda x: partial_ktree(6, x), "partial_ktree: k must be an integer >= 0"),
+    ],
+)
+@pytest.mark.parametrize("value", [5.0, True])
+def test_non_integer_size_names_the_generator(make, named, value):
+    # a float or a bool ends in a typed error, not range()'s bare TypeError
+    with pytest.raises(InvalidInputError) as ei:
+        make(value)
+    assert str(ei.value) == f"{named}, got {value!r}"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from conftest import elimination_width, heap_eliminate
 from hypothesis import strategies as st
 
-from sepdecomp import kernels
+from sepdecomp import graph, kernels
 from sepdecomp.errors import PostconditionFailedError
 from sepdecomp.generators import (
     cycle_graph,
@@ -57,6 +57,24 @@ def seeded_kernel_cases(count=360, seed=18):
             G = partial_ktree(n, 2, seed=i)
         w_mask = (G.full_mask(), rng.getrandbits(G.n), 1 << rng.randrange(G.n), 0)[i // 6 % 4]
         yield G, w_mask, i % 5
+
+
+def perfbench_sized_cases(seed=28):
+    """Pieces the size of the benchmark's: paths, cycles, random trees and
+    partial 2- and 3-trees with n = 60..300, with W all of V, a random
+    subset or a sparse one (so one component can outweigh the rest), at
+    max_order one below the answer (None) and at it."""
+    rng = random.Random(seed)
+    for n in (60, 150, 300):
+        graphs = [(path_graph(n), 1), (cycle_graph(n), 2), (random_tree(n, n), 1),
+                  (partial_ktree(n, 2, 0.8, n), 3)]
+        if n < 300:  # past 150 vertices the reference's order-3 search takes seconds
+            graphs.append((partial_ktree(n, 3, 0.8, n), 3))
+        for G, top in graphs:
+            sparse = sum(1 << v for v in rng.sample(range(n), n // 10))
+            for w_mask in (G.full_mask(), rng.getrandbits(n), sparse):
+                for max_order in (top - 1, top):
+                    yield G, w_mask, max_order
 
 
 class TestPureHelpers:
@@ -140,6 +158,28 @@ class TestBalancedSeparationKernel:
         for G, w_mask, max_order in seeded_kernel_cases():
             found = kernels.min_w_balanced_separation(G.n, G.adj_masks, w_mask, max_order)
             assert found == reference_w_balanced(G, w_mask, max_order), (G, w_mask, max_order)
+
+    def test_matches_reference_at_benchmark_sizes(self):
+        for G, w_mask, max_order in perfbench_sized_cases():
+            found = kernels.min_w_balanced_separation(G.n, G.adj_masks, w_mask, max_order)
+            assert found == reference_w_balanced(G, w_mask, max_order), (G.n, w_mask, max_order)
+
+    @pytest.mark.parametrize("G,max_order,order", [(path_graph(90), 1, 1), (cycle_graph(90), 2, 2)])
+    def test_no_component_search(self, monkeypatch, G, max_order, order):
+        # a path's answer has the empty prefix, a cycle's a one-vertex one;
+        # both come out of the DFS walks alone
+        calls = []
+        real = graph.component_mask
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graph, "component_mask", counted)
+        monkeypatch.setattr(kernels, "component_mask", counted)
+        found = kernels.min_w_balanced_separation(G.n, G.adj_masks, G.full_mask(), max_order)
+        assert found is not None and found[0] == order
+        assert calls == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -63,6 +63,12 @@ class TestDisjointPaths:
         with pytest.raises(InvalidInputError):
             disjoint_paths(path_graph(5), [0, 1, 2], [0, 1, 2], -1)
 
+    @pytest.mark.parametrize("cap", [1.5, True])
+    def test_non_integer_cap_rejected(self, cap):
+        with pytest.raises(InvalidInputError) as ei:
+            disjoint_paths(path_graph(6), [0], [5], cap)
+        assert str(ei.value) == f"disjoint_paths: cap must be an integer >= 0, got {cap!r}"
+
     def test_disconnected_no_paths(self):
         G = build_graph(4, [(0, 1), (2, 3)])
         res = disjoint_paths(G, {0}, {3}, 5)

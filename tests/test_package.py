@@ -45,7 +45,8 @@ OPTIMIZED = """
 import sys
 sys.path.insert(0, {tests!r})
 import sepdecomp
-from test_golden import CONSTRUCT_CASES, construct_digest, menger_cases, run_menger
+from test_golden import (CONSTRUCT_CASES, construct_digest, cut_vertex_cases, kernel_cases,
+                         menger_cases, run_cut_vertex, run_kernel, run_menger)
 print(json.dumps({{"file": sepdecomp.__file__, "debug": __debug__, "pins": {pins}}}))
 """
 
@@ -142,6 +143,21 @@ def test_golden_menger_under_optimize():
     assert out["debug"] is False
     golden = json.loads((TESTS / "data" / "golden.json").read_text())
     assert out["pins"] == {key: case["result"] for key, case in golden["menger"].items()}
+
+
+def test_golden_kernels_under_optimize():
+    # the separation search's postcondition is a plain raise, so -O keeps
+    # it; the kernel tuples and the cut-vertex searches stay the pinned ones
+    pins = ('{"kernels": {key: [run_kernel(int(key), case) for case in cases]'
+            ' for key, cases in kernel_cases().items()},'
+            ' "cut_vertex": {key: run_cut_vertex(case)'
+            ' for key, case in cut_vertex_cases().items()}}')
+    out = run_child(OPTIMIZED.format(tests=str(TESTS), pins=pins), "-O")
+    assert out["debug"] is False
+    golden = json.loads((TESTS / "data" / "golden.json").read_text())
+    kernel_pins = {key: [c["result"] for c in cases] for key, cases in golden["kernels"].items()}
+    cut_pins = {key: case["result"] for key, case in golden["cut_vertex"].items()}
+    assert out["pins"] == {"kernels": kernel_pins, "cut_vertex": cut_pins}
 
 
 def test_constructions_leave_interpreter_state_alone():

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from sepdecomp import wsequence
 from sepdecomp.constructor import construct
-from sepdecomp.errors import EmptyWError, PostconditionFailedError, WidthOutOfRangeError
+from sepdecomp.errors import (
+    EmptyWError,
+    InvalidInputError,
+    PostconditionFailedError,
+    WidthOutOfRangeError,
+)
 from sepdecomp.generators import (
     complete_graph,
     cycle_graph,
@@ -79,6 +84,12 @@ class TestErrors:
     def test_width_above_w(self):
         with pytest.raises(WidthOutOfRangeError):
             build_w_sequence(path_graph(3), {0, 1}, 3)
+
+    @pytest.mark.parametrize("w", [1.5, True])
+    def test_non_integer_width(self, w):
+        with pytest.raises(InvalidInputError) as ei:
+            build_w_sequence(path_graph(6), [0, 1], w)
+        assert str(ei.value) == f"build_w_sequence: w must be an integer, got {w!r}"
 
 
 class TestPostconditions:
