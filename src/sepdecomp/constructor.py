@@ -324,9 +324,7 @@ def construct_theorem2(G: Graph, a: int) -> ConstructReport:
     """
     _check_order("construct_theorem2", "a", a, 1)
     if G.n > EXACT_LIMIT_SEPARATION:
-        raise SizeLimitExceededError(
-            G.n, EXACT_LIMIT_SEPARATION, "exhaustive separation search"
-        )
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "construct_theorem2")
     stats = RecursionStats()
     parents: list[int] = [-1]
     bags: list[int] = [0]

@@ -33,7 +33,7 @@ class NotSeparatedError(SepDecompError):
 
 
 class SizeLimitExceededError(SepDecompError):
-    def __init__(self, n, limit, what="exact search"):
+    def __init__(self, n, limit, what):
         self.n = n
         self.limit = limit
         super().__init__(f"{what}: n={n} exceeds exact limit {limit}")

@@ -132,16 +132,13 @@ def _check_vertices(G: Graph, S: Iterable[int]) -> VertexSet:
     return S
 
 
-def _check_order(where: str, name: str, value, least: Optional[int] = None,
-                 below: Optional[str] = None) -> None:
+def _check_order(where: str, name: str, value, least: Optional[int] = None) -> None:
     """Raise InvalidInputError, naming `where`, unless `value` is an integer
-    (not a bool) of at least `least`, when given; `below` replaces the
-    message for an integer below `least`."""
-    integer = isinstance(value, int) and not isinstance(value, bool)
-    if not integer or least is not None and value < least:
+    (not a bool) of at least `least`, when given."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or least is not None and value < least):
         at_least = "" if least is None else f" >= {least}"
-        raise InvalidInputError(below if integer and below else
-                                f"{where}: {name} must be an integer{at_least}, got {value!r}")
+        raise InvalidInputError(f"{where}: {name} must be an integer{at_least}, got {value!r}")
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:

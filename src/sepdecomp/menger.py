@@ -175,7 +175,7 @@ def disjoint_paths(G: Graph, S: Iterable[int], T: Iterable[int], cap: int) -> Pa
     When fewer than `cap` paths exist, a minimum separator of matching size
     is returned; it contains S∩T and removing it destroys all S-T paths.
     """
-    _check_order("disjoint_paths", "cap", cap, 0, f"cap must be >= 0, got {cap}")
+    _check_order("disjoint_paths", "cap", cap, 0)
     S = _check_vertices(G, S)
     T = _check_vertices(G, T)
     common = sorted(S & T)

@@ -90,16 +90,22 @@ def stz_separation(G: Graph, S: Iterable[int], Z: Iterable[int], T: Iterable[int
 
 
 def min_balanced_separation(G: Graph) -> Separation:
-    """Minimum-order balanced separation, by exhaustive separator search
-    (n <= EXACT_LIMIT_SEPARATION)."""
+    """Minimum-order balanced separation, by exhaustive search (n <= EXACT_LIMIT_SEPARATION)."""
+    return _exhaustive("min_balanced_separation", G, G.full_mask())
+
+
+def min_w_balanced_separation(G: Graph, W: Iterable[int]) -> Separation:
+    """Minimum-order W-balanced separation, by exhaustive search (n <= EXACT_LIMIT_SEPARATION)."""
+    return _exhaustive("min_w_balanced_separation", G, mask_of(_check_vertices(G, W)))
+
+
+def _exhaustive(where: str, G: Graph, w_mask: int) -> Separation:
+    """The exhaustive search for the W of `w_mask`; its errors name `where`."""
     if G.n > EXACT_LIMIT_SEPARATION:
-        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "min_balanced_separation")
-    found = kernels.min_balanced_separation(G.n, G.adj_masks, G.n)
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, where)
+    found = kernels.min_w_balanced_separation(G.n, G.adj_masks, w_mask, G.n)
     if found is None:
-        raise PostconditionFailedError(
-            "min_balanced_separation: no balanced separation of order <= n, "
-            "although (V, V) is one"
-        )
+        raise PostconditionFailedError(f"{where}: no W-balanced separation, but (V, V) is one")
     _, z_mask, a_mask = found
     return _separation_of(_sides(G, z_mask, a_mask))
 
@@ -216,22 +222,6 @@ def separation_number(G: Graph) -> int:
     if G.n > EXACT_LIMIT_SEP_NUMBER:
         raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEP_NUMBER, "separation_number")
     return kernels.separation_number(G.n, G.adj_masks)
-
-
-def min_w_balanced_separation(G: Graph, W: Iterable[int]) -> Separation:
-    """Minimum-order W-balanced separation (exhaustive;
-    n <= EXACT_LIMIT_SEPARATION)."""
-    W = _check_vertices(G, W)
-    if G.n > EXACT_LIMIT_SEPARATION:
-        raise SizeLimitExceededError(G.n, EXACT_LIMIT_SEPARATION, "min_w_balanced_separation")
-    found = kernels.min_w_balanced_separation(G.n, G.adj_masks, mask_of(W), G.n)
-    if found is None:
-        raise PostconditionFailedError(
-            "min_w_balanced_separation: no W-balanced separation, "
-            "although (V, V) is one"
-        )
-    _, z_mask, a_mask = found
-    return _separation_of(_sides(G, z_mask, a_mask))
 
 
 # collections.abc.Callable, not typing.Callable: typing caches subscripted

@@ -52,7 +52,7 @@ def treewidth_exact(G: Graph) -> TreewidthResult:
     """Exact treewidth by subset DP, with a validated witness decomposition
     (n <= EXACT_LIMIT_TREEWIDTH)."""
     if G.n > EXACT_LIMIT_TREEWIDTH:
-        raise SizeLimitExceededError(G.n, EXACT_LIMIT_TREEWIDTH, "exact treewidth")
+        raise SizeLimitExceededError(G.n, EXACT_LIMIT_TREEWIDTH, "treewidth_exact")
     value, order = kernels.treewidth(G.n, G.adj_masks)
     td = _witness_from_elimination(G, order)
     ok, violations = validate_decomposition(G, td)

@@ -8,8 +8,8 @@ The rounds keep their w paths as one unit flow of ``menger``'s split
 network for the whole sequence: a round extends each path by a vertex,
 re-roots a path whose head has no free neighbour by one local search of the
 residual network, and once a path cannot be re-rooted, completes the flow to
-a maximum one, whose minimum cut is Z.  Each witness is kept as a link to
-the path it extends, so a sequence takes linear memory.  ``construct``
+a maximum one, whose minimum cut is Z.  An extending witness is an O(1)
+link; a path that a re-rooting changed is stored whole.  ``construct``
 reads only the tail and the components of G - Z (``_sequence_tail``), which
 for |W| = 1 come from one component search and no flow.
 """

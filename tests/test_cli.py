@@ -32,6 +32,10 @@ class TestGen:
     def test_bad_params(self, capsys):
         assert dispatch(["gen", "--kind", "path", "--params", "nonsense"]) == 2
 
+    def test_size_below_least(self, capsys):
+        assert dispatch(["gen", "--kind", "path", "--params", "n=0"]) == 2
+        assert capsys.readouterr().err == "error: path_graph: n must be an integer >= 1, got 0\n"
+
     def test_empty_param_item_skipped(self, capsys):
         assert dispatch(["gen", "--kind", "path", "--params", "n=5,"]) == 0
         assert parse_gr(capsys.readouterr().out) == path_graph(5)

@@ -77,22 +77,23 @@ def test_generate_rejects_bad_params(kind, params, named):
 @pytest.mark.parametrize(
     "kind,params,message",
     [
-        ("path", {"n": 0}, "path needs n >= 1"),
-        ("cycle", {"n": 2}, "cycle needs n >= 3"),
-        ("complete", {"n": 0}, "complete graph needs n >= 1"),
-        ("grid", {"rows": 0}, "grid needs positive dimensions"),
-        ("grid", {"rows": 3, "cols": -1}, "grid needs positive dimensions"),
-        ("tree", {"n": 0}, "tree needs n >= 1"),
-        ("gnp", {"n": 0, "p": 0.5}, "gnp needs n >= 1"),
+        ("path", {"n": 0}, "path_graph: n must be an integer >= 1, got 0"),
+        ("cycle", {"n": 2}, "cycle_graph: n must be an integer >= 3, got 2"),
+        ("complete", {"n": 0}, "complete_graph: n must be an integer >= 1, got 0"),
+        ("grid", {"rows": 0}, "grid_graph: rows must be an integer >= 1, got 0"),
+        ("grid", {"rows": 3, "cols": -1}, "grid_graph: cols must be an integer >= 1, got -1"),
+        ("tree", {"n": 0}, "random_tree: n must be an integer >= 1, got 0"),
+        ("gnp", {"n": 0, "p": 0.5}, "gnp_graph: n must be an integer >= 1, got 0"),
         ("gnp", {"n": 5, "p": 1.5}, r"p must be in \[0, 1\]"),
-        ("ktree", {"n": 3, "k": 3}, "a partial k-tree needs 0 <= k < n"),
-        ("ktree", {"n": 5, "k": -1}, "a partial k-tree needs 0 <= k < n"),
+        ("ktree", {"n": 3, "k": 3}, "partial_ktree: n must be an integer >= 4, got 3"),
+        ("ktree", {"n": 5, "k": -1}, "partial_ktree: k must be an integer >= 0, got -1"),
         ("ktree", {"n": 5, "k": 2, "keep": -0.1}, r"keep must be in \[0, 1\]"),
     ],
 )
 def test_generate_passes_on_size_and_range_errors(kind, params, message):
-    # well-formed params whose values the generator itself refuses
-    with pytest.raises(InvalidInputError, match=message):
+    # well-formed params whose values the generator itself refuses, with
+    # exactly the generator's message
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
         generate(kind, params, seed=0)
 
 

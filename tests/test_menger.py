@@ -63,8 +63,9 @@ class TestDisjointPaths:
         with pytest.raises(InvalidInputError):
             disjoint_paths(path_graph(5), [0, 1, 2], [0, 1, 2], -1)
 
-    @pytest.mark.parametrize("cap", [1.5, True])
+    @pytest.mark.parametrize("cap", [1.5, True, -1])
     def test_non_integer_cap_rejected(self, cap):
+        # a negative integer gets the same one message as a non-integer
         with pytest.raises(InvalidInputError) as ei:
             disjoint_paths(path_graph(6), [0], [5], cap)
         assert str(ei.value) == f"disjoint_paths: cap must be an integer >= 0, got {cap!r}"

@@ -11,7 +11,9 @@ the records are plain classes on graph.Record), no ``object.__setattr__``
 outside graph.Record (its one ``__init__`` sets every record's fields from
 ``_fields``), and no underscore-prefixed
 module-level name that nothing in the package reads (a replaced routine
-left beside its replacement)."""
+left beside its replacement).  One more reads that each ``_check_order``
+call, and each ``SizeLimitExceededError`` named by a string literal, names
+the function that makes it."""
 
 import ast
 import json
@@ -344,3 +346,59 @@ def test_unread_private_name_guard_reads_uses():
         "b.py": ast.parse("from . import a\nprint(a._used(1), a._Kept())\n"),
     }
     assert unread_private_names(trees) == ["a.py:_LEFT", "a.py:_recursive"]
+
+
+# the callables whose message names the failing function, and the position
+# and keyword of that naming argument
+NAMING_ARGUMENT = {"_check_order": (0, "where"), "SizeLimitExceededError": (2, "what")}
+
+
+def misnamed_errors(tree: ast.Module) -> list[tuple[int, str, str | None]]:
+    """(line, callable, named) of each ``_check_order`` call that does not
+    name, as a string literal, the ``def`` enclosing it, and of each
+    ``SizeLimitExceededError`` named by a string literal other than it."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in NAMING_ARGUMENT:
+            index, keyword = NAMING_ARGUMENT[node.func.id]
+            args = node.args[index:index + 1] + [k.value for k in node.keywords if k.arg == keyword]
+            literal = args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str)
+            named = args[0].value if literal else None
+            if named != where and (literal or node.func.id == "_check_order"):
+                found.append((node.lineno, node.func.id, named))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_errors_name_their_function():
+    found = []
+    for path in sorted((SRC / "sepdecomp").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}: {name}({named!r})"
+                  for line, name, named in misnamed_errors(tree)]
+    assert found == []
+
+
+def test_misnamed_error_guard_reads_defs():
+    tree = ast.parse(
+        "def f(n, a):\n"
+        "    _check_order('f', 'a', a, 0)\n"
+        "    _check_order('g', 'a', a)\n"
+        "    _check_order(where, 'a', a)\n"
+        "    raise SizeLimitExceededError(n, 9, 'exact search')\n"
+        "def g(n, where):\n"
+        "    def inner():\n"
+        "        raise SizeLimitExceededError(n, 9, what='g')\n"
+        "    raise SizeLimitExceededError(n, 9, where)\n"
+        "    raise SizeLimitExceededError(n, 9, what='g')\n"
+    )
+    assert misnamed_errors(tree) == [
+        (3, "_check_order", "g"), (4, "_check_order", None),
+        (5, "SizeLimitExceededError", "exact search"), (8, "SizeLimitExceededError", "g"),
+    ]

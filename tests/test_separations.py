@@ -47,7 +47,8 @@ class TestPostconditions:
     typed error naming the function (a plain assert would vanish under -O)."""
 
     def test_min_balanced(self, monkeypatch):
-        monkeypatch.setattr(kernels, "min_balanced_separation", lambda n, adj, k: None)
+        # the exhaustive search is the W = V case of the W-balanced kernel
+        monkeypatch.setattr(kernels, "min_w_balanced_separation", lambda n, adj, w, k: None)
         with pytest.raises(PostconditionFailedError, match="^min_balanced_separation:"):
             min_balanced_separation(path_graph(4))
 
