@@ -127,6 +127,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def _check_vertices(G: Graph, S: Iterable[int]) -> VertexSet:
     S = frozenset(S)
+    for v in S:  # a bool is no vertex, as in _check_order
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InvalidInputError(f"vertex {v!r} is not an integer")
     if S and not (0 <= min(S) and max(S) < G.n):
         raise VertexOutOfRangeError(next(v for v in S if not 0 <= v < G.n), G.n)
     return S
@@ -170,20 +173,22 @@ def _lift(mask: int, ids: Sequence[int]) -> int:
     return mask_of(map(ids.__getitem__, mask_vertices(mask)))
 
 
-def component_mask(adj_masks: Sequence[int], universe: int, start: int) -> int:
-    """Bitmask of the component of `start` inside `universe`."""
-    comp = 1 << start
-    frontier = comp
+def component_mask(adj_masks: Sequence[int], universe: int, start: int) -> tuple[int, int]:
+    """(comp, around): the component of `start` inside `universe`, and the
+    OR of its vertices' neighbour masks, whose part outside `universe` is
+    the component's border."""
+    comp = frontier = 1 << start
+    around = 0
     while frontier:
-        nxt = 0
         f = frontier
         while f:
             v = (f & -f).bit_length() - 1
             f &= f - 1
-            nxt |= adj_masks[v]
-        frontier = nxt & universe & ~comp
+            around |= adj_masks[v]
+        # the vertices expanded earlier have their neighbours in comp already
+        frontier = around & universe & ~comp
         comp |= frontier
-    return comp
+    return comp, around
 
 
 def components_in(adj_masks: Sequence[int], universe: int) -> list[int]:
@@ -191,7 +196,7 @@ def components_in(adj_masks: Sequence[int], universe: int) -> list[int]:
     out = []
     rest = universe
     while rest:
-        comp = component_mask(adj_masks, universe, (rest & -rest).bit_length() - 1)
+        comp = component_mask(adj_masks, universe, (rest & -rest).bit_length() - 1)[0]
         out.append(comp)
         rest &= ~comp
     return out

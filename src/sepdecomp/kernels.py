@@ -16,10 +16,10 @@ order, but runs no component search: one DFS walk per separator prefix
 subsets of at most 14 vertices that ``separation_number`` walks, that DFS
 costs more than it saves: 0.82-0.87 s against 0.31 s with ``separators``
 on perfbench's 16 certify graphs (seed 0, 2 vCPUs), or 0.16 s over
-connected subsets only.  A per-component ``treewidth`` DP waits for the
-benchmark's RSS mend (ROADMAP item 3).  ``eliminate``, the one fill-in
-elimination (in a given order, or by minimum degree off degree buckets),
-feeds the witness and the centroid bag.
+connected subsets only.  ``treewidth`` reads Q(S, v) off the search of v's
+component (``component_mask``'s border); a per-component DP waits for the
+RSS mend (ROADMAP item 3).  ``eliminate``, the one fill-in elimination (in
+a given order or by minimum degree), feeds the witness and the centroid bag.
 """
 
 from __future__ import annotations
@@ -238,10 +238,9 @@ def separation_number(n, adj_masks) -> int:
 
 
 def treewidth(n, adj_masks):
-    """Exact treewidth via DP over subsets of elimination prefixes.
-
-    Returns (tw, elimination_order).
-    """
+    """Exact (tw, elimination_order) by DP over subsets of elimination prefixes:
+    eliminating v after sub - v costs |Q(sub - v, v)|, the border of v's
+    component in G[sub] (Bodlaender, Fomin, Koster, Kratsch & Thilikos 2012)."""
     if n == 0:
         return -1, ()
     size = 1 << n
@@ -252,24 +251,18 @@ def treewidth(n, adj_masks):
         best_cost = n
         best_v = -1
         for v in mask_vertices(sub):
-            prev = sub ^ (1 << v)
-            reach = component_mask(adj_masks, sub, v)
-            nbr = 0
-            for u in mask_vertices(reach):
-                nbr |= adj_masks[u]
-            cost = max(opt[prev], (nbr & ~sub).bit_count())
+            around = component_mask(adj_masks, sub, v)[1]
+            cost = max(opt[sub ^ (1 << v)], (around & ~sub).bit_count())
             if cost < best_cost:
                 best_cost = cost
                 best_v = v
         opt[sub] = best_cost
         choice[sub] = best_v
-    order = [0] * n
-    sub = size - 1
-    for pos in range(n - 1, -1, -1):
-        v = choice[sub]
-        order[pos] = v
-        sub ^= 1 << v
-    return opt[size - 1], tuple(order)
+    order, sub = [], size - 1  # read back from the last vertex eliminated
+    while sub:
+        order.append(choice[sub])
+        sub ^= 1 << order[-1]
+    return opt[size - 1], tuple(reversed(order))
 
 
 def eliminate(adj_masks: Sequence[int], order: Optional[Sequence[int]] = None):

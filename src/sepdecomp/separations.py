@@ -172,8 +172,8 @@ def _cutter_candidates(G: Graph, a: int) -> Iterator[int]:
     s = _bfs_order(G, (largest & -largest).bit_length() - 1)[-1]
     order_s = _bfs_order(G, s)
     order_t = _bfs_order(G, order_s[-1])
-    for f in range(1, 50):
-        k = max(1, len(order_s) * f // 100)
+    sizes = (max(1, len(order_s) * f // 100) for f in range(1, 50))
+    for k in dict.fromkeys(sizes):  # below 100 vertices a size repeats: run each once
         # the balls may overlap: their common vertices join the cut
         res = disjoint_paths(G, order_s[:k], order_t[:k], a + 1)
         if res.separator is not None:

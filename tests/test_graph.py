@@ -29,10 +29,10 @@ from sepdecomp.graph import (
     is_w_balanced,
     mask_vertices,
 )
-from sepdecomp.menger import disjoint_paths
-from sepdecomp.separations import make_oracle
+from sepdecomp.menger import disjoint_paths, separates
+from sepdecomp.separations import make_oracle, min_w_balanced_separation, stz_separation
 from sepdecomp.verification import InstanceSpec, SuiteConfig, check_zw_inequality, treewidth_exact
-from sepdecomp.wsequence import build_w_sequence
+from sepdecomp.wsequence import WSequence, build_w_sequence, validate_w_sequence
 
 
 def graphs(max_n=9):
@@ -244,6 +244,40 @@ class TestSeparationChecksAgainstReference:
         for check in checks:
             with pytest.raises(VertexOutOfRangeError):
                 check()
+
+
+P5 = path_graph(5)
+
+
+def sides_with(x):
+    return Separation(frozenset({0, x, 2}), frozenset({2, 3, 4}))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: construct(P5, 1, {x}), id="construct"),
+        pytest.param(lambda x: build_w_sequence(P5, {x}, 1), id="build_w_sequence"),
+        pytest.param(lambda x: validate_w_sequence(
+            P5, WSequence((frozenset({x}), frozenset({3})), 1, frozenset(), ())),
+            id="validate_w_sequence"),
+        pytest.param(lambda x: stz_separation(P5, {x}, {2}, {4}), id="stz_separation"),
+        pytest.param(lambda x: induced_subgraph(P5, {x, 3}), id="induced_subgraph"),
+        pytest.param(lambda x: is_separation(P5, sides_with(x)), id="is_separation"),
+        pytest.param(lambda x: is_balanced(P5, sides_with(x)), id="is_balanced"),
+        pytest.param(lambda x: is_w_balanced(P5, sides_with(1), {x}), id="is_w_balanced"),
+        pytest.param(lambda x: disjoint_paths(P5, {x}, {3}, 1), id="disjoint_paths"),
+        pytest.param(lambda x: separates(P5, {2}, {x}, {4}), id="separates"),
+        pytest.param(lambda x: min_w_balanced_separation(P5, {x}), id="min_w_balanced_separation"),
+    ],
+)
+@pytest.mark.parametrize("value", [0.5, 1.0, True])
+def test_non_integer_vertex_rejected(call, value):
+    # inside 0..n-1, a float or a bool passed the range check and ended in a
+    # bare TypeError from a mask shift or a list index
+    with pytest.raises(InvalidInputError) as ei:
+        call(value)
+    assert str(ei.value) == f"vertex {value!r} is not an integer"
 
 
 # one maker per hashable record type; each call builds a fresh, equal record

@@ -15,7 +15,14 @@ from sepdecomp.generators import (
     path_graph,
     random_tree,
 )
-from sepdecomp.graph import Separation, build_graph, component_mask, components_in, is_balanced
+from sepdecomp.graph import (
+    Separation,
+    build_graph,
+    component_mask,
+    components_in,
+    is_balanced,
+    mask_vertices,
+)
 
 
 def reference_w_balanced(G, w_mask, max_order):
@@ -30,6 +37,31 @@ def reference_w_balanced(G, w_mask, max_order):
         if a_mask is not None:
             return k, z_mask, a_mask
     return None
+
+
+def reference_treewidth(n, adj_masks):
+    """The subset DP with Q(sub - v, v) read by a second pass: a search for
+    v's component in G[sub], then an OR of its vertices' neighbour masks."""
+    opt, choice = [-1] + [0] * ((1 << n) - 1), [0] * (1 << n)
+    for sub in range(1, 1 << n):
+        opt[sub] = n
+        for v in mask_vertices(sub):
+            reach, todo = 1 << v, [v]
+            while todo:
+                for u in mask_vertices(adj_masks[todo.pop()] & sub & ~reach):
+                    reach |= 1 << u
+                    todo.append(u)
+            nbr = 0
+            for u in mask_vertices(reach):
+                nbr |= adj_masks[u]
+            cost = max(opt[sub ^ 1 << v], (nbr & ~sub).bit_count())
+            if cost < opt[sub]:
+                opt[sub], choice[sub] = cost, v
+    order, sub = [], (1 << n) - 1
+    for _ in range(n):
+        order.insert(0, choice[sub])
+        sub ^= 1 << choice[sub]
+    return opt[-1], tuple(order)
 
 
 def draw_graph(data, max_n):
@@ -81,8 +113,12 @@ class TestPureHelpers:
     def test_component_mask(self):
         # 0-1 edge, isolated 2: masks 0b011 and 0b100
         adj = (0b010, 0b001, 0b000)
-        assert component_mask(adj, 0b111, 0) == 0b011
+        assert component_mask(adj, 0b111, 0) == (0b011, 0b011)
+        assert component_mask(adj, 0b111, 2) == (0b100, 0b000)
         assert components_in(adj, 0b111) == [0b011, 0b100]
+        # path 0-1-2 inside {0, 1}: 2 borders the component but is not in it
+        path = (0b010, 0b101, 0b010)
+        assert component_mask(path, 0b011, 0) == (0b011, 0b111)
 
     def test_components_respect_universe(self):
         adj = (0b010, 0b101, 0b010)
@@ -148,6 +184,24 @@ class TestPureKernels:
         assert list(kernels.separators(G.adj_masks, [1], 0b1011, [1])) == [
             (1, 0b0010, [0b0001, 0b1000])
         ]
+
+
+class TestTreewidthKernel:
+    def test_matches_rescan_reference(self):
+        # seeded gnp graphs and partial k-trees with n <= 11: the same value
+        # and the same elimination order, tie-breaks included
+        rng = random.Random(30)
+        for i in range(320):
+            n = rng.randint(1, 11)
+            if i % 2 and n >= 4:
+                G = partial_ktree(n, rng.randint(1, 3), rng.choice([0.5, 0.8, 1.0]), i)
+            else:
+                G = gnp_graph(n, rng.choice([0.1, 0.3, 0.5, 0.8]), i)
+            assert kernels.treewidth(G.n, G.adj_masks) == reference_treewidth(G.n, G.adj_masks), (n, i)
+
+    def test_empty_and_single_vertex(self):
+        assert kernels.treewidth(0, ()) == reference_treewidth(0, ()) == (-1, ())
+        assert kernels.treewidth(1, (0,)) == reference_treewidth(1, (0,)) == (0, (0,))
 
 
 class TestBalancedSeparationKernel:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sepdecomp import kernels
+from sepdecomp import kernels, separations
 from sepdecomp.errors import (
     InvalidInputError,
     NotSeparatedError,
@@ -13,6 +13,7 @@ from sepdecomp.generators import (
     complete_graph,
     cycle_graph,
     gnp_graph,
+    grid_graph,
     partial_ktree,
     path_graph,
     random_tree,
@@ -186,6 +187,26 @@ class TestBalancedSeparationWithin:
         assert out.found
         assert is_balanced(G, out.separation)
         assert out.separation.order <= a
+
+    @pytest.mark.parametrize(
+        "G, a, flows, found",
+        [(cycle_graph(40), 2, 14, True), (cycle_graph(60), 2, 20, True),
+         (grid_graph(6, 8), 3, 23, False)],
+        ids=["cycle40", "cycle60", "grid6x8-miss"],
+    )
+    def test_cutter_runs_each_ball_size_once(self, monkeypatch, G, a, flows, found):
+        # below 100 vertices two ball percentages can round to one size; each
+        # size runs one flow (the repeats made 35, 34 and 49 flows here)
+        sizes = []
+        real = separations.disjoint_paths
+
+        def counted(H, S, T, cap):
+            sizes.append(len(S))
+            return real(H, S, T, cap)
+
+        monkeypatch.setattr(separations, "disjoint_paths", counted)
+        assert _cutter_balanced_within(G, a).found == found
+        assert len(sizes) == flows and sizes == sorted(set(sizes))
 
     @pytest.mark.parametrize(
         "G, a", [(path_graph(60), 1), (partial_ktree(120, 2, seed=3), 3)], ids=["path60", "ktree2"]
